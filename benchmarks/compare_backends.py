@@ -45,7 +45,8 @@ def bench_size(n, repeats):
         outs[name] = (dense_out.copy(), nbr_out.copy())
     names = list(outs)
     for other in names[1:]:
-        assert np.array_equal(outs[names[0]][0], outs[other][0]), "backends diverge"
+        for form, (ref, got) in zip(("dense", "neighbor"), zip(outs[names[0]], outs[other])):
+            assert np.array_equal(ref, got), f"{form} kernels diverge: {names[0]} vs {other}"
     return rows
 
 

@@ -23,7 +23,7 @@ from .engine import (
     transform_aggregate,
 )
 from .harness import ExperimentConfig, load_config, run_experiment
-from .noise import NoiseParams, make_noise
+from .noise import NoiseParams
 from .privacy import (
     AdversaryView,
     PrivacyQuery,
@@ -71,7 +71,6 @@ __all__ = [
     "is_connected",
     "later_round_attack",
     "load_config",
-    "make_noise",
     "metropolis",
     "naive_attack",
     "privacy_sweep",

@@ -7,11 +7,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .engine import RunConfig, run
+from .engine import run
 from .harness import (
     ConfigError,
     ExperimentConfig,
     load_config,
+    repetition_inputs,
     run_experiment,
 )
 from .noise import derive_seed
@@ -115,18 +116,16 @@ def cmd_attack(args) -> int:
             raise ConfigError(
                 "disclosure attack requires the zero_sum (or zero) noise scheme"
             )
-        x0 = _rep0_x0(config, graph.n)
-        run_config = RunConfig(
-            graph=graph,
-            x0=x0,
-            noise=replace(params, seed=derive_seed(params.seed, 0)),
-            scheme=config.scheme,
-            max_iterations=max(config.run.max_iterations or graph.n**2, args.horizon + 1),
+        run_config, _ = repetition_inputs(config, graph, 0)
+        run_config = replace(
+            run_config,
+            term_epsilon=0.0,
             record_trace=True,
+            max_iterations=max(run_config.max_rounds, args.horizon + 1),
         )
         trace = run(run_config)
         result = disclosure_attack(view, trace, args.horizon)
-        actual = float(x0[target])
+        actual = float(run_config.x0[target])
         print(f"estimate x_{target}(0) = {result.estimate!r}")
         print(f"actual   x_{target}(0) = {actual!r}")
         print(f"abs error = {abs(result.estimate - actual):.3e} "
@@ -196,17 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     return parser
-
-
-def _rep0_x0(config: ExperimentConfig, n: int):
-    import numpy as np
-
-    if config.x0.mode == "explicit":
-        return np.array(config.x0.values, dtype=np.float64)
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(derive_seed(config.x0.seed, 0)))
-    )
-    return rng.uniform(config.x0.low, config.x0.high, n)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -183,7 +183,7 @@ def run(config: RunConfig, backend: Backend | None = None) -> RunTrace:
     edge_u, edge_v = _edge_arrays(g)
     reference = float(np.mean(x0_full))
     max_rounds = config.max_rounds
-    bank = NoiseBank(config.scheme, config.noise, g.n, max_rounds)
+    bank = NoiseBank.for_nodes(config.scheme, config.noise, g.n, max_rounds)
     guard = (
         state_envelope(x0_full, config.noise) * (1.0 + TOL.envelope_slack)
         if config.scheme in _ENVELOPE_SCHEMES

@@ -393,6 +393,37 @@ def _format_payload(payload) -> str:
     return str(payload)
 
 
+def repetition_inputs(
+    config: ExperimentConfig, graph: Graph, rep: int
+) -> tuple[RunConfig, dict]:
+    """The run of repetition rep and its manifest seeds entry.
+
+    x0 and the noise seed are derived from the config's seeds and rep; the
+    zero scheme draws nothing and keeps the config's noise seed.
+    """
+    if config.x0.mode == "uniform":
+        x0_seed = derive_seed(config.x0.seed, rep)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(x0_seed)))
+        x0 = rng.uniform(config.x0.low, config.x0.high, graph.n)
+    else:
+        x0_seed = None
+        x0 = np.array(config.x0.values, dtype=np.float64)
+    noise_seed = None if config.scheme == "zero" else derive_seed(config.noise.seed, rep)
+    params = config.noise if noise_seed is None else replace(config.noise, seed=noise_seed)
+    run_config = RunConfig(
+        graph=graph,
+        x0=x0,
+        noise=params,
+        scheme=config.scheme,
+        max_iterations=config.run.max_iterations,
+        term_epsilon=config.run.term_epsilon,
+        events=tuple(parse_event(text, graph.n) for text in config.run.events),
+        record_trace=config.run.record_trace,
+        update_form=config.run.update_form,
+    )
+    return run_config, {"repetition": rep, "x0_seed": x0_seed, "noise_seed": noise_seed}
+
+
 def run_experiment(
     config: ExperimentConfig, base_dir: str | Path | None = None
 ) -> ExperimentResult:
@@ -410,36 +441,12 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     graph = config.topology.build()
-    events = tuple(parse_event(text, graph.n) for text in config.run.events)
 
     seeds = []
     runs = []
     traces = []
     for rep in range(config.repetitions):
-        if config.x0.mode == "uniform":
-            x0_seed = derive_seed(config.x0.seed, rep)
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(x0_seed)))
-            x0 = rng.uniform(config.x0.low, config.x0.high, graph.n)
-        else:
-            x0_seed = None
-            x0 = np.array(config.x0.values, dtype=np.float64)
-        noise_seed = None if config.scheme == "zero" else derive_seed(config.noise.seed, rep)
-        params = (
-            config.noise
-            if noise_seed is None
-            else replace(config.noise, seed=noise_seed)
-        )
-        run_config = RunConfig(
-            graph=graph,
-            x0=x0,
-            noise=params,
-            scheme=config.scheme,
-            max_iterations=config.run.max_iterations,
-            term_epsilon=config.run.term_epsilon,
-            events=events,
-            record_trace=config.run.record_trace,
-            update_form=config.run.update_form,
-        )
+        run_config, rep_seeds = repetition_inputs(config, graph, rep)
         try:
             trace = run(run_config)
         except Exception as exc:
@@ -455,7 +462,7 @@ def run_experiment(
             trace.write_summary_csv(out_dir / name)
             files["summary"] = name
         n_final = len(trace.node_ids[-1])
-        seeds.append({"repetition": rep, "x0_seed": x0_seed, "noise_seed": noise_seed})
+        seeds.append(rep_seeds)
         runs.append(
             {
                 "repetition": rep,

@@ -15,6 +15,9 @@ inside the analytic envelope (alpha/2)*rho**(k+1).
 With h >= 2 the rounds are split round-robin into h independent chains;
 each chain runs its own telescoping residual with the envelope indexed by
 its inner counter, so the zero-sum and decay conditions hold per chain.
+
+Every scheme is computed in one place, NoiseBank.round_values, from a block
+of raw draws that raw_draws reads from a generator in draw order.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ DISTRIBUTIONS = ("uniform", "truncated_gaussian")
 # Truncation point (in standard deviations) of the truncated-gaussian draw;
 # a draw is the conditioned z rescaled so the support matches the uniform one.
 TRUNC_SIGMAS = 2.0
-
-_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -78,48 +79,31 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-class RawStream:
-    """Buffered raw draws from one generator.
+def raw_draws(
+    scheme: str, params: NoiseParams, gen: np.random.Generator, count: int
+) -> np.ndarray:
+    """The raw values `count` noise draws of `scheme` take from gen, in draw order.
 
-    Scalar consumers pop chunked buffers; block consumers read whole arrays.
-    Both orderings yield the same value sequence because numpy fills uniform
-    and normal arrays element-sequentially from the bit stream (covered by a
-    regression test).
+    zero_sum takes its distribution's values on [-1, 1], independent_decaying
+    uniforms on [-1, 1], gaussian_constant standard normals, and zero nothing.
+    The truncated gaussian keeps the normals with |z| <= TRUNC_SIGMAS in the
+    order drawn; numpy fills normal arrays element by element, so this accepts
+    exactly the draws a per-draw rejection loop accepts.
     """
-
-    def __init__(self, gen: np.random.Generator):
-        self._gen = gen
-        self._uni: list[float] = []
-        self._norm: list[float] = []
-
-    def next_uniform(self) -> float:
-        if not self._uni:
-            self._uni = self._gen.uniform(-1.0, 1.0, _CHUNK).tolist()[::-1]
-        return self._uni.pop()
-
-    def uniform_block(self, count: int) -> np.ndarray:
-        if self._uni:
-            raise RuntimeError("mixing block and scalar uniform reads")
-        return self._gen.uniform(-1.0, 1.0, count)
-
-    def normal_block(self, count: int) -> np.ndarray:
-        if self._norm:
-            raise RuntimeError("mixing block and scalar normal reads")
-        return self._gen.standard_normal(count)
-
-    def next_normal(self) -> float:
-        if not self._norm:
-            self._norm = self._gen.standard_normal(_CHUNK).tolist()[::-1]
-        return self._norm.pop()
-
-    def next_unit(self, distribution: str) -> float:
-        """One raw draw on [-1, 1] per the configured distribution."""
-        if distribution == "uniform":
-            return self.next_uniform()
-        z = self.next_normal()
-        while abs(z) > TRUNC_SIGMAS:
-            z = self.next_normal()
-        return z / TRUNC_SIGMAS
+    if scheme == "zero":
+        return np.empty(0)
+    if scheme == "gaussian_constant":
+        return gen.standard_normal(count)
+    if scheme == "independent_decaying" or params.distribution == "uniform":
+        return gen.uniform(-1.0, 1.0, count)
+    kept, have = [np.empty(0)], 0
+    while have < count:
+        need = count - have
+        z = gen.standard_normal(need + need // 16 + 16)  # ~4.6% are rejected
+        z = z[np.abs(z) <= TRUNC_SIGMAS]
+        kept.append(z)
+        have += z.size
+    return np.concatenate(kept)[:count] / TRUNC_SIGMAS
 
 
 def _envelope(params: NoiseParams, inner: int) -> float:
@@ -127,160 +111,37 @@ def _envelope(params: NoiseParams, inner: int) -> float:
     return 0.5 * params.alpha * params.rho ** (inner + 1)
 
 
-class ZeroSumNoise:
-    """Telescoping zero-sum noise for one node (h >= 1 chains, round-robin).
-
-    sample(k) must be called with consecutive k starting at 0. The running
-    per-chain sum of returned values equals the chain residual bit-for-bit.
-    """
-
-    def __init__(self, params: NoiseParams, node: int, stream: RawStream | None = None):
-        self.params = params
-        self.node = node
-        self._stream = stream or RawStream(node_stream(params.seed, node))
-        self._delta = [0.0] * params.h
-        self._cum = [0.0] * params.h
-        self._next_k = 0
-
-    @property
-    def next_k(self) -> int:
-        return self._next_k
-
-    @property
-    def chain_residuals(self) -> tuple[float, ...]:
-        return tuple(self._delta)
-
-    @property
-    def chain_cumulative(self) -> tuple[float, ...]:
-        return tuple(self._cum)
-
-    def sample(self, k: int) -> float:
-        if k != self._next_k:
-            raise ValueError(f"out-of-order sample: expected k={self._next_k}, got {k}")
-        self._next_k += 1
-        p = self.params
-        chain, inner = k % p.h, k // p.h
-        scale = _envelope(p, inner) * DRAW_MARGIN
-        draw = self._stream.next_unit(p.distribution) * scale
-        if inner == 0:
-            theta = draw
-            self._delta[chain] = draw
-        else:
-            theta = draw - self._delta[chain]
-            new = self._delta[chain] + theta
-            if abs(new) > _envelope(p, inner):  # float guard; margin makes this unreachable
-                theta = -self._delta[chain]
-                new = self._delta[chain] + theta
-            self._delta[chain] = new
-        self._cum[chain] = self._cum[chain] + theta
-        return theta
-
-
-class IndependentDecayingNoise:
-    """Baseline: independent uniform draws on [-(alpha/2)rho^k, +(alpha/2)rho^k].
-
-    Decays like the zero-sum scheme but almost surely violates the zero-sum
-    condition, biasing the consensus limit by the total injected noise / n.
-    """
-
-    def __init__(self, params: NoiseParams, node: int, stream: RawStream | None = None):
-        self.params = params
-        self._stream = stream or RawStream(node_stream(params.seed, node))
-        self._next_k = 0
-
-    def sample(self, k: int) -> float:
-        if k != self._next_k:
-            raise ValueError(f"out-of-order sample: expected k={self._next_k}, got {k}")
-        self._next_k += 1
-        scale = 0.5 * self.params.alpha * self.params.rho**k * DRAW_MARGIN
-        return self._stream.next_uniform() * scale
-
-
-class ConstantGaussianNoise:
-    """Baseline: i.i.d. normal noise with fixed variance (no decay)."""
-
-    def __init__(self, params: NoiseParams, node: int, stream: RawStream | None = None):
-        self._std = math.sqrt(params.variance)
-        self._stream = stream or RawStream(node_stream(params.seed, node))
-        self._next_k = 0
-
-    def sample(self, k: int) -> float:
-        if k != self._next_k:
-            raise ValueError(f"out-of-order sample: expected k={self._next_k}, got {k}")
-        self._next_k += 1
-        return self._std * self._stream.next_normal()
-
-
-class ZeroNoise:
-    """Baseline: no noise; classical exact consensus."""
-
-    def __init__(self, params: NoiseParams, node: int, stream: RawStream | None = None):
-        self._next_k = 0
-
-    def sample(self, k: int) -> float:
-        if k != self._next_k:
-            raise ValueError(f"out-of-order sample: expected k={self._next_k}, got {k}")
-        self._next_k += 1
-        return 0.0
-
-
-_SCHEME_CLASSES = {
-    "zero_sum": ZeroSumNoise,
-    "independent_decaying": IndependentDecayingNoise,
-    "gaussian_constant": ConstantGaussianNoise,
-    "zero": ZeroNoise,
-}
-
-
-def make_noise(scheme: str, params: NoiseParams, node: int, stream: RawStream | None = None):
-    """Scalar noise process for one node; a shared stream may be injected
-    (attack trials draw all of a trial's randomness from one stream)."""
-    try:
-        cls = _SCHEME_CLASSES[scheme]
-    except KeyError:
-        raise ValueError(f"unknown noise scheme {scheme!r}") from None
-    return cls(params, node, stream)
-
-
 class NoiseBank:
-    """All nodes' noise for one run, advanced one round at a time.
+    """theta, the noise each lane adds to its broadcast, one round at a time.
 
-    Produces, lane by lane, the same value sequence as the scalar processes
-    for the same (seed, node) pairs. The uniform distribution pre-draws each
-    node's raw stream as one block; the truncated gaussian needs per-draw
-    rejection and is gathered scalar-wise.
+    raw is a (rounds x lanes) block from raw_draws; row k feeds round k (the
+    zero scheme's block has no rows). The engine gives each node its own
+    stream (for_nodes); an attack trial lays one generator's draws out
+    row-major over its nodes. This is the only code that turns raw draws into
+    theta.
     """
 
-    def __init__(self, scheme: str, params: NoiseParams, n: int, max_rounds: int):
+    def __init__(self, scheme: str, params: NoiseParams, raw: np.ndarray):
         if scheme not in SCHEMES:
             raise ValueError(f"unknown noise scheme {scheme!r}")
         self.scheme = scheme
         self.params = params
-        self.n = n
+        self.n = raw.shape[1]
+        self._raw = raw
         self._next_k = 0
-        self._raw: np.ndarray | None = None
-        self._streams: list[RawStream] = []
-        if scheme == "zero":
-            return
-        self._streams = [RawStream(node_stream(params.seed, i)) for i in range(n)]
         if scheme == "zero_sum":
-            self._delta = np.zeros((params.h, n))
-        # independent_decaying is uniform by definition; zero_sum with the
-        # truncated gaussian needs per-draw rejection, so no block there.
-        if scheme == "gaussian_constant":
-            self._raw = np.column_stack([s.normal_block(max_rounds) for s in self._streams])
-        elif scheme == "independent_decaying" or params.distribution == "uniform":
-            self._raw = np.column_stack([s.uniform_block(max_rounds) for s in self._streams])
+            self._delta = np.zeros((params.h, self.n))
 
-    def _raw_row(self, k: int) -> np.ndarray:
-        if self._raw is not None:
-            return self._raw[k]
-        return np.array(
-            [s.next_unit(self.params.distribution) for s in self._streams]
-        )
+    @classmethod
+    def for_nodes(cls, scheme: str, params: NoiseParams, n: int, rounds: int) -> NoiseBank:
+        """A run's noise: lane i reads node i's own stream (params.seed, i)."""
+        columns = [
+            raw_draws(scheme, params, node_stream(params.seed, i), rounds) for i in range(n)
+        ]
+        return cls(scheme, params, np.column_stack(columns))
 
     def round_values(self, k: int) -> np.ndarray:
-        """theta for every node at round k (full width; callers slice survivors)."""
+        """theta for every lane at round k (full width; callers slice survivors)."""
         if k != self._next_k:
             raise ValueError(f"out-of-order round: expected k={self._next_k}, got {k}")
         self._next_k += 1
@@ -288,12 +149,12 @@ class NoiseBank:
         if self.scheme == "zero":
             return np.zeros(self.n)
         if self.scheme == "gaussian_constant":
-            return math.sqrt(p.variance) * self._raw_row(k)
+            return math.sqrt(p.variance) * self._raw[k]
         if self.scheme == "independent_decaying":
             scale = 0.5 * p.alpha * p.rho**k * DRAW_MARGIN
-            return self._raw_row(k) * scale
+            return self._raw[k] * scale
         chain, inner = k % p.h, k // p.h
-        draw = self._raw_row(k) * (_envelope(p, inner) * DRAW_MARGIN)
+        draw = self._raw[k] * (_envelope(p, inner) * DRAW_MARGIN)
         if inner == 0:
             self._delta[chain] = draw
             return draw

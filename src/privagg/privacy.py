@@ -19,13 +19,7 @@ import numpy as np
 
 from .backend import Backend, get_backend
 from .engine import RunTrace
-from .noise import (
-    TRUNC_SIGMAS,
-    NoiseParams,
-    RawStream,
-    initial_draw_block,
-    make_noise,
-)
+from .noise import TRUNC_SIGMAS, NoiseBank, NoiseParams, initial_draw_block, raw_draws
 from .topology import Graph, check_privacy_precondition
 from .weights import metropolis
 
@@ -138,6 +132,17 @@ def naive_attack(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return _naive_rate(params, epsilon, trials, rng, prior)
+
+
+def _naive_rate(
+    params: NoiseParams,
+    epsilon: float,
+    trials: int,
+    rng: np.random.Generator,
+    prior: tuple[float, float],
+) -> float:
+    """Fraction of trials whose round-0 broadcast lies within epsilon of x0."""
     x0 = rng.uniform(prior[0], prior[1], trials)
     theta = initial_draw_block(params, rng, trials)
     estimate = x0 + theta  # the round-0 broadcast
@@ -155,16 +160,19 @@ def _trial_broadcast(
     target: int,
     backend: Backend,
 ) -> tuple[float, float]:
-    """One fresh run; returns (x_target(0), broadcast of target at `rounds`)."""
+    """One fresh run; returns (x_target(0), broadcast of target at `rounds`).
+
+    Everything is drawn from rng: first x0, then the noise, laid out row-major
+    so that node i takes draw k*n + i at round k.
+    """
     n = graph.n
     x0 = rng.uniform(prior[0], prior[1], n)
-    stream = RawStream(rng)
-    procs = [make_noise(scheme, params, i, stream) for i in range(n)]
+    raw = raw_draws(scheme, params, rng, (rounds + 1) * n).reshape(-1, n)
+    bank = NoiseBank(scheme, params, raw)
     x = x0.copy()
     out = np.empty(n)
     for k in range(rounds + 1):
-        theta = np.array([procs[i].sample(k) for i in range(n)])
-        x_plus = x + theta
+        x_plus = x + bank.round_values(k)
         if k == rounds:
             return float(x0[target]), float(x_plus[target])
         backend.dense_step(w, x_plus, out)
@@ -298,9 +306,7 @@ def privacy_sweep(
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,)))
         )
-        x0 = rng.uniform(prior[0], prior[1], trials)
-        theta = initial_draw_block(params, rng, trials)
-        rate = float(np.mean(np.abs((x0 + theta) - x0) <= eps))
+        rate = _naive_rate(params, eps, trials, rng, prior)
         stderr = math.sqrt(rate * (1.0 - rate) / trials)
         reports.append(PrivacyReport(eps, analytic, rate, trials, stderr, "naive"))
     return reports

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -227,11 +226,3 @@ def from_edge_list(text: str) -> Graph:
             raise ValueError(f"malformed edge line {row!r}")
         edges.append((int(parts[0]), int(parts[1])))
     return build_graph(n, edges)
-
-
-def save_edge_list(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(to_edge_list(g))
-
-
-def load_edge_list(path: str | Path) -> Graph:
-    return from_edge_list(Path(path).read_text())

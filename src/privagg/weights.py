@@ -23,9 +23,6 @@ class WeightMatrix:
     n: int
     w: np.ndarray
 
-    def row_support(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if self.w[i, j] != 0.0)
-
 
 def metropolis(g: Graph) -> WeightMatrix:
     """Build the Metropolis weight matrix for a connected graph."""

@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privagg.noise import (
-    DRAW_MARGIN,
+from noise_reference import (
+    SCHEME_CLASSES,
     ConstantGaussianNoise,
     IndependentDecayingNoise,
-    NoiseBank,
-    NoiseParams,
     RawStream,
     ZeroNoise,
     ZeroSumNoise,
+)
+from privagg.noise import (
+    DRAW_MARGIN,
+    NoiseBank,
+    NoiseParams,
     derive_seed,
     initial_draw_block,
-    make_noise,
     node_stream,
+    raw_draws,
 )
 
 
@@ -157,9 +160,9 @@ def test_truncated_gaussian_draws_respect_support():
     assert float(np.mean(np.abs(block) <= 0.125)) > 0.55
 
 
-def test_make_noise_unknown_scheme():
+def test_bank_unknown_scheme():
     with pytest.raises(ValueError):
-        make_noise("bursty", NoiseParams(seed=0), 0)
+        NoiseBank.for_nodes("bursty", NoiseParams(seed=0), 3, 10)
 
 
 def test_numpy_block_draws_match_scalar_draws():
@@ -175,6 +178,16 @@ def test_numpy_block_draws_match_scalar_draws():
     )
 
 
+def test_truncated_gaussian_filter_matches_rejection_loop():
+    # more draws than one RawStream chunk (512), so the loop refills mid-way
+    params = NoiseParams(distribution="truncated_gaussian")
+    count = 3 * 512 + 7
+    block = raw_draws("zero_sum", params, node_stream(5, 0), count)
+    stream = RawStream(node_stream(5, 0))
+    scalars = np.array([stream.next_unit("truncated_gaussian") for _ in range(count)])
+    assert np.array_equal(block, scalars)
+
+
 @pytest.mark.parametrize(
     "scheme,distribution",
     [
@@ -183,17 +196,29 @@ def test_numpy_block_draws_match_scalar_draws():
         ("independent_decaying", "uniform"),
         ("gaussian_constant", "uniform"),
         ("zero", "uniform"),
+        ("independent_decaying", "truncated_gaussian"),
+        ("gaussian_constant", "truncated_gaussian"),
+        ("zero", "truncated_gaussian"),
     ],
 )
 def test_bank_matches_scalar_processes(scheme, distribution):
     params = NoiseParams(alpha=1.5, rho=0.85, h=2, distribution=distribution, seed=21)
     n, rounds = 6, 120
-    bank = NoiseBank(scheme, params, n, rounds)
-    procs = [make_noise(scheme, params, i) for i in range(n)]
-    for k in range(rounds):
-        row = bank.round_values(k)
-        ref = np.array([procs[i].sample(k) for i in range(n)])
-        assert np.array_equal(row, ref), f"lane mismatch at k={k}"
+    oracle = SCHEME_CLASSES[scheme]
+    # the engine's layout: lane i reads node i's own stream
+    node_bank = NoiseBank.for_nodes(scheme, params, n, rounds)
+    node_procs = [oracle(params, i) for i in range(n)]
+    # an attack trial's layout: one generator, lanes row-major (720 draws
+    # cross the reference stream's 512-draw chunk boundary)
+    raw = raw_draws(scheme, params, node_stream(99, 0), rounds * n).reshape(-1, n)
+    shared_bank = NoiseBank(scheme, params, raw)
+    stream = RawStream(node_stream(99, 0))
+    shared_procs = [oracle(params, i, stream) for i in range(n)]
+    for bank, procs in ((node_bank, node_procs), (shared_bank, shared_procs)):
+        for k in range(rounds):
+            row = bank.round_values(k)
+            ref = np.array([procs[i].sample(k) for i in range(n)])
+            assert np.array_equal(row, ref), f"lane mismatch at k={k}"
 
 
 def test_derive_seed_is_stable():

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from noise_reference import SCHEME_CLASSES, RawStream
 
+from privagg.backend import get_backend
 from privagg.engine import RunConfig, run
 from privagg.noise import NoiseParams
 from privagg.privacy import (
     AdversaryView,
+    _trial_broadcast,
     PrivacyQuery,
     PrivacyReport,
     disclosure_attack,
@@ -17,6 +20,7 @@ from privagg.privacy import (
     sigma_analytic,
 )
 from privagg.topology import TopologyEvent, generate
+from privagg.weights import metropolis
 
 
 def _q(eps, alpha=1.0, rho=0.5, **kw):
@@ -109,6 +113,38 @@ def test_later_round_attack_bounded_by_sigma():
         assert rate <= sigma + 3 * math.sqrt(sigma * (1 - sigma) / 3000)
     tiny = later_round_attack(view, params, 1, 1e-6, trials=1500, seed=5, train_trials=400)
     assert tiny <= 0.01
+
+
+def _reference_trial(graph, w, params, scheme, rounds, rng, prior, target):
+    """A trial as scalar processes run it: every node samples one shared stream."""
+    n = graph.n
+    x0 = rng.uniform(prior[0], prior[1], n)
+    stream = RawStream(rng)
+    procs = [SCHEME_CLASSES[scheme](params, i, stream) for i in range(n)]
+    x = x0.copy()
+    out = np.empty(n)
+    for k in range(rounds + 1):
+        x_plus = x + np.array([procs[i].sample(k) for i in range(n)])
+        if k == rounds:
+            return float(x0[target]), float(x_plus[target])
+        get_backend().dense_step(w, x_plus, out)
+        x = out.copy()
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_CLASSES))
+def test_trial_broadcast_matches_scalar_reference(scheme):
+    g = generate("random_gnp", 7, seed=4, p=0.5)
+    w = metropolis(g).w
+    for distribution in ("uniform", "truncated_gaussian"):
+        params = NoiseParams(alpha=1.2, rho=0.85, h=2, distribution=distribution, seed=0)
+        for rounds in (0, 1, 80):  # 81 rounds x 7 nodes cross a 512-draw chunk
+            args = (g, w, params, scheme, rounds)
+            prior, target = (-50.0, 50.0), 3
+            got = _trial_broadcast(
+                *args, np.random.default_rng(rounds), prior, target, get_backend()
+            )
+            ref = _reference_trial(*args, np.random.default_rng(rounds), prior, target)
+            assert got == ref, (distribution, rounds)
 
 
 def test_later_round_attack_refuses_covered_neighborhood():
