@@ -53,13 +53,13 @@ def cmd_run(args) -> int:
 
 
 def _override(config: ExperimentConfig, param: str, value: float) -> ExperimentConfig:
-    if param in ("alpha", "rho"):
+    if param in ("h", "max_iterations"):
+        if not value.is_integer():
+            raise ConfigError(f"--param {param} takes integer values, got {value:g}")
+        value = int(value)
+    if param in ("alpha", "rho", "h"):
         return replace(config, noise=replace(config.noise, **{param: value}))
-    if param == "h":
-        return replace(config, noise=replace(config.noise, h=int(value)))
-    if param == "term_epsilon":
-        return replace(config, run=replace(config.run, term_epsilon=value))
-    return replace(config, run=replace(config.run, max_iterations=int(value)))
+    return replace(config, run=replace(config.run, **{param: value}))
 
 
 def cmd_sweep(args) -> int:

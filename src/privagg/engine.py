@@ -37,6 +37,18 @@ class EngineAbort(RuntimeError):
     """States degenerated (NaN/overflow) or left the analytic envelope."""
 
 
+def check_run_options(
+    max_iterations: int | None, term_epsilon: float, update_form: str
+) -> None:
+    """Reject run options a run cannot use; each message starts with the field."""
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    if not term_epsilon >= 0.0:
+        raise ValueError("term_epsilon must be >= 0")
+    if update_form not in UPDATE_FORMS:
+        raise ValueError(f"update_form must be matrix or per_node, got {update_form!r}")
+
+
 @dataclass
 class RunConfig:
     """Everything one run needs; all randomness flows from noise.seed."""
@@ -60,12 +72,7 @@ class RunConfig:
         self.x0 = x0
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown noise scheme {self.scheme!r}")
-        if self.update_form not in UPDATE_FORMS:
-            raise ValueError(f"unknown update form {self.update_form!r}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.term_epsilon < 0.0:
-            raise ValueError("term_epsilon must be >= 0")
+        check_run_options(self.max_iterations, self.term_epsilon, self.update_form)
         self.events = tuple(self.events)
 
     @property
@@ -276,12 +283,14 @@ def _apply_run_event(
     return g2, alive, x
 
 
-def aggregate(trace: RunTrace, n: int, kind: str) -> float:
+def aggregate(trace: RunTrace, kind: str) -> float:
     """Recover the aggregate from a finished run: any node's final state is
-    the average; the sum is n times it."""
+    the average; the sum is that times the number of surviving nodes."""
     if kind not in AGGREGATE_KINDS:
         raise ValueError(f"unknown aggregate kind {kind!r}")
-    return trace.consensus_value if kind == "average" else n * trace.consensus_value
+    if kind == "average":
+        return trace.consensus_value
+    return len(trace.node_ids[-1]) * trace.consensus_value
 
 
 def transform_aggregate(

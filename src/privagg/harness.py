@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .engine import RunConfig, RunTrace, run
-from .noise import DISTRIBUTIONS, SCHEMES, NoiseParams, derive_seed
-from .topology import EVENT_KINDS, GRAPH_KINDS, Graph, TopologyEvent, generate
+from .engine import RunConfig, RunTrace, aggregate, check_run_options, run
+from .noise import SCHEMES, NoiseParams, derive_seed
+from .topology import EVENT_KINDS, Graph, TopologyEvent, check_graph_params, generate
 
 
 class ConfigError(ValueError):
@@ -33,8 +34,15 @@ class TopologySpec:
     p: float | None = None
     radius: float | None = None
 
+    def __post_init__(self) -> None:
+        check_graph_params(self.kind, self.n, self.seed, self.p, self.radius)
+
     def build(self) -> Graph:
         return generate(self.kind, self.n, seed=self.seed, p=self.p, radius=self.radius)
+
+
+# The keys each x0 mode requires; the other x0 keys are ignored for that mode.
+_X0_MODE_KEYS = {"uniform": ("low", "high", "seed"), "explicit": ("values",)}
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,15 @@ class X0Spec:
     seed: int | None = None
     values: tuple[float, ...] | None = None
 
+    def __post_init__(self) -> None:
+        if self.mode not in _X0_MODE_KEYS:
+            raise ValueError(f"mode must be uniform or explicit, got {self.mode!r}")
+        for key in _X0_MODE_KEYS[self.mode]:
+            if getattr(self, key) is None:
+                raise ValueError(f"{key} is required for {self.mode} x0")
+        if self.mode == "uniform" and not self.low < self.high:
+            raise ValueError("low must be < x0.high")
+
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -53,6 +70,9 @@ class RunSpec:
     record_trace: bool = True
     update_form: str = "matrix"
     events: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        check_run_options(self.max_iterations, self.term_epsilon, self.update_form)
 
 
 @dataclass(frozen=True)
@@ -74,17 +94,11 @@ class ExperimentConfig:
     origin: Path | None = None  # where the config was loaded from, if anywhere
 
 
-_SECTION_KEYS = {
-    "topology": {"kind", "n", "seed", "p", "radius"},
-    "x0": {"mode", "low", "high", "seed", "values"},
-    "noise": {"scheme", "alpha", "rho", "h", "distribution", "seed", "variance"},
-    "run": {"max_iterations", "term_epsilon", "record_trace", "update_form", "events"},
-    "outputs": {"directory", "write_trace", "write_summary"},
-    "experiment": {"repetitions"},
-}
+def _to_str(name: str, value) -> str:
+    return str(value).strip()
 
 
-def _to_bool(section: str, key: str, value) -> bool:
+def _to_bool(name: str, value) -> bool:
     if isinstance(value, bool):
         return value
     text = str(value).strip().lower()
@@ -92,37 +106,56 @@ def _to_bool(section: str, key: str, value) -> bool:
         return True
     if text in ("false", "no", "0"):
         return False
-    raise ConfigError(f"{section}.{key} must be a boolean, got {value!r}")
+    raise ConfigError(f"{name} must be a boolean, got {value!r}")
 
 
-def _to_int(section: str, key: str, value) -> int:
+def _to_int(name: str, value) -> int:
     try:
         if isinstance(value, bool):
             raise ValueError
         return int(str(value).strip())
     except ValueError:
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}") from None
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _to_float(section: str, key: str, value) -> float:
+def _to_float(name: str, value) -> float:
     try:
-        return float(str(value).strip())
+        number = float(str(value).strip())
     except ValueError:
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}") from None
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
-def _float_list(section: str, key: str, value) -> tuple[float, ...]:
+def _float_list(name: str, value) -> tuple[float, ...]:
     if isinstance(value, (list, tuple)):
         items = list(value)
     else:
         items = [v for v in str(value).split(",") if v.strip()]
-    return tuple(_to_float(section, key, v) for v in items)
+    return tuple(_to_float(name, v) for v in items)
 
 
-def _event_list(value) -> tuple[str, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(str(v).strip() for v in value if str(v).strip())
-    return tuple(v.strip() for v in str(value).split(",") if v.strip())
+def _event_list(name: str, value) -> tuple[str, ...]:
+    items = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    return tuple(str(v).strip() for v in items if str(v).strip())
+
+
+# Every config key and its coercer. Defaults live in the section dataclasses
+# (TopologySpec, X0Spec, NoiseParams, RunSpec, OutputSpec), except the noise
+# scheme ("zero") and the repetitions (1), which build_config supplies.
+_SCHEMA = {
+    "topology": {"kind": _to_str, "n": _to_int, "seed": _to_int, "p": _to_float,
+                 "radius": _to_float},
+    "x0": {"mode": _to_str, "low": _to_float, "high": _to_float, "seed": _to_int,
+           "values": _float_list},
+    "noise": {"scheme": _to_str, "alpha": _to_float, "rho": _to_float, "h": _to_int,
+              "distribution": _to_str, "seed": _to_int, "variance": _to_float},
+    "run": {"max_iterations": _to_int, "term_epsilon": _to_float, "record_trace": _to_bool,
+            "update_form": _to_str, "events": _event_list},
+    "outputs": {"directory": _to_str, "write_trace": _to_bool, "write_summary": _to_bool},
+    "experiment": {"repetitions": _to_int},
+}
 
 
 def parse_event(text: str, n: int) -> TopologyEvent:
@@ -130,20 +163,20 @@ def parse_event(text: str, n: int) -> TopologyEvent:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"run.events entry {text!r} is not AT:KIND:PAYLOAD")
-    at = _to_int("run", "events", parts[0])
+    at = _to_int("run.events", parts[0])
     kind = parts[1].strip()
     if kind not in EVENT_KINDS:
         raise ConfigError(f"run.events entry {text!r}: unknown kind {kind!r}")
     payload_text = parts[2].strip()
     payload: tuple[int, int] | int
     if kind == "remove_node":
-        payload = _to_int("run", "events", payload_text)
+        payload = _to_int("run.events", payload_text)
         ids = [payload]
     else:
         bits = payload_text.split("-")
         if len(bits) != 2:
             raise ConfigError(f"run.events entry {text!r}: payload must be I-J")
-        payload = (_to_int("run", "events", bits[0]), _to_int("run", "events", bits[1]))
+        payload = (_to_int("run.events", bits[0]), _to_int("run.events", bits[1]))
         ids = list(payload)
     for node in ids:
         if not 0 <= node < n:
@@ -154,133 +187,62 @@ def parse_event(text: str, n: int) -> TopologyEvent:
         raise ConfigError(f"run.events entry {text!r}: {exc}") from None
 
 
-def _check_keys(data: dict) -> None:
+def _coerce(data: dict) -> dict[str, dict]:
+    """Each section's present keys, coerced; a null value counts as absent."""
+    sections: dict[str, dict] = {section: {} for section in _SCHEMA}
     for section, keys in data.items():
-        if section not in _SECTION_KEYS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown section {section!r}")
-        for key in keys:
-            if key not in _SECTION_KEYS[section]:
+        if not isinstance(keys, dict):
+            raise ConfigError(f"section {section!r} must map keys to values")
+        for key, value in keys.items():
+            if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
+            if value is not None:
+                sections[section][key] = _SCHEMA[section][key](f"{section}.{key}", value)
+    return sections
+
+
+def _build(section: str, cls, values: dict):
+    """cls(**values), with a missing required key or a failed check named."""
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in values:
+            raise ConfigError(f"{section}.{f.name} is required")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
 
 
 def build_config(data: dict, origin: Path | None = None) -> ExperimentConfig:
     """Validate a dict-of-sections into an ExperimentConfig."""
-    _check_keys(data)
-    topo_raw = data.get("topology")
-    if not topo_raw or "kind" not in topo_raw or "n" not in topo_raw:
-        raise ConfigError("topology.kind and topology.n are required")
-    kind = str(topo_raw["kind"]).strip()
-    if kind not in GRAPH_KINDS:
-        raise ConfigError(f"topology.kind must be one of {GRAPH_KINDS}, got {kind!r}")
-    n = _to_int("topology", "n", topo_raw["n"])
-    if n < 1:
-        raise ConfigError("topology.n must be >= 1")
-    seed = topo_raw.get("seed")
-    seed = None if seed is None else _to_int("topology", "seed", seed)
-    if kind in ("random_gnp", "random_geometric") and seed is None:
-        raise ConfigError(f"topology.seed is required for kind {kind!r}")
-    p = topo_raw.get("p")
-    radius = topo_raw.get("radius")
-    topology = TopologySpec(
-        kind,
-        n,
-        seed=seed,
-        p=None if p is None else _to_float("topology", "p", p),
-        radius=None if radius is None else _to_float("topology", "radius", radius),
-    )
-    if kind == "random_gnp" and topology.p is None:
-        raise ConfigError("topology.p is required for random_gnp")
-    if kind == "random_geometric" and topology.radius is None:
-        raise ConfigError("topology.radius is required for random_geometric")
+    sections = _coerce(data)
+    topology = _build("topology", TopologySpec, sections["topology"])
+    n = topology.n
 
-    x0_raw = data.get("x0")
-    if not x0_raw or "mode" not in x0_raw:
-        raise ConfigError("x0.mode is required (uniform or explicit)")
-    mode = str(x0_raw["mode"]).strip()
-    if mode == "uniform":
-        for want in ("low", "high", "seed"):
-            if want not in x0_raw:
-                raise ConfigError(f"x0.{want} is required for uniform x0")
-        x0 = X0Spec(
-            "uniform",
-            low=_to_float("x0", "low", x0_raw["low"]),
-            high=_to_float("x0", "high", x0_raw["high"]),
-            seed=_to_int("x0", "seed", x0_raw["seed"]),
-        )
-        if not x0.low < x0.high:
-            raise ConfigError("x0.low must be < x0.high")
-    elif mode == "explicit":
-        if "values" not in x0_raw:
-            raise ConfigError("x0.values is required for explicit x0")
-        values = _float_list("x0", "values", x0_raw["values"])
-        if len(values) != n:
-            raise ConfigError(
-                f"x0.values has {len(values)} entries but topology.n = {n}"
-            )
-        x0 = X0Spec("explicit", values=values)
-    else:
-        raise ConfigError(f"x0.mode must be uniform or explicit, got {mode!r}")
+    x0_raw = sections["x0"]
+    wanted = _X0_MODE_KEYS.get(x0_raw.get("mode"), ())
+    x0 = _build("x0", X0Spec, {k: v for k, v in x0_raw.items() if k == "mode" or k in wanted})
+    if x0.mode == "explicit" and len(x0.values) != n:
+        raise ConfigError(f"x0.values has {len(x0.values)} entries but topology.n = {n}")
 
-    noise_raw = data.get("noise", {})
-    scheme = str(noise_raw.get("scheme", "zero")).strip()
+    noise_raw = dict(sections["noise"])
+    scheme = noise_raw.pop("scheme", "zero")
     if scheme not in SCHEMES:
         raise ConfigError(f"noise.scheme must be one of {SCHEMES}, got {scheme!r}")
-    noise_seed = noise_raw.get("seed")
-    noise_seed = None if noise_seed is None else _to_int("noise", "seed", noise_seed)
-    if scheme != "zero" and noise_seed is None:
+    if scheme != "zero" and "seed" not in noise_raw:
         raise ConfigError(f"noise.seed is required for scheme {scheme!r}")
-    distribution = str(noise_raw.get("distribution", "uniform")).strip()
-    if distribution not in DISTRIBUTIONS:
-        raise ConfigError(
-            f"noise.distribution must be one of {DISTRIBUTIONS}, got {distribution!r}"
-        )
-    try:
-        noise = NoiseParams(
-            alpha=_to_float("noise", "alpha", noise_raw.get("alpha", 1.0)),
-            rho=_to_float("noise", "rho", noise_raw.get("rho", 0.9)),
-            h=_to_int("noise", "h", noise_raw.get("h", 1)),
-            distribution=distribution,
-            seed=0 if noise_seed is None else noise_seed,
-            variance=_to_float("noise", "variance", noise_raw.get("variance", 1.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"noise.{exc}") from None
+    noise = _build("noise", NoiseParams, noise_raw)
 
-    run_raw = data.get("run", {})
-    max_iter = run_raw.get("max_iterations")
-    max_iter = None if max_iter is None else _to_int("run", "max_iterations", max_iter)
-    if max_iter is not None and max_iter < 1:
-        raise ConfigError("run.max_iterations must be >= 1")
-    term_eps = _to_float("run", "term_epsilon", run_raw.get("term_epsilon", 0.0))
-    if term_eps < 0.0:
-        raise ConfigError("run.term_epsilon must be >= 0")
-    update_form = str(run_raw.get("update_form", "matrix")).strip()
-    if update_form not in ("matrix", "per_node"):
-        raise ConfigError(f"run.update_form must be matrix or per_node, got {update_form!r}")
-    events = _event_list(run_raw.get("events", ()))
-    for text in events:
+    run_spec = _build("run", RunSpec, sections["run"])
+    for text in run_spec.events:
         parse_event(text, n)  # validates; engine re-applies against live graph
-    run_spec = RunSpec(
-        max_iterations=max_iter,
-        term_epsilon=term_eps,
-        record_trace=_to_bool("run", "record_trace", run_raw.get("record_trace", True)),
-        update_form=update_form,
-        events=events,
-    )
 
-    out_raw = data.get("outputs", {})
-    outputs = OutputSpec(
-        directory=str(out_raw.get("directory", "out")).strip(),
-        write_trace=_to_bool("outputs", "write_trace", out_raw.get("write_trace", True)),
-        write_summary=_to_bool(
-            "outputs", "write_summary", out_raw.get("write_summary", True)
-        ),
-    )
+    outputs = _build("outputs", OutputSpec, sections["outputs"])
     if outputs.write_trace and not run_spec.record_trace:
         raise ConfigError("outputs.write_trace requires run.record_trace")
 
-    exp_raw = data.get("experiment", {})
-    repetitions = _to_int("experiment", "repetitions", exp_raw.get("repetitions", 1))
+    repetitions = sections["experiment"].get("repetitions", 1)
     if repetitions < 1:
         raise ConfigError("experiment.repetitions must be >= 1")
 
@@ -335,48 +297,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def resolved_dict(config: ExperimentConfig) -> dict:
     """Canonical fully-defaulted form of a config (what the manifest records)."""
-    t, x, nse, r, o = config.topology, config.x0, config.noise, config.run, config.outputs
-    return {
-        "topology": {"kind": t.kind, "n": t.n, "seed": t.seed, "p": t.p, "radius": t.radius},
-        "x0": {
-            "mode": x.mode,
-            "low": x.low,
-            "high": x.high,
-            "seed": x.seed,
-            "values": None if x.values is None else list(x.values),
-        },
-        "noise": {
-            "scheme": config.scheme,
-            "alpha": nse.alpha,
-            "rho": nse.rho,
-            "h": nse.h,
-            "distribution": nse.distribution,
-            "seed": nse.seed,
-            "variance": nse.variance,
-        },
-        "run": {
-            "max_iterations": r.max_iterations,
-            "term_epsilon": r.term_epsilon,
-            "record_trace": r.record_trace,
-            "update_form": r.update_form,
-            "events": list(r.events),
-        },
-        "outputs": {
-            "directory": o.directory,
-            "write_trace": o.write_trace,
-            "write_summary": o.write_summary,
-        },
-        "experiment": {"repetitions": config.repetitions},
-    }
+    names = ("topology", "x0", "noise", "run", "outputs")
+    resolved = {name: asdict(getattr(config, name), dict_factory=_list_tuples) for name in names}
+    resolved["noise"]["scheme"] = config.scheme
+    resolved["experiment"] = {"repetitions": config.repetitions}
+    return resolved
+
+
+def _list_tuples(items: list[tuple]) -> dict:
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in items}
 
 
 def config_from_resolved(data: dict, origin: Path | None = None) -> ExperimentConfig:
     """Rebuild a config from a manifest's config_resolved block."""
-    sections = {}
-    for section, keys in data.items():
-        sections[section] = {k: v for k, v in keys.items() if v is not None}
-    # the noise section folds the scheme in; values may be an explicit list
-    return build_config(sections, origin=origin)
+    return build_config(data, origin=origin)
 
 
 @dataclass
@@ -461,17 +395,16 @@ def run_experiment(
             name = f"summary_{rep:03d}.csv"
             trace.write_summary_csv(out_dir / name)
             files["summary"] = name
-        n_final = len(trace.node_ids[-1])
         seeds.append(rep_seeds)
         runs.append(
             {
                 "repetition": rep,
                 "k_stop": trace.k_stop,
                 "reason": trace.reason,
-                "n_final": n_final,
+                "n_final": len(trace.node_ids[-1]),
                 "consensus_value": trace.consensus_value,
                 "true_average": trace.final_true_average,
-                "recovered_sum": n_final * trace.consensus_value,
+                "recovered_sum": aggregate(trace, "sum"),
                 "final_err": trace.final_err,
                 "final_spread": trace.final_spread,
                 "events_applied": [

@@ -61,7 +61,9 @@ class NoiseParams:
         if self.h < 1:
             raise ValueError("h must be >= 1")
         if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution {self.distribution!r}")
+            raise ValueError(
+                f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}"
+            )
         if not self.variance > 0.0:
             raise ValueError("variance must be > 0")
 

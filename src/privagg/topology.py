@@ -85,6 +85,22 @@ def _ring_edges(n: int) -> list[tuple[int, int]]:
     return [(i, (i + 1) % n) for i in range(n)]
 
 
+def check_graph_params(
+    kind: str, n: int, seed: int | None, p: float | None, radius: float | None
+) -> None:
+    """Reject parameters generate cannot use; each message starts with the field."""
+    if kind not in GRAPH_KINDS:
+        raise ValueError(f"kind must be one of {GRAPH_KINDS}, got {kind!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if kind in ("random_gnp", "random_geometric") and seed is None:
+        raise ValueError(f"seed is required for kind {kind!r}")
+    if kind == "random_gnp" and (p is None or not 0.0 <= p <= 1.0):
+        raise ValueError("p in [0, 1] is required for random_gnp")
+    if kind == "random_geometric" and (radius is None or not radius > 0.0):
+        raise ValueError("radius > 0 is required for random_geometric")
+
+
 def generate(
     kind: str,
     n: int,
@@ -98,29 +114,20 @@ def generate(
     seed and are redrawn up to CONNECT_RETRIES times until connected;
     deterministic kinds ignore the seed.
     """
-    if n < 1:
-        raise ValueError("node count must be >= 1")
+    check_graph_params(kind, n, seed, p, radius)
     if kind == "ring":
         return build_graph(n, _ring_edges(n))
     if kind == "path":
         return build_graph(n, [(i, i + 1) for i in range(n - 1)])
     if kind == "complete":
         return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if kind not in GRAPH_KINDS:
-        raise ValueError(f"unknown graph kind {kind!r}")
 
-    if seed is None:
-        raise ValueError(f"graph kind {kind!r} requires a seed")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     for _ in range(CONNECT_RETRIES):
         if kind == "random_gnp":
-            if p is None or not (0.0 <= p <= 1.0):
-                raise ValueError("random_gnp requires p in [0, 1]")
             draws = rng.random((n, n))
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if draws[i, j] < p]
         else:  # random_geometric
-            if radius is None or radius <= 0.0:
-                raise ValueError("random_geometric requires radius > 0")
             pos = rng.random((n, 2))
             edges = [
                 (i, j)

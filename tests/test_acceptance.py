@@ -82,7 +82,7 @@ def test_criterion_1_exact_aggregation(n):
         trace = _scda_run(n, seed, max_iterations=horizon)
         tol = 1e-6 * (1.0 + float(np.abs(x0).max()))
         worst_err = max(worst_err, trace.final_err / tol)
-        worst_sum = max(worst_sum, abs(aggregate(trace, n, "sum") - float(x0.sum())))
+        worst_sum = max(worst_sum, abs(aggregate(trace, "sum") - float(x0.sum())))
     elapsed = time.perf_counter() - start
     ok = worst_err <= 1.0 and worst_sum <= 1e-4 and elapsed < 5.0
     _report(

@@ -1,3 +1,5 @@
+import pytest
+
 from privagg.cli import main
 
 GOOD = """\
@@ -37,6 +39,47 @@ def test_validate_and_run_agree_on_bad_config(tmp_path, capsys):
     assert main(["run", bad]) == 1
     err = capsys.readouterr().err
     assert "rho must be in [0,1)" in err
+
+
+BASE = {
+    "topology": {"kind": "ring", "n": "5"},
+    "x0": {"mode": "uniform", "low": "0.0", "high": "1.0", "seed": "1"},
+    "noise": {"scheme": "zero_sum", "seed": "3"},
+    "run": {"max_iterations": "40"},
+}
+
+
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        # accepted by validate before the one config layer, then rejected or
+        # crashed at run time
+        ("topology.p", {"topology": {"kind": "random_gnp", "seed": "1", "p": "1.5"}}),
+        ("topology.p", {"topology": {"kind": "random_gnp", "seed": "1", "p": "-0.2"}}),
+        ("topology.radius",
+         {"topology": {"kind": "random_geometric", "seed": "1", "radius": "-1"}}),
+        ("run.term_epsilon", {"run": {"term_epsilon": "nan"}}),
+        ("x0.low", {"x0": {"low": "-inf"}}),
+        ("noise.alpha", {"noise": {"alpha": "inf"}}),
+        # rejected all along; the field name must survive
+        ("topology.kind", {"topology": {"kind": "hypercube"}}),
+        ("topology.n", {"topology": {"n": "0"}}),
+        ("noise.distribution", {"noise": {"distribution": "bogus"}}),
+        ("run.update_form", {"run": {"update_form": "bogus"}}),
+        ("run.max_iterations", {"run": {"max_iterations": "0"}}),
+    ],
+)
+def test_validate_names_the_bad_field(tmp_path, capsys, field, overrides):
+    text = "".join(
+        f"[{name}]\n"
+        + "".join(f"{k} = {v}\n" for k, v in {**keys, **overrides.get(name, {})}.items())
+        for name, keys in BASE.items()
+    )
+    cfg = _cfg(tmp_path, text, "bad.cfg")
+    assert main(["validate", cfg]) == 1
+    assert main(["run", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith(f"error: {field} ") for line in err)
 
 
 def test_run_missing_config(capsys):
@@ -96,6 +139,13 @@ def test_sweep_runs_each_value(tmp_path, capsys):
     assert (tmp_path / "out" / "rho=0.5" / "manifest.json").exists()
     assert (tmp_path / "out" / "rho=0.8" / "manifest.json").exists()
     assert "rho=0.5" in capsys.readouterr().out
+
+
+def test_sweep_rejects_non_integer_h(tmp_path, capsys):
+    argv = ["sweep", _cfg(tmp_path), "--param", "h", "--values", "2.5", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "h takes integer values, got 2.5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_attack_naive(tmp_path, capsys):

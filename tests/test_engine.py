@@ -160,20 +160,20 @@ def test_termination_epsilon():
 def test_aggregate_examples():
     g = generate("complete", 3)
     trace = run(_zero_cfg(g, [1.0, 2.0, 3.0]))
-    assert aggregate(trace, 3, "average") == pytest.approx(2.0, abs=1e-9)
-    assert aggregate(trace, 3, "sum") == pytest.approx(6.0, abs=1e-9)
+    assert aggregate(trace, "average") == pytest.approx(2.0, abs=1e-9)
+    assert aggregate(trace, "sum") == pytest.approx(6.0, abs=1e-9)
 
     single = run(_zero_cfg(build_graph(1, []), [7.5]))
-    assert aggregate(single, 1, "sum") == 7.5
+    assert aggregate(single, "sum") == 7.5
 
     g20 = generate("random_gnp", 20, seed=6, p=0.4)
     rng = np.random.default_rng(6)
     x0 = rng.uniform(0, 100, 20)
     trace = run(_zero_cfg(g20, x0, max_iterations=400))
-    assert abs(aggregate(trace, 20, "sum") - float(x0.sum())) <= 1e-9 * np.abs(x0).max() * 20
+    assert abs(aggregate(trace, "sum") - float(x0.sum())) <= 1e-9 * np.abs(x0).max() * 20
 
     with pytest.raises(ValueError):
-        aggregate(trace, 20, "median")
+        aggregate(trace, "median")
 
 
 def test_transform_aggregates():
@@ -218,6 +218,7 @@ def test_remove_node_retargets_reference():
     assert trace.node_ids[-1] == (0, 1, 2)
     # removal before any mixing: survivors converge exactly to their own mean
     assert trace.final_err <= 1e-10
+    assert aggregate(trace, "sum") == pytest.approx(60.0, abs=1e-9)  # 3 survivors
 
     # mid-run removal leaves a measurable bias against the survivors' mean
     biased = run(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +89,14 @@ def test_json_config_equivalent(tmp_path):
     assert resolved_dict(a) == resolved_dict(b)
 
 
+def test_readme_config_block_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = load_config(_write(tmp_path, block))
+    result = run_experiment(config, base_dir=tmp_path)
+    assert len(result.manifest["runs"]) == config.repetitions == 3
+
+
 def test_rho_out_of_range_rejected(tmp_path):
     bad = FULL.replace("rho = 0.9", "rho = 1.0")
     with pytest.raises(ConfigError, match=r"rho must be in \[0,1\)"):
@@ -110,6 +119,8 @@ def test_unknown_section_and_key_rejected(tmp_path):
     bad = MINIMAL.replace("kind = complete", "kind = complete\nshape = wide")
     with pytest.raises(ConfigError, match="unknown key topology.shape"):
         load_config(_write(tmp_path, bad, "b.cfg"))
+    with pytest.raises(ConfigError, match="section 'topology' must map keys to values"):
+        build_config({"topology": ["kind", "n"]})
     dup_section = MINIMAL + "\n[topology]\nkind = ring\n"
     with pytest.raises(ConfigError, match="duplicated section"):
         load_config(_write(tmp_path, dup_section, "c.cfg"))
