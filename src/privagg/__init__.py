@@ -11,7 +11,7 @@ disclosure probability empirically.
 
 __version__ = "0.1.0"
 
-from .backend import available_backends, get_backend
+from .backend import get_backend
 from .engine import (
     EngineAbort,
     RunConfig,
@@ -61,7 +61,6 @@ __all__ = [
     "WeightMatrix",
     "aggregate",
     "apply_event",
-    "available_backends",
     "check_privacy_precondition",
     "contraction_factor",
     "decay_envelope",

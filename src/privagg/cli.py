@@ -107,7 +107,13 @@ def cmd_attack(args) -> int:
     config = load_config(args.config)
     graph = config.topology.build()
     params = config.noise
-    target = args.target if args.target is not None else graph.neighbors[args.observer][0]
+    if not 0 <= args.observer < graph.n:
+        raise ConfigError(f"observer must be in 0..{graph.n - 1}, got {args.observer}")
+    target = args.target
+    if target is None:
+        if not graph.neighbors[args.observer]:
+            raise ConfigError(f"observer {args.observer} has no neighbors to target")
+        target = graph.neighbors[args.observer][0]
     if args.kind == "disclosure":
         view = AdversaryView(graph, args.observer, target, knows_target_neighbors=True)
         if config.run.events:

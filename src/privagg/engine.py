@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend import Backend, get_backend
+from .backend import get_backend
 from .noise import SCHEMES, NoiseBank, NoiseParams, derive_seed
 from .tolerances import TOL
 from .topology import Graph, TopologyEvent, apply_event, is_connected
@@ -173,13 +173,13 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def run(config: RunConfig, backend: Backend | None = None) -> RunTrace:
+def run(config: RunConfig) -> RunTrace:
     """Execute one run to its stopping point and return the trace."""
     g = config.graph
     if not is_connected(g):
         raise ValueError("run requires a connected graph")
-    b = backend if backend is not None else get_backend()
-    kernel_dense, kernel_nbr = b.dense_step, b.neighbor_step
+    backend = get_backend()
+    kernel_dense, kernel_nbr = backend.dense_step, backend.neighbor_step
     matrix_form = config.update_form == "matrix"
 
     x = np.array(config.x0, dtype=np.float64)

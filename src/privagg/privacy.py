@@ -50,6 +50,10 @@ class AdversaryView:
     knows_target_neighbors: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("observer", "target"):
+            node = getattr(self, name)
+            if not 0 <= node < self.graph.n:
+                raise ValueError(f"{name} must be in 0..{self.graph.n - 1}, got {node}")
         if self.target not in self.graph.neighbors[self.observer]:
             raise ValueError(
                 f"target {self.target} is not a neighbor of observer {self.observer}"
@@ -208,6 +212,10 @@ def later_round_attack(
         raise ValueError("use disclosure_attack for a full-neighborhood observer")
     if round_k < 0:
         raise ValueError("round_k must be >= 0")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if train_trials < 1:
+        raise ValueError("train_trials must be >= 1")
     if not check_privacy_precondition(view.graph, view.observer, view.target):
         raise ValueError(
             "observer sees the target's entire neighborhood; "
@@ -300,6 +308,8 @@ def privacy_sweep(
     prior: tuple[float, float] = DEFAULT_PRIOR,
 ) -> list[PrivacyReport]:
     """Analytic vs empirical (naive-attack) disclosure rates per epsilon."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     reports = []
     for t, eps in enumerate(epsilons):
         analytic = sigma_analytic(PrivacyQuery(eps, params))

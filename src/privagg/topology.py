@@ -213,23 +213,3 @@ def check_privacy_precondition(g: Graph, i: int, j: int) -> bool:
     visible = set(g.neighbors[i]) | {i}
     return not set(g.neighbors[j]) <= visible
 
-
-def to_edge_list(g: Graph) -> str:
-    """Serialize as text: first line n, then one 'i j' line per edge (i < j)."""
-    lines = [str(g.n)]
-    lines.extend(f"{i} {j}" for i, j in g.edges)
-    return "\n".join(lines) + "\n"
-
-
-def from_edge_list(text: str) -> Graph:
-    rows = [line.strip() for line in text.splitlines() if line.strip()]
-    if not rows:
-        raise ValueError("empty edge-list text")
-    n = int(rows[0])
-    edges = []
-    for row in rows[1:]:
-        parts = row.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line {row!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return build_graph(n, edges)

@@ -7,9 +7,7 @@ symmetric doubly-stochastic matrix on any connected graph.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -52,28 +50,3 @@ def contraction_factor(wm: WeightMatrix) -> float:
         power = power @ wm.w
     return float(np.max(np.min(power, axis=0)))
 
-
-def apply(wm: WeightMatrix, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product W·v; preserves sum(v) up to float rounding."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (wm.n,):
-        raise ValueError(f"vector length {v.shape} does not match n={wm.n}")
-    return wm.w @ v
-
-
-def to_csv(wm: WeightMatrix, path: str | Path) -> None:
-    """Row-major dump, shortest round-trip decimal formatting."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for row in wm.w:
-            writer.writerow([repr(float(x)) for x in row])
-
-
-def from_csv(path: str | Path) -> WeightMatrix:
-    with open(path, newline="") as f:
-        rows = [[float(x) for x in row] for row in csv.reader(f) if row]
-    w = np.array(rows, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("weight CSV is not square")
-    w.setflags(write=False)
-    return WeightMatrix(w.shape[0], w)

@@ -170,6 +170,32 @@ def test_attack_later_round(tmp_path, capsys):
     assert "success rate" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "field, argv",
+    [
+        ("trials", ["attack", "--kind", "later", "--epsilon", "0.1", "--trials", "0"]),
+        ("trials", ["privacy", "--epsilons", "0.1", "--trials", "0"]),
+        ("train_trials",
+         ["attack", "--kind", "later", "--epsilon", "0.1", "--train-trials", "0"]),
+        ("observer", ["attack", "--kind", "naive", "--epsilon", "0.1", "--observer", "99"]),
+        ("observer", ["attack", "--kind", "naive", "--epsilon", "0.1", "--observer", "-1"]),
+        ("target", ["attack", "--kind", "naive", "--epsilon", "0.1", "--target", "99"]),
+    ],
+    ids=["later-trials", "privacy-trials", "train_trials", "observer-99", "observer-neg",
+         "target-99"],
+)
+def test_attack_and_privacy_name_the_bad_input(tmp_path, capsys, field, argv):
+    assert main([argv[0], _cfg(tmp_path), *argv[1:]]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} ")
+
+
+def test_attack_rejects_observer_without_neighbors(tmp_path, capsys):
+    text = "[topology]\nkind = complete\nn = 1\n\n[x0]\nmode = explicit\nvalues = 1\n"
+    cfg = _cfg(tmp_path, text, "one.cfg")
+    assert main(["attack", cfg, "--kind", "naive", "--epsilon", "0.1"]) == 1
+    assert capsys.readouterr().err.startswith("error: observer 0 has no neighbors")
+
+
 def test_attack_later_requires_epsilon(tmp_path, capsys):
     assert main(["attack", _cfg(tmp_path), "--kind", "later"]) == 1
     assert "epsilon" in capsys.readouterr().err

@@ -1,21 +1,18 @@
-"""Backend equivalence: dense vs neighbor form, compiled vs numpy fallback,
-and the numpy fallback against a scalar loop reference."""
+"""The numpy kernels against a scalar loop reference, kernel by kernel and
+through whole engine runs, and the dense form against the neighbor form."""
 
 import numpy as np
 import pytest
 
-from privagg import _kernels_py
-from privagg.backend import available_backends, get_backend
-from privagg.engine import RunConfig, _support_arrays, run
+from privagg.backend import Backend, dense_step, get_backend, neighbor_step
+from privagg.engine import UPDATE_FORMS, RunConfig, _support_arrays, run
 from privagg.noise import NoiseParams
-from privagg.topology import build_graph, generate
+from privagg.topology import TopologyEvent, build_graph, generate
 from privagg.weights import metropolis
-
-BACKENDS = available_backends()
 
 
 def _loop_dense_step(w, v, out):
-    """Reference: the compiled kernel's ascending-j chain from acc = 0.0."""
+    """Reference: the mandated ascending-j chain from acc = 0.0."""
     vl = v.tolist()
     res = []
     for row in w.tolist():
@@ -58,17 +55,15 @@ def _random_case(rng):
     return g, w, v
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_dense_equals_neighbor(backend_name):
-    backend = get_backend(backend_name)
+def test_dense_equals_neighbor():
     rng = np.random.default_rng(17)
     for _ in range(40):
         g, w, v = _random_case(rng)
         dense = np.empty(g.n)
         nbr = np.empty(g.n)
-        backend.dense_step(w, v, dense)
+        dense_step(w, v, dense)
         indptr, indices = _support_arrays(g)
-        backend.neighbor_step(w, indptr, indices, v, nbr)
+        neighbor_step(w, indptr, indices, v, nbr)
         assert np.array_equal(dense, nbr)
 
 
@@ -98,42 +93,41 @@ def test_numpy_kernels_match_loop_reference():
     for g, w, v in cases:
         indptr, indices = _support_arrays(g)
         got, want = np.empty(g.n), np.empty(g.n)
-        _kernels_py.dense_step(w, v, got)
+        dense_step(w, v, got)
         _loop_dense_step(w, v, want)
         assert _bit_equal(got, want)
-        _kernels_py.neighbor_step(w, indptr, indices, v, got)
+        neighbor_step(w, indptr, indices, v, got)
         _loop_neighbor_step(w, indptr, indices, v, want)
         assert _bit_equal(got, want)
 
 
-@pytest.mark.skipif("compiled" not in BACKENDS, reason="extension not built")
-def test_compiled_equals_python():
-    comp, py = get_backend("compiled"), get_backend("python")
-    rng = np.random.default_rng(23)
-    for _ in range(40):
-        g, w, v = _random_case(rng)
-        a, b = np.empty(g.n), np.empty(g.n)
-        comp.dense_step(w, v, a)
-        py.dense_step(w, v, b)
-        assert np.array_equal(a, b)
+# on random_gnp(10, seed=5, p=0.4): 1-2 is not an edge, and the graph stays
+# connected without node 7 once 1-2 is added
+_EVENTS = (TopologyEvent(4, "add_edge", (1, 2)), TopologyEvent(9, "remove_node", 7))
 
 
-@pytest.mark.skipif("compiled" not in BACKENDS, reason="extension not built")
-def test_engine_traces_identical_across_backends():
+@pytest.mark.parametrize("events", [(), _EVENTS], ids=["static", "events"])
+@pytest.mark.parametrize("update_form", UPDATE_FORMS)
+def test_engine_matches_loop_reference(monkeypatch, update_form, events):
     g = generate("random_gnp", 10, seed=5, p=0.4)
-    rng = np.random.default_rng(1)
-    x0 = rng.uniform(0, 100, 10)
+    x0 = np.random.default_rng(1).uniform(0, 100, 10)
+    cfg = RunConfig(
+        graph=g, x0=x0, noise=NoiseParams(seed=3), scheme="zero_sum",
+        events=events, update_form=update_form,
+    )
+    got = run(cfg)
+    loop = Backend("loop", _loop_dense_step, _loop_neighbor_step)
+    monkeypatch.setattr("privagg.engine.get_backend", lambda: loop)
+    want = run(cfg)
 
-    def trace_for(name):
-        cfg = RunConfig(graph=g, x0=x0, noise=NoiseParams(seed=3), scheme="zero_sum")
-        return run(cfg, backend=get_backend(name))
-
-    a, b = trace_for("compiled"), trace_for("python")
-    assert all(np.array_equal(p, q) for p, q in zip(a.xs, b.xs))
-    assert np.array_equal(a.x_final, b.x_final)
+    assert [e.kind for e in got.events_applied] == [e.kind for e in events]
+    assert got.k_stop == want.k_stop
+    for name in ("xs", "x_pluses", "thetas"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert len(a) == len(b) > 0
+        assert all(_bit_equal(p, q) for p, q in zip(a, b)), name
+    assert _bit_equal(got.x_final, want.x_final)
 
 
 def test_get_backend_default_and_unknown():
-    assert get_backend().name in BACKENDS
-    with pytest.raises(ValueError):
-        get_backend("fortran")
+    assert get_backend().name == "python"

@@ -70,6 +70,10 @@ def test_adversary_view_validation():
     assert view.observed_nodes == frozenset({0, 1, 4})
     with pytest.raises(ValueError):
         AdversaryView(g, 0, 2)
+    with pytest.raises(ValueError, match=r"^observer must be in 0\.\.4, got -1"):
+        AdversaryView(g, -1, 0)  # a negative index would alias node 4
+    with pytest.raises(ValueError, match=r"^target must be in 0\.\.4, got 5"):
+        AdversaryView(g, 0, 5)
 
 
 def test_privacy_report_validation():

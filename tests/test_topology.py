@@ -8,10 +8,8 @@ from privagg.topology import (
     apply_event,
     build_graph,
     check_privacy_precondition,
-    from_edge_list,
     generate,
     is_connected,
-    to_edge_list,
 )
 
 
@@ -143,13 +141,6 @@ def test_graph_is_hashable_value_type():
     b = generate("ring", 5)
     assert a == b and hash(a) == hash(b)
     assert a != generate("path", 5)
-
-
-def test_edge_list_roundtrip():
-    g = generate("random_gnp", 10, seed=4, p=0.5)
-    assert from_edge_list(to_edge_list(g)) == g
-    single = build_graph(1, [])
-    assert from_edge_list(to_edge_list(single)) == single
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privagg.topology import build_graph, generate
-from privagg.weights import apply, contraction_factor, from_csv, metropolis, to_csv
+from privagg.weights import contraction_factor, metropolis
 
 
 def test_metropolis_path3_hand_values():
@@ -92,44 +92,29 @@ def test_contraction_bounds_spread():
         y = rng.uniform(-10, 10, n)
         power = y.copy()
         for _ in range(n):
-            power = apply(wm, power)
+            power = wm.w @ power
         spread = lambda v: float(v.max() - v.min())
         assert spread(power) <= (1.0 - eps_w) * spread(y) + 1e-12
 
 
 def test_apply_fixed_point_and_hand_product():
     wm = metropolis(generate("path", 4))
-    out = apply(wm, np.full(4, 5.0))
+    out = wm.w @ np.full(4, 5.0)
     assert np.max(np.abs(out - 5.0)) <= 1e-13
     k2 = metropolis(generate("complete", 2))
-    assert np.array_equal(apply(k2, np.array([0.0, 2.0])), np.array([1.0, 1.0]))
+    assert np.array_equal(k2.w @ np.array([0.0, 2.0]), np.array([1.0, 1.0]))
 
 
 def test_apply_preserves_sum():
     wm = metropolis(generate("path", 3))
     v = np.array([1.0, 2.0, 3.0])
-    assert abs(apply(wm, v).sum() - 6.0) <= 3 * 1e-12
-
-
-def test_apply_dimension_mismatch():
-    wm = metropolis(generate("path", 3))
-    with pytest.raises(ValueError):
-        apply(wm, np.ones(4))
+    assert abs((wm.w @ v).sum() - 6.0) <= 3 * 1e-12
 
 
 def test_weight_matrix_is_immutable():
     wm = metropolis(generate("path", 3))
     with pytest.raises(ValueError):
         wm.w[0, 0] = 0.0
-
-
-def test_csv_roundtrip_bitwise(tmp_path):
-    wm = metropolis(generate("random_gnp", 9, seed=11, p=0.5))
-    path = tmp_path / "w.csv"
-    to_csv(wm, path)
-    back = from_csv(path)
-    assert back.n == wm.n
-    assert np.array_equal(back.w, wm.w)
 
 
 @settings(max_examples=30, deadline=None)
@@ -151,4 +136,4 @@ def test_apply_sum_preservation_property(n, seed):
     wm = metropolis(g)
     rng = np.random.default_rng(seed)
     v = rng.uniform(-100, 100, n)
-    assert abs(float(apply(wm, v).sum() - v.sum())) <= n * 1e-12 * max(1.0, np.abs(v).max())
+    assert abs(float((wm.w @ v).sum() - v.sum())) <= n * 1e-12 * max(1.0, np.abs(v).max())
