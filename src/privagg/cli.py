@@ -31,7 +31,11 @@ SWEEP_PARAMS = ("alpha", "rho", "h", "term_epsilon", "max_iterations")
 
 
 def _float_values(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    """The argparse type of a comma-separated list of at least one number."""
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("no values given")
+    return values
 
 
 def cmd_validate(args) -> int:
@@ -64,10 +68,7 @@ def _override(config: ExperimentConfig, param: str, value: float) -> ExperimentC
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    values = _float_values(args.values)
-    if not values:
-        raise ConfigError("--values is empty")
-    for value in values:
+    for value in args.values:
         point = _override(config, args.param, value)
         sub = f"{args.param}={value:g}"
         point = replace(
@@ -81,9 +82,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_privacy(args) -> int:
     config = load_config(args.config)
-    epsilons = _float_values(args.epsilons)
     reports = privacy_sweep(
-        config.noise, epsilons, args.trials, seed=derive_seed(config.noise.seed, 9001)
+        config.noise, args.epsilons, args.trials, seed=derive_seed(config.noise.seed, 9001)
     )
     out = Path(args.out) if args.out else _default_out(config) / "privacy.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -172,13 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a config across parameter values")
     p.add_argument("config")
     p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True, type=_float_values, help="comma-separated values")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("privacy", help="analytic vs empirical disclosure curve")
     p.add_argument("config")
-    p.add_argument("--epsilons", required=True, help="comma-separated accuracies")
+    p.add_argument("--epsilons", required=True, type=_float_values,
+                   help="comma-separated accuracies")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_privacy)

@@ -1,12 +1,12 @@
 """Synchronous noisy-consensus rounds with trace capture and diagnostics.
 
 Each round every node broadcasts x_i + theta_i and the state advances by
-the weight matrix: x(k+1) = W (x(k) + theta(k)). The update is available
-in two forms that must agree bit-for-bit under the mandated ascending
-summation order: a dense matrix form and a per-node neighbor-list form.
-Topology events (edge add/remove, node removal) recompute the weights
-mid-run; removed nodes take their state mass with them and the error
-metric re-targets the surviving nodes' initial average.
+the weight matrix: x(k+1) = W (x(k) + theta(k)). One kernel runs the
+update on the weights of the current topology segment, in a dense matrix
+form or a per-node support form that agree bit-for-bit. Topology events
+(edge add/remove, node removal) start a new segment; removed nodes take
+their state mass with them and the error metric re-targets the surviving
+nodes' initial average.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .backend import get_backend
 from .noise import SCHEMES, NoiseBank, NoiseParams, derive_seed
 from .tolerances import TOL
 from .topology import Graph, TopologyEvent, apply_event, is_connected
-from .weights import metropolis
+from .weights import WeightMatrix, metropolis
 
 UPDATE_FORMS = ("matrix", "per_node")
 AGGREGATE_KINDS = ("sum", "average")
@@ -157,20 +157,12 @@ def state_envelope(x0: Sequence[float] | np.ndarray, params: NoiseParams) -> flo
     return float(np.max(np.abs(x0)) + params.alpha / (1.0 - params.rho))
 
 
-def _support_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """CSR-style (indptr, indices) of each row's support {i} ∪ N_i, ascending."""
-    indices: list[int] = []
-    indptr = [0]
-    for i in range(g.n):
-        indices.extend(sorted((i, *g.neighbors[i])))
-        indptr.append(len(indices))
-    return np.array(indptr, dtype=np.intp), np.array(indices, dtype=np.intp)
-
-
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    u = np.array([e[0] for e in g.edges], dtype=np.intp)
-    v = np.array([e[1] for e in g.edges], dtype=np.intp)
-    return u, v
+def _kernel_operands(wm: WeightMatrix, matrix_form: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The (weights, cols) the round kernel takes: the dense layout for the
+    matrix form, the support layout for the per-node form."""
+    if matrix_form:
+        return np.ascontiguousarray(wm.w.T), np.arange(wm.n)[:, None]
+    return wm.weights, wm.cols
 
 
 def run(config: RunConfig) -> RunTrace:
@@ -178,16 +170,14 @@ def run(config: RunConfig) -> RunTrace:
     g = config.graph
     if not is_connected(g):
         raise ValueError("run requires a connected graph")
-    backend = get_backend()
-    kernel_dense, kernel_nbr = backend.dense_step, backend.neighbor_step
+    kernel = get_backend().step
     matrix_form = config.update_form == "matrix"
 
     x = np.array(config.x0, dtype=np.float64)
     x0_full = x.copy()
     alive = list(range(g.n))
-    w = metropolis(g).w
-    indptr, indices = _support_arrays(g)
-    edge_u, edge_v = _edge_arrays(g)
+    wm = metropolis(g)
+    weights, cols = _kernel_operands(wm, matrix_form)
     reference = float(np.mean(x0_full))
     max_rounds = config.max_rounds
     bank = NoiseBank.for_nodes(config.scheme, config.noise, g.n, max_rounds)
@@ -205,9 +195,8 @@ def run(config: RunConfig) -> RunTrace:
     while True:
         while ei < len(events) and events[ei].at_iteration == k:
             g, alive, x = _apply_run_event(g, events[ei], alive, x)
-            w = metropolis(g).w
-            indptr, indices = _support_arrays(g)
-            edge_u, edge_v = _edge_arrays(g)
+            wm = metropolis(g)
+            weights, cols = _kernel_operands(wm, matrix_form)
             alive_arr = np.array(alive, dtype=np.intp)
             reference = float(np.mean(x0_full[alive_arr]))
             trace.events_applied.append(
@@ -233,8 +222,8 @@ def run(config: RunConfig) -> RunTrace:
 
         if (
             config.term_epsilon > 0.0
-            and len(edge_u)
-            and float(np.max(np.abs(x[edge_u] - x[edge_v]))) <= config.term_epsilon
+            and g.edges
+            and float(np.max(np.abs(x[wm.cols] - x))) <= config.term_epsilon
         ):
             trace.reason = "term_epsilon"
             break
@@ -250,10 +239,7 @@ def run(config: RunConfig) -> RunTrace:
             trace.x_pluses.append(x_plus)
             trace.thetas.append(theta)
         out = np.empty_like(x)
-        if matrix_form:
-            kernel_dense(w, x_plus, out)
-        else:
-            kernel_nbr(w, indptr, indices, x_plus, out)
+        kernel(weights, cols, x_plus, out)
         x = out
         k += 1
 

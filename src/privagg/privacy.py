@@ -21,7 +21,7 @@ from .backend import Backend, get_backend
 from .engine import RunTrace
 from .noise import TRUNC_SIGMAS, NoiseBank, NoiseParams, initial_draw_block, raw_draws
 from .topology import Graph, check_privacy_precondition
-from .weights import metropolis
+from .weights import WeightMatrix, metropolis
 
 DEFAULT_PRIOR = (-50.0, 50.0)  # wide prior on initial values, |x| >> alpha*rho
 
@@ -155,7 +155,7 @@ def _naive_rate(
 
 def _trial_broadcast(
     graph: Graph,
-    w: np.ndarray,
+    wm: WeightMatrix,
     params: NoiseParams,
     scheme: str,
     rounds: int,
@@ -179,7 +179,7 @@ def _trial_broadcast(
         x_plus = x + bank.round_values(k)
         if k == rounds:
             return float(x0[target]), float(x_plus[target])
-        backend.dense_step(w, x_plus, out)
+        backend.step(wm.weights, wm.cols, x_plus, out)
         x = out.copy()
     raise AssertionError("unreachable")
 
@@ -222,13 +222,13 @@ def later_round_attack(
             "estimation is exact there - use disclosure_attack"
         )
     backend = get_backend()
-    w = metropolis(view.graph).w
+    wm = metropolis(view.graph)
     children = np.random.SeedSequence(seed).spawn(train_trials + trials)
 
     samples = np.empty(train_trials)
     for t in range(train_trials):
         x0j, xpk = _trial_broadcast(
-            view.graph, w, params, scheme, round_k,
+            view.graph, wm, params, scheme, round_k,
             np.random.Generator(np.random.PCG64(children[t])),
             prior, view.target, backend,
         )
@@ -238,7 +238,7 @@ def later_round_attack(
     hits = 0
     for t in range(trials):
         x0j, xpk = _trial_broadcast(
-            view.graph, w, params, scheme, round_k,
+            view.graph, wm, params, scheme, round_k,
             np.random.Generator(np.random.PCG64(children[train_trials + t])),
             prior, view.target, backend,
         )
@@ -286,13 +286,13 @@ def disclosure_attack(view: AdversaryView, trace: RunTrace, horizon: int) -> Dis
     if g.n != len(trace.node_ids[0]):
         raise ValueError("view graph does not match the trace")
 
-    w = metropolis(g).w
-    support = sorted((j, *g.neighbors[j]))
+    wm = metropolis(g)
+    row_j = list(zip(wm.cols[:, j].tolist(), wm.weights[:, j]))[: g.degree(j) + 1]
     recovered = []
     for k in range(1, horizon + 1):
         predicted = 0.0
-        for l in support:
-            predicted += w[j, l] * trace.x_pluses[k - 1][l]
+        for l, w_jl in row_j:
+            predicted += w_jl * trace.x_pluses[k - 1][l]
         recovered.append(trace.x_pluses[k][j] - predicted)
     params = trace.config.noise
     estimate = float(trace.x_pluses[0][j]) + math.fsum(recovered)

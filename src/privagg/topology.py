@@ -123,19 +123,14 @@ def generate(
         return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    iu, ju = np.triu_indices(n, 1)  # the pairs i < j, row by row
     for _ in range(CONNECT_RETRIES):
         if kind == "random_gnp":
-            draws = rng.random((n, n))
-            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if draws[i, j] < p]
+            keep = rng.random((n, n))[iu, ju] < p
         else:  # random_geometric
             pos = rng.random((n, 2))
-            edges = [
-                (i, j)
-                for i in range(n)
-                for j in range(i + 1, n)
-                if float(np.hypot(*(pos[i] - pos[j]))) <= radius
-            ]
-        g = build_graph(n, edges)
+            keep = np.hypot(pos[iu, 0] - pos[ju, 0], pos[iu, 1] - pos[ju, 1]) <= radius
+        g = build_graph(n, zip(iu[keep].tolist(), ju[keep].tolist()))
         if is_connected(g):
             return g
     raise ConnectivityError(

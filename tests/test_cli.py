@@ -148,6 +148,18 @@ def test_sweep_rejects_non_integer_h(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--param", "rho", "--values", " , "], ["privacy", "--epsilons", ","]],
+    ids=["sweep-values", "privacy-epsilons"],
+)
+def test_empty_value_list_is_rejected(tmp_path, capsys, argv):
+    flag = argv[-2]
+    assert main([argv[0], _cfg(tmp_path), *argv[1:], "--out", str(tmp_path / "o")]) == 2
+    assert f"argument {flag}: no values given" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_attack_naive(tmp_path, capsys):
     assert (
         main(

@@ -1,14 +1,15 @@
-"""The numpy kernels against a scalar loop reference, kernel by kernel and
-through whole engine runs, and the dense form against the neighbor form."""
+"""The numpy kernel against a scalar loop reference, on both layouts and
+through whole engine runs, and the dense layout against the support layout."""
 
 import numpy as np
 import pytest
 
-from privagg.backend import Backend, dense_step, get_backend, neighbor_step
-from privagg.engine import UPDATE_FORMS, RunConfig, _support_arrays, run
+from privagg.backend import Backend, get_backend, step
+from privagg.engine import UPDATE_FORMS, RunConfig, _kernel_operands, run
 from privagg.noise import NoiseParams
+from privagg.privacy import AdversaryView, later_round_attack
 from privagg.topology import TopologyEvent, build_graph, generate
-from privagg.weights import metropolis
+from privagg.weights import WeightMatrix, metropolis
 
 
 def _loop_dense_step(w, v, out):
@@ -23,17 +24,17 @@ def _loop_dense_step(w, v, out):
     out[:] = res
 
 
-def _loop_neighbor_step(w, indptr, indices, v, out):
+def _loop_step(weights, cols, v, out):
+    """The same chain over any slot-major layout: row i's s-th term is
+    weights[s, i] * v[cols[s, i]] (cols may broadcast along rows)."""
     vl = v.tolist()
-    wl = w.tolist()
-    il = indices.tolist()
-    pl = indptr.tolist()
+    wl = weights.tolist()
+    cl = np.broadcast_to(cols, weights.shape).tolist()
     res = []
-    for i, row in enumerate(wl):
+    for i in range(len(vl)):
         acc = 0.0
-        for t in range(pl[i], pl[i + 1]):
-            j = il[t]
-            acc = acc + row[j] * vl[j]
+        for s in range(len(wl)):
+            acc = acc + wl[s][i] * vl[cl[s][i]]
         res.append(acc)
     out[:] = res
 
@@ -48,22 +49,20 @@ def _random_case(rng):
         g = build_graph(1, [])
     else:
         g = generate("random_gnp", n, seed=int(rng.integers(2**31)), p=0.5)
-    w = metropolis(g).w
     v = rng.uniform(-100.0, 100.0, n)
     v[rng.random(n) < 0.15] = 0.0
     v[rng.random(n) < 0.05] *= -0.0  # signed zeros in the data
-    return g, w, v
+    return metropolis(g), v
 
 
 def test_dense_equals_neighbor():
     rng = np.random.default_rng(17)
     for _ in range(40):
-        g, w, v = _random_case(rng)
-        dense = np.empty(g.n)
-        nbr = np.empty(g.n)
-        dense_step(w, v, dense)
-        indptr, indices = _support_arrays(g)
-        neighbor_step(w, indptr, indices, v, nbr)
+        wm, v = _random_case(rng)
+        dense = np.empty(wm.n)
+        nbr = np.empty(wm.n)
+        step(*_kernel_operands(wm, True), v, dense)
+        step(*_kernel_operands(wm, False), v, nbr)
         assert np.array_equal(dense, nbr)
 
 
@@ -86,19 +85,21 @@ def test_accumulate_is_sequential():
 def test_numpy_kernels_match_loop_reference():
     rng = np.random.default_rng(31)
     cases = [_random_case(rng) for _ in range(60)]
-    g, w, _ = cases[-1]
-    cases.append((g, w, np.full(g.n, -0.0)))
-    cases.append((build_graph(1, []), np.array([[1.0]]), np.array([-0.0])))
-    cases.append((build_graph(1, []), np.array([[1.0]]), np.array([2.5])))
-    for g, w, v in cases:
-        indptr, indices = _support_arrays(g)
-        got, want = np.empty(g.n), np.empty(g.n)
-        dense_step(w, v, got)
-        _loop_dense_step(w, v, want)
-        assert _bit_equal(got, want)
-        neighbor_step(w, indptr, indices, v, got)
-        _loop_neighbor_step(w, indptr, indices, v, want)
-        assert _bit_equal(got, want)
+    wm, _ = cases[-1]
+    cases.append((wm, np.full(wm.n, -0.0)))
+    single = metropolis(build_graph(1, []))
+    cases.append((single, np.array([-0.0])))
+    cases.append((single, np.array([2.5])))
+    for wm, v in cases:
+        want = np.empty(wm.n)
+        _loop_dense_step(wm.w, v, want)
+        for matrix_form in (True, False):
+            weights, cols = _kernel_operands(wm, matrix_form)
+            got, loop = np.empty(wm.n), np.empty(wm.n)
+            step(weights, cols, v, got)
+            _loop_step(weights, cols, v, loop)
+            assert _bit_equal(got, loop)
+            assert _bit_equal(got, want)
 
 
 # on random_gnp(10, seed=5, p=0.4): 1-2 is not an edge, and the graph stays
@@ -116,7 +117,7 @@ def test_engine_matches_loop_reference(monkeypatch, update_form, events):
         events=events, update_form=update_form,
     )
     got = run(cfg)
-    loop = Backend("loop", _loop_dense_step, _loop_neighbor_step)
+    loop = Backend("loop", _loop_step)
     monkeypatch.setattr("privagg.engine.get_backend", lambda: loop)
     want = run(cfg)
 
@@ -129,5 +130,20 @@ def test_engine_matches_loop_reference(monkeypatch, update_form, events):
     assert _bit_equal(got.x_final, want.x_final)
 
 
-def test_get_backend_default_and_unknown():
-    assert get_backend().name == "python"
+def test_get_backend_is_numpy_step():
+    assert get_backend() == Backend("python", step)
+
+
+def test_per_node_run_and_later_attack_never_form_dense_w(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense W formed")
+
+    monkeypatch.setattr(WeightMatrix, "w", property(refuse))
+    g = generate("random_gnp", 10, seed=5, p=0.4)
+    cfg = RunConfig(
+        graph=g, x0=np.arange(10.0), noise=NoiseParams(seed=3), scheme="zero_sum",
+        events=_EVENTS, update_form="per_node", term_epsilon=1e-9,
+    )
+    assert len(run(cfg).events_applied) == 2
+    view = AdversaryView(generate("ring", 6), 0, 1)
+    later_round_attack(view, NoiseParams(seed=0), 2, 0.1, trials=5, train_trials=5)

@@ -119,7 +119,7 @@ def test_later_round_attack_bounded_by_sigma():
     assert tiny <= 0.01
 
 
-def _reference_trial(graph, w, params, scheme, rounds, rng, prior, target):
+def _reference_trial(graph, wm, params, scheme, rounds, rng, prior, target):
     """A trial as scalar processes run it: every node samples one shared stream."""
     n = graph.n
     x0 = rng.uniform(prior[0], prior[1], n)
@@ -131,18 +131,18 @@ def _reference_trial(graph, w, params, scheme, rounds, rng, prior, target):
         x_plus = x + np.array([procs[i].sample(k) for i in range(n)])
         if k == rounds:
             return float(x0[target]), float(x_plus[target])
-        get_backend().dense_step(w, x_plus, out)
+        get_backend().step(wm.weights, wm.cols, x_plus, out)
         x = out.copy()
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEME_CLASSES))
 def test_trial_broadcast_matches_scalar_reference(scheme):
     g = generate("random_gnp", 7, seed=4, p=0.5)
-    w = metropolis(g).w
+    wm = metropolis(g)
     for distribution in ("uniform", "truncated_gaussian"):
         params = NoiseParams(alpha=1.2, rho=0.85, h=2, distribution=distribution, seed=0)
         for rounds in (0, 1, 80):  # 81 rounds x 7 nodes cross a 512-draw chunk
-            args = (g, w, params, scheme, rounds)
+            args = (g, wm, params, scheme, rounds)
             prior, target = (-50.0, 50.0), 3
             got = _trial_broadcast(
                 *args, np.random.default_rng(rounds), prior, target, get_backend()

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privagg.topology import (
+    CONNECT_RETRIES,
     ConnectivityError,
     TopologyEvent,
     apply_event,
@@ -45,6 +47,44 @@ def test_geometric_deterministic_and_connected():
     b = generate("random_geometric", 15, seed=3, radius=0.5)
     assert a.edges == b.edges
     assert is_connected(a)
+
+
+def _loop_generate(kind, n, seed, p=None, radius=None):
+    """Reference: the random kinds drawn pair by pair, i < j row by row."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    for _ in range(CONNECT_RETRIES):
+        if kind == "random_gnp":
+            draws = rng.random((n, n))
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if draws[i, j] < p]
+        else:
+            pos = rng.random((n, 2))
+            edges = [
+                (i, j)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if float(np.hypot(*(pos[i] - pos[j]))) <= radius
+            ]
+        g = build_graph(n, edges)
+        if is_connected(g):
+            return g
+    raise ConnectivityError(kind)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("random_gnp", {"p": 0.3}), ("random_gnp", {"p": 0.8}),
+     ("random_geometric", {"radius": 0.35}), ("random_geometric", {"radius": 0.7})],
+)
+def test_random_kinds_match_pair_loop_reference(kind, params):
+    for n in (1, 2, 9, 40, 150):
+        for seed in (0, 1, 17, 2**31 - 1):
+            try:
+                want = _loop_generate(kind, n, seed, **params)
+            except ConnectivityError:
+                with pytest.raises(ConnectivityError):
+                    generate(kind, n, seed=seed, **params)
+                continue
+            assert generate(kind, n, seed=seed, **params) == want, (n, seed)
 
 
 def test_is_connected_cases():

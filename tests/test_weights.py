@@ -3,8 +3,75 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privagg.topology import build_graph, generate
+from privagg.topology import (
+    ConnectivityError,
+    TopologyEvent,
+    apply_event,
+    build_graph,
+    generate,
+)
 from privagg.weights import contraction_factor, metropolis
+
+
+def _loop_metropolis(g):
+    """Reference: the Metropolis rule row by row, the diagonal summed over the
+    neighbors in ascending order from 0.0."""
+    w = np.zeros((g.n, g.n))
+    for i in range(g.n):
+        off = 0.0
+        for j in g.neighbors[i]:
+            wij = 1.0 / (1.0 + max(g.degree(i), g.degree(j)))
+            w[i, j] = wij
+            off += wij
+        w[i, i] = 1.0 - off
+    return w
+
+
+def _reference_graphs():
+    rng = np.random.default_rng(11)
+    graphs = [build_graph(1, [])]
+    for n in (2, 3, 7, 16):
+        graphs += [generate(kind, n) for kind in ("ring", "path", "complete")]
+    for _ in range(40):
+        n = int(rng.integers(2, 45))
+        seed = int(rng.integers(2**31))
+        if rng.random() < 0.5:
+            graphs.append(generate("random_gnp", n, seed=seed, p=float(rng.uniform(0.1, 0.9))))
+        else:
+            graphs.append(generate("random_geometric", n, seed=seed, radius=0.5))
+    # graphs after topology events: an added edge, then a removed node
+    for g in list(graphs[-20:]):
+        missing = [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if not g.has_edge(i, j)]
+        if missing:
+            g = apply_event(g, TopologyEvent(0, "add_edge", missing[len(missing) // 2]))
+            graphs.append(g)
+        for node in range(g.n):
+            try:
+                graphs.append(apply_event(g, TopologyEvent(0, "remove_node", node)))
+                break
+            except ConnectivityError:  # node is a cut vertex
+                pass
+    return graphs
+
+
+def test_metropolis_matches_loop_reference_bitwise():
+    for g in _reference_graphs():
+        got, want = metropolis(g).w, _loop_metropolis(g)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), g
+
+
+def test_support_layout_invariants():
+    for g in _reference_graphs():
+        wm = metropolis(g)
+        slots = max((g.degree(i) for i in range(g.n)), default=0) + 1
+        assert wm.cols.shape == wm.weights.shape == (slots, g.n)
+        assert not wm.cols.flags.writeable and not wm.weights.flags.writeable
+        for i in range(g.n):
+            count = g.degree(i) + 1
+            assert wm.cols[:count, i].tolist() == sorted((i, *g.neighbors[i]))
+            assert np.all(wm.cols[count:, i] == i)
+            assert np.all(wm.weights[count:, i] == 0.0)
+            assert not np.any(np.signbit(wm.weights[:, i]))
 
 
 def test_metropolis_path3_hand_values():
