@@ -14,6 +14,9 @@ of ``privagg.weights.WeightMatrix`` (row i's support ascending, padded
 with weight 0.0); the matrix form passes ``W.T`` with
 ``cols = arange(n)[:, None]``, so slot s of every row is column s.
 
+A leading batch axis of ``v`` holds independent lanes (attack trials), each
+summed in the same slot order, so it matches its single-lane call bit for bit.
+
 Adding +0.0 to a running sum leaves it unchanged unless it is -0.0, so
 zero weights, wherever they sit, do not alter any total. The chain starts
 from ``acc = 0.0`` and therefore never ends at -0.0, while accumulate
@@ -30,7 +33,7 @@ import numpy as np
 
 
 def step(weights, cols, v, out):
-    out[:] = np.add.accumulate(weights * v[cols], axis=0)[-1] + 0.0
+    out[:] = np.add.accumulate(weights * v[..., cols], axis=-2)[..., -1, :] + 0.0
 
 
 class Backend(NamedTuple):

@@ -12,6 +12,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     load_config,
+    output_dir,
     repetition_inputs,
     run_experiment,
 )
@@ -85,7 +86,7 @@ def cmd_privacy(args) -> int:
     reports = privacy_sweep(
         config.noise, args.epsilons, args.trials, seed=derive_seed(config.noise.seed, 9001)
     )
-    out = Path(args.out) if args.out else _default_out(config) / "privacy.csv"
+    out = Path(args.out) if args.out else output_dir(config) / "privacy.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     reports_to_csv(reports, out)
     for r in reports:
@@ -95,12 +96,6 @@ def cmd_privacy(args) -> int:
         )
     print(f"wrote {out}")
     return 0
-
-
-def _default_out(config: ExperimentConfig) -> Path:
-    root = config.origin.parent if config.origin is not None else Path.cwd()
-    out = Path(config.outputs.directory)
-    return out if out.is_absolute() else root / out
 
 
 def cmd_attack(args) -> int:

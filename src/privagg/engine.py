@@ -193,16 +193,18 @@ def run(config: RunConfig) -> RunTrace:
     k = 0
     alive_arr = np.array(alive, dtype=np.intp)
     while True:
+        first = ei
         while ei < len(events) and events[ei].at_iteration == k:
             g, alive, x = _apply_run_event(g, events[ei], alive, x)
-            wm = metropolis(g)
-            weights, cols = _kernel_operands(wm, matrix_form)
             alive_arr = np.array(alive, dtype=np.intp)
             reference = float(np.mean(x0_full[alive_arr]))
             trace.events_applied.append(
                 AppliedEvent(k, events[ei].kind, events[ei].payload, g.n, reference)
             )
             ei += 1
+        if ei > first:  # the weights of the new segment, once per iteration
+            wm = metropolis(g)
+            weights, cols = _kernel_operands(wm, matrix_form)
 
         peak = float(np.max(np.abs(x)))
         if not math.isfinite(peak):

@@ -308,11 +308,6 @@ def _list_tuples(items: list[tuple]) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in items}
 
 
-def config_from_resolved(data: dict, origin: Path | None = None) -> ExperimentConfig:
-    """Rebuild a config from a manifest's config_resolved block."""
-    return build_config(data, origin=origin)
-
-
 @dataclass
 class ExperimentResult:
     manifest_path: Path
@@ -358,20 +353,21 @@ def repetition_inputs(
     return run_config, {"repetition": rep, "x0_seed": x0_seed, "noise_seed": noise_seed}
 
 
-def run_experiment(
-    config: ExperimentConfig, base_dir: str | Path | None = None
-) -> ExperimentResult:
-    """Execute all repetitions, write CSVs + manifest, return the artifacts.
-
-    Relative output directories resolve against base_dir, else the config
-    file's directory, else the working directory.
-    """
+def output_dir(config: ExperimentConfig, base_dir: str | Path | None = None) -> Path:
+    """Where a config's outputs go: a relative directory resolves against
+    base_dir, else the config file's directory, else the working directory."""
     root = Path(base_dir) if base_dir is not None else (
         config.origin.parent if config.origin is not None else Path.cwd()
     )
-    out_dir = Path(config.outputs.directory)
-    if not out_dir.is_absolute():
-        out_dir = root / out_dir
+    return root / config.outputs.directory  # an absolute directory replaces root
+
+
+def run_experiment(
+    config: ExperimentConfig, base_dir: str | Path | None = None
+) -> ExperimentResult:
+    """Execute all repetitions, write CSVs + manifest into output_dir, return
+    the artifacts."""
+    out_dir = output_dir(config, base_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     graph = config.topology.build()
@@ -436,4 +432,4 @@ def experiment_from_manifest(path: str | Path) -> ExperimentConfig:
     """Reload the exact resolved config an experiment ran with."""
     path = Path(path)
     manifest = json.loads(path.read_text())
-    return config_from_resolved(manifest["config_resolved"], origin=path)
+    return build_config(manifest["config_resolved"], origin=path)

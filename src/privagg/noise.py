@@ -116,11 +116,12 @@ def _envelope(params: NoiseParams, inner: int) -> float:
 class NoiseBank:
     """theta, the noise each lane adds to its broadcast, one round at a time.
 
-    raw is a (rounds x lanes) block from raw_draws; row k feeds round k (the
-    zero scheme's block has no rows). The engine gives each node its own
-    stream (for_nodes); an attack trial lays one generator's draws out
-    row-major over its nodes. This is the only code that turns raw draws into
-    theta.
+    raw is a (rounds x *lanes) block from raw_draws; row k feeds round k (the
+    zero scheme's block has no rows), and the lanes may have any shape. The
+    engine gives each node its own stream (for_nodes); a block of attack
+    trials stacks (trials x nodes) lanes, each trial laying one generator's
+    draws out row-major over its nodes. This is the only code that turns raw
+    draws into theta.
     """
 
     def __init__(self, scheme: str, params: NoiseParams, raw: np.ndarray):
@@ -128,11 +129,11 @@ class NoiseBank:
             raise ValueError(f"unknown noise scheme {scheme!r}")
         self.scheme = scheme
         self.params = params
-        self.n = raw.shape[1]
+        self.lanes = raw.shape[1:]
         self._raw = raw
         self._next_k = 0
         if scheme == "zero_sum":
-            self._delta = np.zeros((params.h, self.n))
+            self._delta = np.zeros((params.h, *self.lanes))
 
     @classmethod
     def for_nodes(cls, scheme: str, params: NoiseParams, n: int, rounds: int) -> NoiseBank:
@@ -149,7 +150,7 @@ class NoiseBank:
         self._next_k += 1
         p = self.params
         if self.scheme == "zero":
-            return np.zeros(self.n)
+            return np.zeros(self.lanes)
         if self.scheme == "gaussian_constant":
             return math.sqrt(p.variance) * self._raw[k]
         if self.scheme == "independent_decaying":

@@ -4,8 +4,9 @@ sigma_analytic gives the analytic ceiling on the probability that a
 neighbor estimates a node's initial value within +/- epsilon (the maximum
 probability mass of the round-0 noise over any window of width 2*epsilon).
 The attacks measure it empirically: a one-shot estimate from the round-0
-broadcast, a trained constant-offset estimate from a later round, and the
-exact reconstruction available to an observer who sees the target's whole
+broadcast, a trained constant-offset estimate from a later round (its seeded
+trials advance in blocks, as lanes of one state), and the exact
+reconstruction available to an observer who sees the target's whole
 neighborhood.
 """
 
@@ -17,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import Backend, get_backend
+from .backend import get_backend
 from .engine import RunTrace
 from .noise import TRUNC_SIGMAS, NoiseBank, NoiseParams, initial_draw_block, raw_draws
 from .topology import Graph, check_privacy_precondition
 from .weights import WeightMatrix, metropolis
 
 DEFAULT_PRIOR = (-50.0, 50.0)  # wide prior on initial values, |x| >> alpha*rho
+BLOCK_VALUES = 2**14  # drawn values (and kernel products) per block of attack trials
 
 
 @dataclass(frozen=True)
@@ -153,35 +155,42 @@ def _naive_rate(
     return float(np.mean(np.abs(estimate - x0) <= epsilon))
 
 
-def _trial_broadcast(
-    graph: Graph,
+def _trial_broadcasts(
     wm: WeightMatrix,
     params: NoiseParams,
     scheme: str,
     rounds: int,
-    rng: np.random.Generator,
+    seeds: list[np.random.SeedSequence],
     prior: tuple[float, float],
     target: int,
-    backend: Backend,
-) -> tuple[float, float]:
-    """One fresh run; returns (x_target(0), broadcast of target at `rounds`).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh runs, one per seed: the arrays x_target(0) and target broadcast at `rounds`.
 
-    Everything is drawn from rng: first x0, then the noise, laid out row-major
-    so that node i takes draw k*n + i at round k.
+    Trial t draws from PCG64(seeds[t]) first x0, then the noise, row-major so
+    that node i takes draw k*n + i at round k. A block of trials advances as
+    one (trials x n) state, one NoiseBank and one kernel call per round; it
+    holds at most BLOCK_VALUES draws and kernel products (one trial at least).
     """
-    n = graph.n
-    x0 = rng.uniform(prior[0], prior[1], n)
-    raw = raw_draws(scheme, params, rng, (rounds + 1) * n).reshape(-1, n)
-    bank = NoiseBank(scheme, params, raw)
-    x = x0.copy()
-    out = np.empty(n)
-    for k in range(rounds + 1):
-        x_plus = x + bank.round_values(k)
-        if k == rounds:
-            return float(x0[target]), float(x_plus[target])
-        backend.step(wm.weights, wm.cols, x_plus, out)
-        x = out.copy()
-    raise AssertionError("unreachable")
+    n = wm.n
+    kernel = get_backend().step
+    size = max(1, BLOCK_VALUES // (max(rounds + 1, len(wm.cols)) * n))
+    x0_target, broadcast = np.empty(len(seeds)), np.empty(len(seeds))
+    for start in range(0, len(seeds), size):
+        block = slice(start, start + size)
+        x0, raw = [], []
+        for seed in seeds[block]:
+            rng = np.random.Generator(np.random.PCG64(seed))
+            x0.append(rng.uniform(prior[0], prior[1], n))
+            raw.append(raw_draws(scheme, params, rng, (rounds + 1) * n).reshape(-1, n))
+        x = np.array(x0)
+        x0_target[block] = x[:, target]
+        bank = NoiseBank(scheme, params, np.stack(raw, axis=1))
+        for k in range(rounds):
+            out = np.empty_like(x)
+            kernel(wm.weights, wm.cols, x + bank.round_values(k), out)
+            x = out
+        broadcast[block] = (x + bank.round_values(rounds))[:, target]
+    return x0_target, broadcast
 
 
 def _histogram_mode(samples: np.ndarray, bins: int = 201) -> float:
@@ -206,7 +215,8 @@ def later_round_attack(
     The offset is the empirical mode of the compound noise (broadcast minus
     true initial value), learned offline from independent seeded runs. The
     success rate over fresh trials never exceeds sigma_analytic beyond
-    sampling error.
+    sampling error. All runs are one batched call over the seed's
+    train_trials + trials children; the first train_trials train the offset.
     """
     if view.knows_target_neighbors:
         raise ValueError("use disclosure_attack for a full-neighborhood observer")
@@ -221,30 +231,13 @@ def later_round_attack(
             "observer sees the target's entire neighborhood; "
             "estimation is exact there - use disclosure_attack"
         )
-    backend = get_backend()
-    wm = metropolis(view.graph)
     children = np.random.SeedSequence(seed).spawn(train_trials + trials)
-
-    samples = np.empty(train_trials)
-    for t in range(train_trials):
-        x0j, xpk = _trial_broadcast(
-            view.graph, wm, params, scheme, round_k,
-            np.random.Generator(np.random.PCG64(children[t])),
-            prior, view.target, backend,
-        )
-        samples[t] = xpk - x0j
-    offset = _histogram_mode(samples)
-
-    hits = 0
-    for t in range(trials):
-        x0j, xpk = _trial_broadcast(
-            view.graph, wm, params, scheme, round_k,
-            np.random.Generator(np.random.PCG64(children[train_trials + t])),
-            prior, view.target, backend,
-        )
-        if abs((xpk - offset) - x0j) <= epsilon:
-            hits += 1
-    return hits / trials
+    x0, broadcast = _trial_broadcasts(
+        metropolis(view.graph), params, scheme, round_k, children, prior, view.target
+    )
+    offset = _histogram_mode(broadcast[:train_trials] - x0[:train_trials])
+    hits = np.abs((broadcast[train_trials:] - offset) - x0[train_trials:]) <= epsilon
+    return np.count_nonzero(hits) / trials
 
 
 @dataclass(frozen=True)

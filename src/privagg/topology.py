@@ -123,14 +123,18 @@ def generate(
         return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    iu, ju = np.triu_indices(n, 1)  # the pairs i < j, row by row
     for _ in range(CONNECT_RETRIES):
-        if kind == "random_gnp":
-            keep = rng.random((n, n))[iu, ju] < p
-        else:  # random_geometric
-            pos = rng.random((n, 2))
-            keep = np.hypot(pos[iu, 0] - pos[ju, 0], pos[iu, 1] - pos[ju, 1]) <= radius
-        g = build_graph(n, zip(iu[keep].tolist(), ju[keep].tolist()))
+        # the pairs i < j row by row: gnp draws a row of n values per i, the
+        # geometric kind all positions first
+        pos = rng.random((n, 2)) if kind == "random_geometric" else None
+        edges = []
+        for i in range(n):
+            if pos is None:
+                keep = rng.random(n)[i + 1 :] < p
+            else:
+                keep = np.hypot(*(pos[i] - pos[i + 1 :]).T) <= radius
+            edges += [(i, j) for j in (np.flatnonzero(keep) + i + 1).tolist()]
+        g = build_graph(n, edges)
         if is_connected(g):
             return g
     raise ConnectivityError(

@@ -7,7 +7,6 @@ import pytest
 from privagg.harness import (
     ConfigError,
     build_config,
-    config_from_resolved,
     experiment_from_manifest,
     load_config,
     parse_event,
@@ -231,7 +230,7 @@ def test_rerun_from_manifest(tmp_path):
 
 def test_config_from_resolved_roundtrip(tmp_path):
     config = load_config(_write(tmp_path, FULL))
-    back = config_from_resolved(resolved_dict(config))
+    back = build_config(resolved_dict(config))
     assert resolved_dict(back) == resolved_dict(config)
 
 

@@ -102,6 +102,23 @@ def test_numpy_kernels_match_loop_reference():
             assert _bit_equal(got, want)
 
 
+def test_batched_state_matches_single_lane_calls():
+    rng = np.random.default_rng(37)
+    cases = [_random_case(rng) for _ in range(30)]
+    single = metropolis(build_graph(1, []))
+    cases += [(single, np.array([-0.0])), (single, np.array([2.5]))]
+    for wm, v in cases:
+        lanes = np.stack([v, np.full(wm.n, -0.0), rng.uniform(-5.0, 5.0, wm.n), -v])
+        for matrix_form in (True, False):
+            weights, cols = _kernel_operands(wm, matrix_form)
+            got = np.empty_like(lanes)
+            step(weights, cols, lanes, got)
+            for lane, row in zip(lanes, got):
+                want = np.empty(wm.n)
+                step(weights, cols, lane, want)
+                assert _bit_equal(row, want)
+
+
 # on random_gnp(10, seed=5, p=0.4): 1-2 is not an edge, and the graph stays
 # connected without node 7 once 1-2 is added
 _EVENTS = (TopologyEvent(4, "add_edge", (1, 2)), TopologyEvent(9, "remove_node", 7))

@@ -1,15 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from noise_reference import SCHEME_CLASSES, RawStream
 
+from privagg import privacy
 from privagg.backend import get_backend
 from privagg.engine import RunConfig, run
 from privagg.noise import NoiseParams
 from privagg.privacy import (
     AdversaryView,
-    _trial_broadcast,
+    _trial_broadcasts,
     PrivacyQuery,
     PrivacyReport,
     disclosure_attack,
@@ -19,7 +23,7 @@ from privagg.privacy import (
     reports_to_csv,
     sigma_analytic,
 )
-from privagg.topology import TopologyEvent, generate
+from privagg.topology import TopologyEvent, build_graph, generate
 from privagg.weights import metropolis
 
 
@@ -142,13 +146,46 @@ def test_trial_broadcast_matches_scalar_reference(scheme):
     for distribution in ("uniform", "truncated_gaussian"):
         params = NoiseParams(alpha=1.2, rho=0.85, h=2, distribution=distribution, seed=0)
         for rounds in (0, 1, 80):  # 81 rounds x 7 nodes cross a 512-draw chunk
-            args = (g, wm, params, scheme, rounds)
             prior, target = (-50.0, 50.0), 3
-            got = _trial_broadcast(
-                *args, np.random.default_rng(rounds), prior, target, get_backend()
-            )
-            ref = _reference_trial(*args, np.random.default_rng(rounds), prior, target)
-            assert got == ref, (distribution, rounds)
+            seeds = np.random.SeedSequence(rounds).spawn(3)
+            got = _trial_broadcasts(wm, params, scheme, rounds, seeds, prior, target)
+            for t, seed in enumerate(seeds):
+                rng = np.random.Generator(np.random.PCG64(seed))
+                ref = _reference_trial(g, wm, params, scheme, rounds, rng, prior, target)
+                assert (float(got[0][t]), float(got[1][t])) == ref, (distribution, rounds, t)
+
+
+@pytest.mark.parametrize("budget", ["default", "one", "uneven"])
+@settings(max_examples=25, deadline=None)
+@given(
+    trials=st.integers(3, 10),
+    n=st.integers(1, 12),
+    graph_seed=st.integers(0, 2**31 - 1),
+    scheme=st.sampled_from(sorted(SCHEME_CLASSES)),
+    distribution=st.sampled_from(["uniform", "truncated_gaussian"]),
+    h=st.integers(1, 3),
+    rounds=st.integers(0, 50),  # up to 51 x 12 draws cross a 512-draw chunk
+    data=st.data(),
+)
+def test_trial_broadcasts_match_scalar_reference(
+    budget, trials, n, graph_seed, scheme, distribution, h, rounds, data
+):
+    g = build_graph(1, []) if n == 1 else generate("random_gnp", n, seed=graph_seed, p=0.6)
+    wm = metropolis(g)
+    params = NoiseParams(alpha=1.2, rho=0.85, h=h, distribution=distribution, seed=0)
+    target = data.draw(st.integers(0, n - 1))
+    seeds = np.random.SeedSequence(graph_seed).spawn(trials)
+    prior = (-50.0, 50.0)
+    # "uneven" splits the trials into blocks of trials // 2 + 1 and the rest
+    per_trial = max(rounds + 1, len(wm.cols)) * n
+    values = {"default": privacy.BLOCK_VALUES, "one": 1, "uneven": (trials // 2 + 1) * per_trial}
+    with mock.patch.object(privacy, "BLOCK_VALUES", values[budget]):
+        x0, broadcast = _trial_broadcasts(wm, params, scheme, rounds, seeds, prior, target)
+    assert x0.shape == broadcast.shape == (trials,)
+    for t, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        want = _reference_trial(g, wm, params, scheme, rounds, rng, prior, target)
+        assert (float(x0[t]), float(broadcast[t])) == want, t
 
 
 def test_later_round_attack_refuses_covered_neighborhood():
