@@ -11,6 +11,7 @@ from .engine import run
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    check_topology,
     load_config,
     output_dir,
     repetition_inputs,
@@ -41,6 +42,7 @@ def _float_values(text: str) -> list[float]:
 
 def cmd_validate(args) -> int:
     config = load_config(args.config)
+    check_topology(config)
     print(f"OK: {args.config} ({config.topology.kind}, n={config.topology.n})")
     return 0
 

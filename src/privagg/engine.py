@@ -11,7 +11,6 @@ nodes' initial average.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -94,9 +93,10 @@ class RunTrace:
     """Per-iteration record of a run.
 
     spreads[k] is V(x(k)) = max - min; errs[k] is max_i |x_i(k) - reference|
-    where the reference is the mean initial state of the nodes alive at k.
-    xs / x_pluses / thetas are populated only when record_trace is set;
-    broadcasts exist for k < k_stop.
+    where the reference is the mean initial state of the nodes alive at k,
+    whose original ids node_ids[k] holds (the rounds of one topology segment
+    share one tuple). xs / x_pluses / thetas are populated only when
+    record_trace is set; broadcasts exist for k < k_stop.
     """
 
     config: RunConfig
@@ -127,28 +127,41 @@ class RunTrace:
         return self.true_averages[-1]
 
     def write_trace_csv(self, path: str | Path) -> None:
+        """One row per (k, node), in csv.writer's format: \\r\\n line ends,
+        floats by repr and no quoting, which no field needs; the final round
+        has no broadcast, so its x_plus and theta are empty."""
         if not self.xs:
             raise ValueError("run was executed with record_trace=False")
+        ids, heads = None, []
         with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["k", "node_id", "x", "x_plus", "theta"])
+            f.write("k,node_id,x,x_plus,theta\r\n")
             for idx, k in enumerate(self.ks):
-                broadcast = idx < len(self.x_pluses)
-                for p, nid in enumerate(self.node_ids[idx]):
-                    row = [k, nid, repr(float(self.xs[idx][p]))]
-                    if broadcast:
-                        row.append(repr(float(self.x_pluses[idx][p])))
-                        row.append(repr(float(self.thetas[idx][p])))
-                    else:
-                        row.extend(["", ""])
-                    w.writerow(row)
+                if self.node_ids[idx] is not ids:
+                    ids = self.node_ids[idx]
+                    heads = [f",{nid}," for nid in ids]
+                k_text = str(k)
+                xs = map(repr, self.xs[idx].tolist())
+                if idx < len(self.x_pluses):
+                    x_pluses = map(repr, self.x_pluses[idx].tolist())
+                    thetas = map(repr, self.thetas[idx].tolist())
+                    rows = [
+                        k_text + h + x + "," + xp + "," + t + "\r\n"
+                        for h, x, xp, t in zip(heads, xs, x_pluses, thetas)
+                    ]
+                else:
+                    rows = [k_text + h + x + ",,\r\n" for h, x in zip(heads, xs)]
+                f.write("".join(rows))
 
     def write_summary_csv(self, path: str | Path) -> None:
+        """One row per k, in the same format as write_trace_csv."""
         with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["k", "V", "err"])
-            for k, v, e in zip(self.ks, self.spreads, self.errs):
-                w.writerow([k, repr(float(v)), repr(float(e))])
+            f.write("k,V,err\r\n")
+            f.write(
+                "".join(
+                    f"{k},{v!r},{e!r}\r\n"
+                    for k, v, e in zip(self.ks, self.spreads, self.errs)
+                )
+            )
 
 
 def state_envelope(x0: Sequence[float] | np.ndarray, params: NoiseParams) -> float:
@@ -192,19 +205,23 @@ def run(config: RunConfig) -> RunTrace:
     ei = 0
     k = 0
     alive_arr = np.array(alive, dtype=np.intp)
+    ids = tuple(alive)  # one tuple per topology segment, shared by its rounds
     while True:
         first = ei
         while ei < len(events) and events[ei].at_iteration == k:
-            g, alive, x = _apply_run_event(g, events[ei], alive, x)
+            g, alive, gone = apply_run_event(g, events[ei], alive)
+            if gone is not None:
+                x = np.delete(x, gone)
             alive_arr = np.array(alive, dtype=np.intp)
             reference = float(np.mean(x0_full[alive_arr]))
             trace.events_applied.append(
                 AppliedEvent(k, events[ei].kind, events[ei].payload, g.n, reference)
             )
             ei += 1
-        if ei > first:  # the weights of the new segment, once per iteration
+        if ei > first:  # the new segment's weights and ids, once per iteration
             wm = metropolis(g)
             weights, cols = _kernel_operands(wm, matrix_form)
+            ids = tuple(alive)
 
         peak = float(np.max(np.abs(x)))
         if not math.isfinite(peak):
@@ -217,7 +234,7 @@ def run(config: RunConfig) -> RunTrace:
         trace.ks.append(k)
         trace.spreads.append(float(x.max() - x.min()))
         trace.errs.append(float(np.max(np.abs(x - reference))))
-        trace.node_ids.append(tuple(alive))
+        trace.node_ids.append(ids)
         trace.true_averages.append(reference)
         if config.record_trace:
             trace.xs.append(x.copy())
@@ -251,10 +268,15 @@ def run(config: RunConfig) -> RunTrace:
     return trace
 
 
-def _apply_run_event(
-    g: Graph, event: TopologyEvent, alive: list[int], x: np.ndarray
-) -> tuple[Graph, list[int], np.ndarray]:
-    """Translate an original-id event to current positions and apply it."""
+def apply_run_event(
+    g: Graph, event: TopologyEvent, alive: list[int]
+) -> tuple[Graph, list[int], int | None]:
+    """Translate an original-id event to current positions and apply it.
+
+    alive lists the original ids of g's nodes by position. Returns the new
+    graph, the surviving original ids and the position a remove_node took
+    out (None for edge events).
+    """
     pos_of = {orig: p for p, orig in enumerate(alive)}
     if event.kind == "remove_node":
         orig = event.payload
@@ -263,12 +285,12 @@ def _apply_run_event(
             raise ValueError(f"remove_node: node {orig} is not present")
         pos = pos_of[orig]
         g2 = apply_event(g, replace(event, payload=pos))
-        return g2, alive[:pos] + alive[pos + 1 :], np.delete(x, pos)
+        return g2, alive[:pos] + alive[pos + 1 :], pos
     i, j = event.payload  # type: ignore[misc]
     if i not in pos_of or j not in pos_of:
         raise ValueError(f"{event.kind}: node in ({i},{j}) is not present")
     g2 = apply_event(g, replace(event, payload=(pos_of[i], pos_of[j])))
-    return g2, alive, x
+    return g2, alive, None
 
 
 def aggregate(trace: RunTrace, kind: str) -> float:

@@ -17,9 +17,23 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import RunConfig, RunTrace, aggregate, check_run_options, run
+from .engine import (
+    RunConfig,
+    RunTrace,
+    aggregate,
+    apply_run_event,
+    check_run_options,
+    run,
+)
 from .noise import SCHEMES, NoiseParams, derive_seed
-from .topology import EVENT_KINDS, Graph, TopologyEvent, check_graph_params, generate
+from .topology import (
+    EVENT_KINDS,
+    ConnectivityError,
+    Graph,
+    TopologyEvent,
+    check_graph_params,
+    generate,
+)
 
 
 class ConfigError(ValueError):
@@ -351,6 +365,29 @@ def repetition_inputs(
         update_form=config.run.update_form,
     )
     return run_config, {"repetition": rep, "x0_seed": x0_seed, "noise_seed": noise_seed}
+
+
+def check_topology(config: ExperimentConfig) -> None:
+    """Draw the graph and replay, in at_iteration order, every event a run
+    reaches by its round cap, through the engine's own id translation. A run
+    that stops early on term_epsilon never meets its later events, but they
+    are checked all the same. The error names the topology or the entry."""
+    try:
+        graph = config.topology.build()
+    except ConnectivityError as exc:
+        raise ConfigError(f"topology: {exc}") from None
+    run_config, _ = repetition_inputs(config, graph, 0)
+    schedule = sorted(
+        zip(run_config.events, config.run.events), key=lambda pair: pair[0].at_iteration
+    )
+    g, alive = graph, list(range(graph.n))
+    for event, text in schedule:
+        if event.at_iteration > run_config.max_rounds:
+            break
+        try:
+            g, alive, _ = apply_run_event(g, event, alive)
+        except (ValueError, ConnectivityError) as exc:
+            raise ConfigError(f"run.events entry {text!r}: {exc}") from None
 
 
 def output_dir(config: ExperimentConfig, base_dir: str | Path | None = None) -> Path:

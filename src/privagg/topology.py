@@ -7,6 +7,7 @@ retry a bounded number of times and then fail loudly).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -166,7 +167,14 @@ class TopologyEvent:
 
 def apply_event(g: Graph, event: TopologyEvent) -> Graph:
     """Apply one event, returning a new Graph; rejects changes that would
-    disconnect the surviving graph."""
+    disconnect the surviving graph.
+
+    An edge event edits g in place of a rebuild: the two end nodes' neighbour
+    tuples and the edge tuple get the pair inserted or cut at its sorted
+    position, and every other neighbour tuple is shared with g. remove_node
+    renumbers every later id, so it rebuilds the graph from the relabelled
+    edges. Either way the result equals build_graph of the new edge set.
+    """
     if event.kind == "remove_node":
         node = event.payload
         assert isinstance(node, int)
@@ -187,15 +195,23 @@ def apply_event(g: Graph, event: TopologyEvent) -> Graph:
         if i == j:
             raise ValueError(f"{event.kind}: self-loop ({i},{j}) not allowed")
         a, b = (i, j) if i < j else (j, i)
-        present = b in g.neighbors[a]
+        na, nb, edges = g.neighbors[a], g.neighbors[b], g.edges
+        ia, ib, ie = bisect_left(na, b), bisect_left(nb, a), bisect_left(edges, (a, b))
+        present = b in na
+        nbrs = list(g.neighbors)
         if event.kind == "remove_edge":
             if not present:
                 raise ValueError(f"remove_edge: ({a},{b}) is not an edge")
-            new = build_graph(g.n, [e for e in g.edges if e != (a, b)])
+            nbrs[a] = na[:ia] + na[ia + 1 :]
+            nbrs[b] = nb[:ib] + nb[ib + 1 :]
+            edges = edges[:ie] + edges[ie + 1 :]
         else:
             if present:
                 raise ValueError(f"add_edge: ({a},{b}) already present")
-            new = build_graph(g.n, list(g.edges) + [(a, b)])
+            nbrs[a] = na[:ia] + (b,) + na[ia:]
+            nbrs[b] = nb[:ib] + (a,) + nb[ib:]
+            edges = edges[:ie] + ((a, b),) + edges[ie:]
+        new = Graph(g.n, edges, tuple(nbrs))
     if not is_connected(new):
         raise ConnectivityError(
             f"event {event.kind} {event.payload} at iteration {event.at_iteration} "

@@ -82,6 +82,34 @@ def test_validate_names_the_bad_field(tmp_path, capsys, field, overrides):
     assert len(err) == 2 and all(line.startswith(f"error: {field} ") for line in err)
 
 
+@pytest.mark.parametrize(
+    "prefix, text",
+    [
+        ("run.events entry '3:remove_edge:2-3'",
+         GOOD + "events = 1:remove_edge:0-1, 3:remove_edge:2-3\n"),  # disconnects
+        ("run.events entry '1:add_edge:1-0'", GOOD + "events = 1:add_edge:1-0\n"),  # present
+        ("run.events entry '1:remove_edge:0-2'", GOOD + "events = 1:remove_edge:0-2\n"),
+        ("run.events entry '2:remove_edge:2-3'",
+         GOOD + "events = 2:remove_edge:2-3, 1:remove_node:2\n"),  # removed node
+        ("topology: no connected random_gnp graph",
+         GOOD.replace("kind = ring", "kind = random_gnp\np = 0.0\nseed = 1")),
+    ],
+)
+def test_validate_and_run_reject_a_topology_that_does_not_hold(tmp_path, capsys, prefix, text):
+    cfg = _cfg(tmp_path, text, "bad.cfg")
+    assert main(["validate", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {prefix}")
+    assert main(["run", cfg, "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_validate_skips_events_past_the_round_cap(tmp_path):
+    # max_iterations = 40: a run never reaches iteration 41
+    cfg = _cfg(tmp_path, GOOD + "events = 3:remove_node:4, 41:remove_edge:0-2\n")
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path)]) == 0
+
+
 def test_run_missing_config(capsys):
     assert main(["run", "does-not-exist.cfg"]) == 1
     assert "not found" in capsys.readouterr().err

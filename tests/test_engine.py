@@ -1,18 +1,24 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privagg.engine import (
+    UPDATE_FORMS,
     EngineAbort,
     RunConfig,
     aggregate,
+    apply_run_event,
     decay_envelope,
     run,
     state_envelope,
     transform_aggregate,
 )
 from privagg.noise import NoiseParams
+from privagg.tolerances import TOL
 from privagg.topology import ConnectivityError, TopologyEvent, build_graph, generate
 from privagg.weights import contraction_factor, metropolis
 
@@ -230,6 +236,81 @@ def test_remove_node_retargets_reference():
     assert biased.final_err > 1e-3
 
 
+@st.composite
+def _connected_schedules(draw):
+    """A connected random graph and an event schedule that keeps it connected:
+    node removals at iteration 0, before any mixing, then edge additions and
+    removals up to iteration 20. Each drawn event is kept only if the
+    engine's own translation accepts it, in the order the engine applies it."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    g = generate("random_gnp", n, seed=draw(st.integers(0, 2**16)), p=0.6)
+    graph, alive, events = g, list(range(n)), []
+    removals = [(0, "remove_node")] * draw(st.integers(0, n - 2))
+    edge_kinds = st.sampled_from(["add_edge", "remove_edge"])
+    edge_events = sorted(draw(st.lists(st.tuples(st.integers(0, 20), edge_kinds), max_size=12)))
+    for at, kind in removals + edge_events:
+        pick = draw(st.integers(0, 2**16))
+        if kind == "remove_node":
+            payload = alive[pick % len(alive)]
+        else:
+            pairs = [
+                (alive[a], alive[b])
+                for a in range(g.n)
+                for b in range(a + 1, g.n)
+                if g.has_edge(a, b) == (kind == "remove_edge")
+            ]
+            if not pairs:
+                continue
+            payload = pairs[pick % len(pairs)]
+        event = TopologyEvent(at, kind, payload)
+        try:
+            g, alive, _ = apply_run_event(g, event, alive)
+        except (ValueError, ConnectivityError):
+            continue
+        events.append(event)
+    return graph, tuple(events)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_connected_schedules(), seed=st.integers(0, 2**31))
+def test_event_schedules_keep_exactness_and_forms_agree(case, seed):
+    g, events = case
+    x0 = np.random.default_rng(seed).uniform(0.0, 100.0, g.n)
+    a, b = (
+        run(
+            RunConfig(
+                graph=g,
+                x0=x0,
+                noise=NoiseParams(alpha=1.0, rho=0.9, seed=seed),
+                scheme="zero_sum",
+                max_iterations=600,
+                events=events,
+                update_form=form,
+            )
+        )
+        for form in UPDATE_FORMS
+    )
+    assert len(a.events_applied) == len(events)
+    survivors = list(a.node_ids[-1])
+    want = len(survivors) * float(np.mean(x0[survivors]))
+    assert abs(aggregate(a, "sum") - want) <= TOL.aggregation_sum
+    assert a.node_ids == b.node_ids and a.spreads == b.spreads and a.errs == b.errs
+    for field in ("xs", "x_pluses", "thetas"):
+        pairs = zip(getattr(a, field), getattr(b, field), strict=True)
+        assert all(np.array_equal(p, q) for p, q in pairs), field
+    assert np.array_equal(a.x_final, b.x_final)
+
+
+def test_node_ids_shared_within_a_segment():
+    g = generate("ring", 6)
+    events = (TopologyEvent(3, "add_edge", (0, 2)), TopologyEvent(5, "remove_node", 4))
+    trace = run(_zero_cfg(g, np.arange(6.0), events=events, max_iterations=8))
+    ids = trace.node_ids
+    assert len({id(t) for t in ids}) == 3
+    assert ids[0] is ids[2] and ids[3] is ids[4] and ids[5] is ids[8]
+    assert ids[4] == tuple(range(6)) and ids[5] == (0, 1, 2, 3, 5)
+
+
 def test_disconnecting_event_rejected():
     g = generate("path", 3)
     cfg = _zero_cfg(g, [1.0, 2.0, 3.0], events=(TopologyEvent(1, "remove_edge", (0, 1)),))
@@ -319,6 +400,79 @@ def test_trace_csv_schema(tmp_path):
     # full-precision round trip
     value = tlines[1].split(",")[2]
     assert float(value) == 1.0
+
+
+def _csv_writer_trace(trace, path):
+    """Reference: the trace CSV written row by row through csv.writer."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["k", "node_id", "x", "x_plus", "theta"])
+        for idx, k in enumerate(trace.ks):
+            broadcast = idx < len(trace.x_pluses)
+            for p, nid in enumerate(trace.node_ids[idx]):
+                row = [k, nid, repr(float(trace.xs[idx][p]))]
+                if broadcast:
+                    row.append(repr(float(trace.x_pluses[idx][p])))
+                    row.append(repr(float(trace.thetas[idx][p])))
+                else:
+                    row.extend(["", ""])
+                w.writerow(row)
+
+
+def _csv_writer_summary(trace, path):
+    """Reference: the summary CSV written row by row through csv.writer."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["k", "V", "err"])
+        for k, v, e in zip(trace.ks, trace.spreads, trace.errs):
+            w.writerow([k, repr(float(v)), repr(float(e))])
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        # edge events and a mid-run node removal, noise of both signs
+        dict(
+            graph=generate("random_gnp", 9, seed=4, p=0.5),
+            x0=np.random.default_rng(4).uniform(-50.0, 50.0, 9),
+            noise=NoiseParams(seed=4),
+            scheme="zero_sum",
+            max_iterations=30,
+            events=(
+                TopologyEvent(5, "add_edge", (0, 1)),
+                TopologyEvent(5, "remove_node", 3),
+                TopologyEvent(9, "remove_node", 7),
+            ),
+            update_form="per_node",
+        ),
+        # stopped by term_epsilon, zero noise, tiny and exact values
+        dict(
+            graph=generate("path", 4),
+            x0=[0.0, 1e-300, -2.5, 1e3],
+            scheme="zero",
+            max_iterations=400,
+            term_epsilon=1.0,
+        ),
+        dict(
+            graph=generate("ring", 5),
+            x0=[1.0, 2.0, 3.0, 4.0, 5.0],
+            noise=NoiseParams(seed=2, variance=1e-12),
+            scheme="gaussian_constant",
+            max_iterations=400,
+            term_epsilon=1e-3,
+        ),
+    ],
+)
+def test_csv_writers_match_csv_writer_reference(tmp_path, kw):
+    trace = run(RunConfig(**kw))
+    assert trace.reason == ("max_iterations" if kw.get("events") else "term_epsilon")
+    assert len(trace.events_applied) == len(kw.get("events", ()))
+    trace.write_trace_csv(tmp_path / "t.csv")
+    trace.write_summary_csv(tmp_path / "s.csv")
+    _csv_writer_trace(trace, tmp_path / "t_ref.csv")
+    _csv_writer_summary(trace, tmp_path / "s_ref.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t_ref.csv").read_bytes()
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "s_ref.csv").read_bytes()
 
 
 def test_record_trace_false():

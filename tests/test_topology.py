@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privagg import topology
 from privagg.topology import (
     CONNECT_RETRIES,
+    EVENT_KINDS,
     ConnectivityError,
+    Graph,
     TopologyEvent,
     apply_event,
     build_graph,
@@ -156,6 +159,105 @@ def test_apply_event_contract_errors():
         TopologyEvent(0, "swap_edge", (0, 1))
     with pytest.raises(ConnectivityError):
         apply_event(build_graph(1, []), TopologyEvent(0, "remove_node", 0))
+
+
+def _rebuild_apply_event(g, event):
+    """Reference: apply_event with the whole graph rebuilt from the new edge set."""
+    if event.kind == "remove_node":
+        node = event.payload
+        if not (0 <= node < g.n):
+            raise ValueError(f"remove_node: node {node} not in graph")
+        if g.n == 1:
+            raise ConnectivityError("remove_node: cannot remove the last node")
+        keep = [i for i in range(g.n) if i != node]
+        remap = {old: new for new, old in enumerate(keep)}
+        edges = [
+            (remap[i], remap[j]) for i, j in g.edges if i != node and j != node
+        ]
+        new = build_graph(g.n - 1, edges)
+    else:
+        i, j = event.payload
+        if not (0 <= i < g.n and 0 <= j < g.n):
+            raise ValueError(f"{event.kind}: edge ({i},{j}) references a missing node")
+        if i == j:
+            raise ValueError(f"{event.kind}: self-loop ({i},{j}) not allowed")
+        a, b = (i, j) if i < j else (j, i)
+        present = b in g.neighbors[a]
+        if event.kind == "remove_edge":
+            if not present:
+                raise ValueError(f"remove_edge: ({a},{b}) is not an edge")
+            new = build_graph(g.n, [e for e in g.edges if e != (a, b)])
+        else:
+            if present:
+                raise ValueError(f"add_edge: ({a},{b}) already present")
+            new = build_graph(g.n, list(g.edges) + [(a, b)])
+    if not is_connected(new):
+        raise ConnectivityError(
+            f"event {event.kind} {event.payload} at iteration {event.at_iteration} "
+            "would disconnect the graph; rejected"
+        )
+    return new
+
+
+@st.composite
+def _graph_and_events(draw):
+    """A random graph, mostly a spanning tree plus random edges, and a random
+    event sequence; each step's pick chooses a present edge to remove or an
+    absent pair to add three times in four, else the drawn pair (present,
+    absent, a self-loop or out of range)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    edges = []
+    if draw(st.integers(0, 3)):
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=20))):
+        kind = draw(st.sampled_from(EVENT_KINDS))
+        ends = st.integers(min_value=-1, max_value=n)
+        steps.append((kind, draw(ends), draw(ends), draw(st.integers(0, 2**16))))
+    return build_graph(n, edges), steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_graph_and_events())
+def test_apply_event_matches_rebuild_reference(case):
+    g, steps = case
+    for at, (kind, i, j, pick) in enumerate(steps):
+        absent = [
+            (a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b)
+        ]
+        candidates = g.edges if kind == "remove_edge" else absent
+        if kind == "remove_node":
+            payload = i
+        elif candidates and pick % 4:
+            payload = candidates[pick % len(candidates)][:: 1 if pick % 2 else -1]
+        else:
+            payload = (i, j)
+        event = TopologyEvent(at, kind, payload)
+        try:
+            want = _rebuild_apply_event(g, event)
+        except (ValueError, ConnectivityError) as exc:
+            with pytest.raises(type(exc)) as got:
+                apply_event(g, event)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            continue
+        new = apply_event(g, event)
+        assert new == want and hash(new) == hash(want)
+        g = new
+
+
+def test_edge_events_do_not_rebuild(monkeypatch):
+    def no_rebuild(n, edges):
+        raise AssertionError("edge events must not rebuild the graph")
+
+    g = generate("ring", 6)
+    monkeypatch.setattr(topology, "build_graph", no_rebuild)
+    g = apply_event(g, TopologyEvent(0, "add_edge", (4, 1)))
+    g = apply_event(g, TopologyEvent(1, "remove_edge", (0, 1)))
+    assert isinstance(g, Graph)
+    assert g.edges == ((0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5))
+    assert g.neighbors[1] == (2, 4) and g.neighbors[0] == (5,)
 
 
 def test_privacy_precondition():
