@@ -7,9 +7,14 @@ produces that chain's result bit for bit, sign of zero included; the
 scalar loops in the tests are the reference it is checked against.
 
 ``step`` takes W slot-major: term s of row i is ``weights[s, i] *
-v[cols[s, i]]``. It forms every product in one multiply and sums each
-column with ``np.add.accumulate``, which, unlike ``np.sum`` (pairwise),
-adds strictly in slot order. The per-node form passes the support layout
+v[cols[s, i]]``. It forms every product in one multiply into a C-ordered
+(slots × n) block and sums it over the slot axis with ``np.add.reduce``.
+NumPy sums pairwise only along the fast memory axis of the block; along
+the slot axis of a C-ordered block it adds one whole slot row at a time,
+in slot order, which is the mandated chain. ``order="C"`` pins that
+layout: a product left in F order (as ``W.T`` without a copy would give)
+puts the slot axis in fast memory, and the reduce then sums it pairwise
+and misses the chain. The per-node form passes the support layout
 of ``privagg.weights.WeightMatrix`` (row i's support ascending, padded
 with weight 0.0); the matrix form passes ``W.T`` with
 ``cols = arange(n)[:, None]``, so slot s of every row is column s.
@@ -19,10 +24,12 @@ summed in the same slot order, so it matches its single-lane call bit for bit.
 
 Adding +0.0 to a running sum leaves it unchanged unless it is -0.0, so
 zero weights, wherever they sit, do not alter any total. The chain starts
-from ``acc = 0.0`` and therefore never ends at -0.0, while accumulate
-starts from the first product and may (all-zero rows with a -0.0
-product). The trailing ``+ 0.0`` maps -0.0 to +0.0 and leaves every
-other value alone, so the sign of zero matches too.
+from ``acc = 0.0`` and therefore never ends at -0.0. NumPy 2.4's reduce
+starts from add's identity +0.0 as well, but a reduce that starts from
+the first product (as ``np.add.accumulate`` does) ends at -0.0 on an
+all-zero row with a -0.0 product. The trailing ``+ 0.0`` maps -0.0 to
++0.0 and leaves every other value alone, so the sign of zero matches
+either way.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 
 
 def step(weights, cols, v, out):
-    out[:] = np.add.accumulate(weights * v[..., cols], axis=-2)[..., -1, :] + 0.0
+    out[:] = np.add.reduce(np.multiply(weights, v[..., cols], order="C"), axis=-2) + 0.0
 
 
 class Backend(NamedTuple):

@@ -207,7 +207,7 @@ def run(config: RunConfig) -> RunTrace:
     alive_arr = np.array(alive, dtype=np.intp)
     ids = tuple(alive)  # one tuple per topology segment, shared by its rounds
     while True:
-        first = ei
+        first, before = ei, g
         while ei < len(events) and events[ei].at_iteration == k:
             g, alive, gone = apply_run_event(g, events[ei], alive)
             if gone is not None:
@@ -219,7 +219,8 @@ def run(config: RunConfig) -> RunTrace:
             )
             ei += 1
         if ei > first:  # the new segment's weights and ids, once per iteration
-            wm = metropolis(g)
+            # edge events keep n: re-weigh only the columns they touched
+            wm = metropolis(g, base=(before, wm)) if g.n == before.n else metropolis(g)
             weights, cols = _kernel_operands(wm, matrix_form)
             ids = tuple(alive)
 

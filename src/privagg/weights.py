@@ -3,11 +3,18 @@
 The Metropolis rule w_ij = 1/(1 + max(d_i, d_j)) for neighbors (diagonal
 absorbing the rest) needs only the degrees of i and j and yields a
 symmetric doubly-stochastic matrix on any connected graph.
+
+Column i of the layout depends only on N_i and the degrees of i and its
+neighbours, so one builder fills the columns of any node set from the
+graph's neighbour tuples: every column for a new graph, and after edge
+events only those of the nodes whose tuple changed and of their
+neighbours, the rest copied from the previous segment's layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -34,33 +41,75 @@ class WeightMatrix:
         return w
 
 
-def metropolis(g: Graph) -> WeightMatrix:
-    """Build the Metropolis weights of a connected graph."""
-    if not is_connected(g):
-        raise ValueError("weights require a connected graph")
+def metropolis(
+    g: Graph, base: tuple[Graph, WeightMatrix] | None = None
+) -> WeightMatrix:
+    """Build the Metropolis weights of a connected graph.
+
+    With ``base=(old_g, old_wm)``, the weights of an earlier graph on the
+    same n nodes, only the columns that can differ are rebuilt: those of
+    the nodes whose neighbour tuple changed, and of their neighbours in g
+    (w_ij follows d_i). Every other column is copied, and the slot rows are
+    grown or trimmed to g's max degree + 1. The result equals
+    ``metropolis(g)``. The caller vouches for g's connectivity on that path
+    (``topology.apply_event`` has checked it); without a base it is checked
+    here.
+    """
     n = g.n
-    degree = np.array([len(nbrs) for nbrs in g.neighbors], dtype=np.intp)
-    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-    # every support entry: both directions of each edge and the diagonal,
-    # ordered by row, then column
-    rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(n)])
-    cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(n)])
-    order = np.argsort(rows * n + cols)
-    rows, cols = rows[order], cols[order]
-    slots = np.arange(len(rows)) - np.repeat(np.cumsum(degree + 1) - degree - 1, degree + 1)
-    diagonal = rows == cols
-    layout_cols = np.tile(np.arange(n), (int(degree.max()) + 1, 1))
-    layout_cols[slots, rows] = cols
-    weights = np.zeros(layout_cols.shape)
-    weights[slots, rows] = np.where(
-        diagonal, 0.0, 1.0 / (1.0 + np.maximum(degree[rows], degree[cols]))
+    degree = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=n)
+    slots = int(degree.max()) + 1
+    if base is None:
+        if not is_connected(g):
+            raise ValueError("weights require a connected graph")
+        nodes = np.arange(n)
+        cols = np.empty((slots, n), dtype=np.intp)
+        weights = np.empty((slots, n))
+    else:
+        old_g, old = base
+        if old_g.n != n:
+            raise ValueError(f"base graph has {old_g.n} nodes, graph has {n}")
+        changed = [
+            i
+            for i, (new, prev) in enumerate(zip(g.neighbors, old_g.neighbors))
+            if new is not prev and new != prev
+        ]
+        touched = set(changed).union(*(g.neighbors[i] for i in changed))
+        nodes = np.array(sorted(touched), dtype=np.intp)
+        kept = min(slots, old.cols.shape[0])
+        cols = np.empty((slots, n), dtype=np.intp)
+        cols[:kept] = old.cols[:kept]
+        cols[kept:] = np.arange(n)
+        weights = np.zeros((slots, n))
+        weights[:kept] = old.weights[:kept]
+    _fill_columns(g, nodes, degree, cols, weights)
+    cols.setflags(write=False)
+    weights.setflags(write=False)
+    return WeightMatrix(n, cols, weights)
+
+
+def _fill_columns(
+    g: Graph, nodes: np.ndarray, degree: np.ndarray, cols: np.ndarray, weights: np.ndarray
+) -> None:
+    """Write the layout columns of ``nodes`` in place, from g's neighbour
+    tuples: node i's sorted N_i with i inserted at its place, then padding."""
+    count = degree[nodes]
+    nbrs = np.fromiter(
+        chain.from_iterable(g.neighbors[i] for i in nodes.tolist()),
+        dtype=np.intp,
+        count=int(count.sum()),
     )
+    owner_at = np.repeat(np.arange(len(nodes)), count)
+    owner = nodes[owner_at]
+    above = nbrs > owner  # i sits before these, so they move down one slot
+    slot = np.arange(len(nbrs)) - (np.cumsum(count) - count)[owner_at] + above
+    cols[:, nodes] = nodes  # the diagonal and the padding
+    weights[:, nodes] = 0.0
+    cols[slot, owner] = nbrs
+    weights[slot, owner] = 1.0 / (1.0 + np.maximum(degree[owner], degree[nbrs]))
     # off-diagonal sum in ascending neighbor order from 0.0; the 0.0 at the
     # diagonal slot and the padding leave every partial sum unchanged
-    weights[slots[diagonal], rows[diagonal]] = 1.0 - np.add.accumulate(weights, axis=0)[-1]
-    layout_cols.setflags(write=False)
-    weights.setflags(write=False)
-    return WeightMatrix(n, layout_cols, weights)
+    diagonal = np.bincount(owner_at[~above], minlength=len(nodes))  # neighbours below i
+    weights[diagonal, nodes] = 1.0 - np.add.accumulate(weights[:, nodes], axis=0)[-1]
 
 
 def contraction_factor(wm: WeightMatrix) -> float:

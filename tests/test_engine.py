@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privagg.engine import (
@@ -299,6 +299,53 @@ def test_event_schedules_keep_exactness_and_forms_agree(case, seed):
         pairs = zip(getattr(a, field), getattr(b, field), strict=True)
         assert all(np.array_equal(p, q) for p, q in pairs), field
     assert np.array_equal(a.x_final, b.x_final)
+
+
+def _churn(g, seed, iterations):
+    """At each iteration remove one edge, then add one at the same node."""
+    rng = np.random.default_rng(seed)
+    events = []
+    for at in iterations:
+        while True:
+            a, b = g.edges[int(rng.integers(len(g.edges)))]
+            missing = [c for c in range(g.n) if c != a and c != b and not g.has_edge(a, c)]
+            if not missing:
+                continue
+            remove = TopologyEvent(at, "remove_edge", (a, b))
+            try:
+                g = apply_run_event(g, remove, list(range(g.n)))[0]
+                break
+            except ConnectivityError:
+                continue
+        add = TopologyEvent(at, "add_edge", (a, int(rng.choice(missing))))
+        g = apply_run_event(g, add, list(range(g.n)))[0]
+        events += [remove, add]
+    return tuple(events)
+
+
+_CHURN_GRAPH = generate("random_geometric", 40, seed=4, radius=0.3)
+
+
+@example(case=(_CHURN_GRAPH, _churn(_CHURN_GRAPH, 5, (0, 3, 7, 12))), seed=9)
+@settings(max_examples=20, deadline=None)
+@given(case=_connected_schedules(), seed=st.integers(0, 2**31))
+def test_column_edited_weights_give_the_fresh_build_traces(case, seed):
+    g, events = case
+    x0 = np.random.default_rng(seed).uniform(0.0, 100.0, g.n)
+    for form in UPDATE_FORMS:
+        cfg = RunConfig(
+            graph=g, x0=x0, noise=NoiseParams(alpha=1.0, rho=0.9, seed=seed),
+            scheme="zero_sum", max_iterations=30, events=events, update_form=form,
+        )
+        edited = run(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("privagg.engine.metropolis", lambda g, base=None: metropolis(g))
+            fresh = run(cfg)
+        assert len(edited.events_applied) == len(events)
+        for field in ("xs", "x_pluses", "thetas"):
+            pairs = zip(getattr(edited, field), getattr(fresh, field), strict=True)
+            assert all(np.array_equal(p.view(np.uint64), q.view(np.uint64)) for p, q in pairs)
+        assert np.array_equal(edited.x_final.view(np.uint64), fresh.x_final.view(np.uint64))
 
 
 def test_node_ids_shared_within_a_segment():

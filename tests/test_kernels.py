@@ -82,6 +82,82 @@ def test_accumulate_is_sequential():
     assert _bit_equal(np.add.accumulate(rows, axis=1)[:, -1], np.array(expected))
 
 
+def test_reduce_over_slots_is_sequential():
+    # premise of the kernel: reduce over the slot axis of a C-ordered block
+    # adds one slot row at a time, in slot order, with or without lanes; the
+    # trailing + 0.0 makes the sign of zero that of the chain from acc = 0.0
+    rng = np.random.default_rng(41)
+    for shape in ((37, 200), (5, 8193), (9, 68, 20), (68, 9, 20)):
+        block = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-8, 9, shape)
+        block[rng.random(shape) < 0.1] = 0.0
+        block[rng.random(shape) < 0.1] = -0.0
+        block[..., :3] = -0.0  # all-zero rows
+        expected = []
+        for row in np.moveaxis(block, -2, -1).reshape(-1, shape[-2]).tolist():
+            acc = 0.0
+            for value in row:
+                acc = acc + value
+            expected.append(acc)
+        got = np.add.reduce(block, axis=-2) + 0.0
+        assert _bit_equal(got.reshape(-1), np.array(expected)), shape
+
+
+def _assert_matches_loop(weights, cols, v):
+    got, loop = np.empty(v.shape[-1]), np.empty(v.shape[-1])
+    step(weights, cols, v, got)
+    _loop_step(weights, cols, v, loop)
+    assert _bit_equal(got, loop)
+
+
+def test_kernel_matches_loop_reference_on_large_layouts():
+    rng = np.random.default_rng(43)
+    # a 1000-node geometric support layout (37 slots)
+    wm = metropolis(generate("random_geometric", 1000, seed=7, radius=0.08))
+    assert wm.cols.shape[0] > 8
+    for _ in range(3):
+        _assert_matches_loop(wm.weights, wm.cols, rng.uniform(-100.0, 100.0, 1000))
+    # a vector longer than NumPy's 8192-element pairwise and buffer blocks
+    wm = metropolis(generate("ring", 8193))
+    v = rng.uniform(-100.0, 100.0, 8193)
+    v[rng.random(8193) < 0.05] = -0.0
+    _assert_matches_loop(wm.weights, wm.cols, v)
+
+
+def test_kernel_matches_loop_reference_on_an_attack_block():
+    # 68 lanes of a 20-node layout, the size of one block of attack trials
+    rng = np.random.default_rng(47)
+    wm = metropolis(generate("random_gnp", 20, seed=3, p=0.5))
+    lanes = rng.uniform(-100.0, 100.0, (68, 20))
+    lanes[rng.random(lanes.shape) < 0.05] = -0.0
+    for matrix_form in (True, False):
+        weights, cols = _kernel_operands(wm, matrix_form)
+        got = np.empty_like(lanes)
+        step(weights, cols, lanes, got)
+        for lane, row in zip(lanes, got):
+            loop = np.empty(20)
+            _loop_step(weights, cols, lane, loop)
+            assert _bit_equal(row, loop)
+
+
+def test_kernel_pins_c_order_for_f_ordered_weights():
+    # W.T without a copy is F-ordered; the product then follows that order
+    # unless the kernel pins it, and the reduce runs along the fast axis,
+    # pairwise, off the chain
+    rng = np.random.default_rng(53)
+    wm = metropolis(generate("random_gnp", 50, seed=11, p=0.5))
+    weights, cols = wm.w.T, np.arange(50)[:, None]
+    assert weights.flags.f_contiguous and not weights.flags.c_contiguous
+    unpinned_misses = 0
+    for _ in range(50):
+        v = rng.uniform(-100.0, 100.0, 50)
+        _assert_matches_loop(weights, cols, v)
+        loop = np.empty(50)
+        _loop_step(weights, cols, v, loop)
+        unpinned = np.add.reduce(weights * v[cols], axis=-2) + 0.0
+        unpinned_misses += not _bit_equal(unpinned, loop)
+    assert unpinned_misses > 0
+
+
 def test_numpy_kernels_match_loop_reference():
     rng = np.random.default_rng(31)
     cases = [_random_case(rng) for _ in range(60)]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privagg.topology import (
@@ -204,3 +204,67 @@ def test_apply_sum_preservation_property(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.uniform(-100, 100, n)
     assert abs(float((wm.w @ v).sum() - v.sum())) <= n * 1e-12 * max(1.0, np.abs(v).max())
+
+
+def _toggle(g, pair):
+    """Remove the edge if present, else add it; a removal that would
+    disconnect g is skipped, as the engine would reject it."""
+    kind = "remove_edge" if g.has_edge(*pair) else "add_edge"
+    try:
+        return apply_event(g, TopologyEvent(0, kind, pair))
+    except ConnectivityError:
+        return g
+
+
+def _assert_same_layout(got, want):
+    assert got.n == want.n
+    assert got.cols.shape == want.cols.shape == want.weights.shape == got.weights.shape
+    assert np.array_equal(got.cols, want.cols)
+    assert np.array_equal(got.weights.view(np.uint64), want.weights.view(np.uint64))
+    assert not got.cols.flags.writeable and not got.weights.flags.writeable
+
+
+def _check_column_edits(g, batches):
+    """Each batch of edge toggles is one event iteration: the weights edited
+    from the previous iteration's equal a fresh build."""
+    layouts = [metropolis(g)]
+    for batch in batches:
+        old = g
+        for pair in batch:
+            g = _toggle(g, pair)
+        layouts.append(metropolis(g, base=(old, layouts[-1])))
+        _assert_same_layout(layouts[-1], metropolis(g))
+    return layouts
+
+
+@st.composite
+def _edge_batches(draw):
+    n = draw(st.integers(min_value=2, max_value=16))
+    g = generate("random_gnp", n, seed=draw(st.integers(0, 2**16)), p=draw(st.floats(0.5, 0.9)))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] != t[1])
+    return g, draw(st.lists(st.lists(pair, max_size=6), min_size=1, max_size=5))
+
+
+# remove 0-1 and add 0-3 at node 0 in one iteration (its degree holds); the
+# max degree grows by an added chord and shrinks back; n=2, whose one edge
+# cannot go; an edge added and removed again in one iteration
+@example(case=(generate("ring", 6), [[(0, 1), (0, 3)]]))
+@example(case=(generate("ring", 12), [[(0, 3)], [(1, 4), (2, 5)], [(0, 3), (1, 4)], [(2, 5)]]))
+@example(case=(generate("complete", 2), [[(0, 1)], []]))
+@example(case=(generate("path", 4), [[(0, 2), (0, 2)]]))
+@settings(max_examples=60, deadline=None)
+@given(case=_edge_batches())
+def test_column_edit_equals_fresh_build(case):
+    _check_column_edits(*case)
+
+
+def test_column_edit_grows_and_trims_slot_rows():
+    layouts = _check_column_edits(generate("ring", 6), [[(0, 3)], [(0, 2)], [(0, 2), (0, 3)]])
+    assert [wm.cols.shape[0] for wm in layouts] == [3, 4, 5, 3]
+
+
+def test_column_edit_requires_the_same_nodes():
+    g = generate("ring", 5)
+    smaller = apply_event(g, TopologyEvent(0, "remove_node", 4))
+    with pytest.raises(ValueError, match="nodes"):
+        metropolis(smaller, base=(g, metropolis(g)))
