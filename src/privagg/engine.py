@@ -21,7 +21,8 @@ import numpy as np
 from .backend import get_backend
 from .noise import SCHEMES, NoiseBank, NoiseParams, derive_seed
 from .tolerances import TOL
-from .topology import Graph, TopologyEvent, apply_event, is_connected
+from .topology import Graph, TopologyEvent, apply_event
+from .topology import is_connected  # noqa: F401  perfbench/tracer.py wraps engine.is_connected
 from .weights import WeightMatrix, metropolis
 
 UPDATE_FORMS = ("matrix", "per_node")
@@ -129,27 +130,39 @@ class RunTrace:
     def write_trace_csv(self, path: str | Path) -> None:
         """One row per (k, node), in csv.writer's format: \\r\\n line ends,
         floats by repr and no quoting, which no field needs; the final round
-        has no broadcast, so its x_plus and theta are empty."""
+        has no broadcast, so its x_plus and theta are empty.
+
+        Once the noise falls below an ulp of the state, rounds repeat their
+        values, so x(k) reuses the repr strings of x(k-1), and x_plus(k)
+        those of x(k), when the two rows' bytes are equal. Bytes, never
+        values: -0.0 == 0.0, but their reprs differ. Equal bytes also mean
+        equal length, so the reuse needs no reset at a topology segment.
+        Only the previous round's strings are kept.
+        """
         if not self.xs:
             raise ValueError("run was executed with record_trace=False")
-        ids, heads = None, []
+        ids = x_bytes = None
         with open(path, "w", newline="") as f:
             f.write("k,node_id,x,x_plus,theta\r\n")
             for idx, k in enumerate(self.ks):
                 if self.node_ids[idx] is not ids:
                     ids = self.node_ids[idx]
                     heads = [f",{nid}," for nid in ids]
+                x = self.xs[idx]
+                prev_bytes, x_bytes = x_bytes, x.tobytes()
+                if x_bytes != prev_bytes:
+                    xs = list(map(repr, x.tolist()))
                 k_text = str(k)
-                xs = map(repr, self.xs[idx].tolist())
                 if idx < len(self.x_pluses):
-                    x_pluses = map(repr, self.x_pluses[idx].tolist())
+                    x_plus = self.x_pluses[idx]
+                    x_pluses = xs if x_plus.tobytes() == x_bytes else map(repr, x_plus.tolist())
                     thetas = map(repr, self.thetas[idx].tolist())
                     rows = [
-                        k_text + h + x + "," + xp + "," + t + "\r\n"
-                        for h, x, xp, t in zip(heads, xs, x_pluses, thetas)
+                        k_text + h + a + "," + b + "," + t + "\r\n"
+                        for h, a, b, t in zip(heads, xs, x_pluses, thetas)
                     ]
                 else:
-                    rows = [k_text + h + x + ",,\r\n" for h, x in zip(heads, xs)]
+                    rows = [k_text + h + a + ",,\r\n" for h, a in zip(heads, xs)]
                 f.write("".join(rows))
 
     def write_summary_csv(self, path: str | Path) -> None:
@@ -179,10 +192,10 @@ def _kernel_operands(wm: WeightMatrix, matrix_form: bool) -> tuple[np.ndarray, n
 
 
 def run(config: RunConfig) -> RunTrace:
-    """Execute one run to its stopping point and return the trace."""
+    """Execute one run to its stopping point and return the trace.
+
+    A disconnected graph raises ValueError (from ``metropolis``)."""
     g = config.graph
-    if not is_connected(g):
-        raise ValueError("run requires a connected graph")
     kernel = get_backend().step
     matrix_form = config.update_form == "matrix"
 

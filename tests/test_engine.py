@@ -475,6 +475,50 @@ def _csv_writer_summary(trace, path):
             w.writerow([k, repr(float(v)), repr(float(e))])
 
 
+def _row_repeats(trace):
+    """Rounds whose x repeats the previous round's bits and whose x_plus
+    repeats x's, within one topology segment."""
+    return [
+        i
+        for i in range(1, len(trace.x_pluses))
+        if trace.node_ids[i] is trace.node_ids[i - 1]
+        and trace.xs[i].tobytes() == trace.xs[i - 1].tobytes()
+        and trace.x_pluses[i].tobytes() == trace.xs[i].tobytes()
+    ]
+
+
+def _partial_repeats(trace):
+    """Rounds past the noise floor (the first broadcast that repeats its
+    state bit for bit) whose x differs from the previous round's in some
+    nodes but not all."""
+    floor = next(
+        i
+        for i, (x, xp) in enumerate(zip(trace.xs, trace.x_pluses))
+        if x.tobytes() == xp.tobytes()
+    )
+    return [
+        i
+        for i in range(floor + 1, len(trace.xs))
+        if 0
+        < np.count_nonzero(trace.xs[i].view(np.int64) != trace.xs[i - 1].view(np.int64))
+        < len(trace.xs[i])
+    ]
+
+
+def _zero_signs_differ(trace):
+    """x(0) and x_plus(0) are equal as values but x(0) holds -0.0 where
+    x_plus(0) holds +0.0."""
+    x, xp = trace.xs[0], trace.x_pluses[0]
+    return (
+        x.tolist() == xp.tolist()
+        and list(np.signbit(x)) == [True, False, True]
+        and not np.signbit(xp).any()
+    )
+
+
+_PAST_THE_FLOOR = dict(scheme="zero_sum", max_iterations=500)
+
+
 @pytest.mark.parametrize(
     "kw",
     [
@@ -508,12 +552,50 @@ def _csv_writer_summary(trace, path):
             max_iterations=400,
             term_epsilon=1e-3,
         ),
+        # past the noise floor: whole rows repeat bit for bit
+        dict(
+            graph=generate("random_gnp", 8, seed=1, p=0.5),
+            x0=np.random.default_rng(1).uniform(-50.0, 50.0, 8),
+            noise=NoiseParams(seed=1),
+            **_PAST_THE_FLOOR,
+            expect=lambda t: len(_row_repeats(t)) > 100,
+        ),
+        # past the floor x keeps changing in a few nodes
+        dict(
+            graph=generate("random_gnp", 8, seed=4, p=0.3),
+            x0=np.random.default_rng(4).uniform(-50.0, 50.0, 8),
+            noise=NoiseParams(seed=4),
+            update_form="per_node",
+            **_PAST_THE_FLOOR,
+            expect=lambda t: len(_partial_repeats(t)) > 100,
+        ),
+        # a node removal after the floor starts a new segment
+        dict(
+            graph=generate("random_gnp", 8, seed=2, p=0.5),
+            x0=np.random.default_rng(2).uniform(-50.0, 50.0, 8),
+            noise=NoiseParams(seed=2),
+            events=(TopologyEvent(400, "remove_node", 5),),
+            **_PAST_THE_FLOOR,
+            expect=lambda t: _row_repeats(t)[0] < t.events_applied[0].at_iteration,
+        ),
+        # x(0) holds -0.0, x_plus(0) = -0.0 + 0.0 holds +0.0: equal, not bitwise
+        dict(
+            graph=generate("path", 3),
+            x0=[-0.0, 1.0, -0.0],
+            scheme="zero",
+            max_iterations=3,
+            expect=_zero_signs_differ,
+        ),
     ],
 )
 def test_csv_writers_match_csv_writer_reference(tmp_path, kw):
+    kw = dict(kw)
+    expect = kw.pop("expect", None)  # what the case must exercise in the writer
     trace = run(RunConfig(**kw))
-    assert trace.reason == ("max_iterations" if kw.get("events") else "term_epsilon")
+    assert trace.reason == ("term_epsilon" if kw.get("term_epsilon") else "max_iterations")
     assert len(trace.events_applied) == len(kw.get("events", ()))
+    if expect is not None:
+        assert expect(trace)
     trace.write_trace_csv(tmp_path / "t.csv")
     trace.write_summary_csv(tmp_path / "s.csv")
     _csv_writer_trace(trace, tmp_path / "t_ref.csv")
