@@ -21,6 +21,9 @@ with weight 0.0); the matrix form passes ``W.T`` with
 
 A leading batch axis of ``v`` holds independent lanes (attack trials), each
 summed in the same slot order, so it matches its single-lane call bit for bit.
+A one-row layout breaks this: each lane's sum is then a single output, which
+NumPy's reduce adds pairwise from eight slots on. No run meets it (one node
+has one slot); a caller that wants one row passes the layout and slices.
 
 Adding +0.0 to a running sum leaves it unchanged unless it is -0.0, so
 zero weights, wherever they sit, do not alter any total. The chain starts

@@ -83,8 +83,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _require_zero_sum(config: ExperimentConfig, what: str) -> None:
+    """The naive attack and the privacy sweep measure the zero_sum round-0 law."""
+    if config.scheme != "zero_sum":
+        raise ConfigError(f"noise.scheme must be zero_sum for {what}, got {config.scheme!r}")
+
+
 def cmd_privacy(args) -> int:
     config = load_config(args.config)
+    _require_zero_sum(config, "the privacy sweep")
     reports = privacy_sweep(
         config.noise, args.epsilons, args.trials, seed=derive_seed(config.noise.seed, 9001)
     )
@@ -137,6 +144,8 @@ def cmd_attack(args) -> int:
 
     if args.epsilon is None:
         raise ConfigError("--epsilon is required for naive/later attacks")
+    if args.kind == "naive":
+        _require_zero_sum(config, "the naive attack")
     view = AdversaryView(graph, args.observer, target)
     sigma = sigma_analytic(PrivacyQuery(args.epsilon, params))
     seed = derive_seed(params.seed, 9002)

@@ -25,7 +25,7 @@ from .engine import (
     check_run_options,
     run,
 )
-from .noise import SCHEMES, NoiseParams, derive_seed
+from .noise import SCHEMES, NoiseParams, derive_seed, seeded_stream
 from .topology import (
     EVENT_KINDS,
     ConnectivityError,
@@ -346,8 +346,7 @@ def repetition_inputs(
     """
     if config.x0.mode == "uniform":
         x0_seed = derive_seed(config.x0.seed, rep)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(x0_seed)))
-        x0 = rng.uniform(config.x0.low, config.x0.high, graph.n)
+        x0 = seeded_stream(x0_seed).uniform(config.x0.low, config.x0.high, graph.n)
     else:
         x0_seed = None
         x0 = np.array(config.x0.values, dtype=np.float64)

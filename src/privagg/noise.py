@@ -17,7 +17,8 @@ each chain runs its own telescoping residual with the envelope indexed by
 its inner counter, so the zero-sum and decay conditions hold per chain.
 
 Every scheme is computed in one place, NoiseBank.round_values, from a block
-of raw draws that raw_draws reads from a generator in draw order.
+of raw draws that raw_draws reads from a generator in draw order, with no
+exception: runs, later-round attack trials and the naive attack's round 0 alike.
 """
 
 from __future__ import annotations
@@ -68,11 +69,10 @@ class NoiseParams:
             raise ValueError("variance must be > 0")
 
 
-def node_stream(seed: int, node: int) -> np.random.Generator:
-    """Independent per-node stream derived from (master seed, node id)."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(node,)))
-    )
+def seeded_stream(seed: int, *key: int) -> np.random.Generator:
+    """The one place a seed becomes a stream: a node's noise is (master seed,
+    node id); a graph or an x0 draw is its own seed with no key."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -120,8 +120,8 @@ class NoiseBank:
     zero scheme's block has no rows), and the lanes may have any shape. The
     engine gives each node its own stream (for_nodes); a block of attack
     trials stacks (trials x nodes) lanes, each trial laying one generator's
-    draws out row-major over its nodes. This is the only code that turns raw
-    draws into theta.
+    draws out row-major over its nodes; the naive attack's round 0 is one row
+    of (trials,) lanes. This is the only code that turns raw draws into theta.
     """
 
     def __init__(self, scheme: str, params: NoiseParams, raw: np.ndarray):
@@ -139,7 +139,7 @@ class NoiseBank:
     def for_nodes(cls, scheme: str, params: NoiseParams, n: int, rounds: int) -> NoiseBank:
         """A run's noise: lane i reads node i's own stream (params.seed, i)."""
         columns = [
-            raw_draws(scheme, params, node_stream(params.seed, i), rounds) for i in range(n)
+            raw_draws(scheme, params, seeded_stream(params.seed, i), rounds) for i in range(n)
         ]
         return cls(scheme, params, np.column_stack(columns))
 
@@ -170,16 +170,3 @@ class NoiseBank:
             new = delta + theta
         self._delta[chain] = new
         return theta
-
-
-def initial_draw_block(params: NoiseParams, rng: np.random.Generator, count: int) -> np.ndarray:
-    """count i.i.d. draws with the law of the round-0 noise (attack trials)."""
-    scale = _envelope(params, 0) * DRAW_MARGIN
-    if params.distribution == "uniform":
-        return rng.uniform(-1.0, 1.0, count) * scale
-    out = rng.standard_normal(count)
-    bad = np.abs(out) > TRUNC_SIGMAS
-    while bad.any():
-        out[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(out) > TRUNC_SIGMAS
-    return out / TRUNC_SIGMAS * scale

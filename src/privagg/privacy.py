@@ -20,7 +20,7 @@ import numpy as np
 
 from .backend import get_backend
 from .engine import RunTrace
-from .noise import TRUNC_SIGMAS, NoiseBank, NoiseParams, initial_draw_block, raw_draws
+from .noise import TRUNC_SIGMAS, NoiseBank, NoiseParams, raw_draws, seeded_stream
 from .topology import Graph, check_privacy_precondition
 from .weights import WeightMatrix, metropolis
 
@@ -87,26 +87,24 @@ def _normal_cdf(z: float) -> float:
 
 
 def _truncated_gaussian_window(epsilon: float, half: float) -> float:
-    """Numeric max over window centers of the truncated-gaussian mass."""
+    """Truncated-gaussian mass of the centred window [-epsilon, epsilon] on the
+    support [-half, half]. The density is symmetric and unimodal, so no other
+    window of width 2*epsilon holds more."""
 
     def cdf(y: float) -> float:
         z = max(-TRUNC_SIGMAS, min(TRUNC_SIGMAS, TRUNC_SIGMAS * y / half))
         lo = _normal_cdf(-TRUNC_SIGMAS)
         return (_normal_cdf(z) - lo) / (_normal_cdf(TRUNC_SIGMAS) - lo)
 
-    centers = np.linspace(-half, half, 2001)
-    best = max(
-        cdf(min(c + epsilon, half)) - cdf(max(c - epsilon, -half)) for c in centers
-    )
-    return min(best, 1.0)
+    return min(cdf(min(epsilon, half)) - cdf(max(-epsilon, -half)), 1.0)
 
 
 def sigma_analytic(query: PrivacyQuery) -> float:
     """Disclosure probability ceiling for the given accuracy epsilon.
 
     Uniform round-0 noise on a support of width alpha*rho gives the closed
-    form min(2*epsilon, alpha*rho) / (alpha*rho); other distributions are
-    handled by numeric maximization of the sliding-window integral.
+    form min(2*epsilon, alpha*rho) / (alpha*rho); the truncated gaussian's
+    maximum window is the centred one, also in closed form.
     """
     p = query.params
     width = p.alpha * p.rho
@@ -137,8 +135,7 @@ def naive_attack(
         raise ValueError("naive attack models an observer without N_j knowledge")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return _naive_rate(params, epsilon, trials, rng, prior)
+    return _naive_rate(params, epsilon, trials, seeded_stream(seed), prior)
 
 
 def _naive_rate(
@@ -148,9 +145,11 @@ def _naive_rate(
     rng: np.random.Generator,
     prior: tuple[float, float],
 ) -> float:
-    """Fraction of trials whose round-0 broadcast lies within epsilon of x0."""
+    """Fraction of trials whose round-0 broadcast lies within epsilon of x0;
+    the trials are the lanes of one round-0 row of a zero_sum NoiseBank."""
     x0 = rng.uniform(prior[0], prior[1], trials)
-    theta = initial_draw_block(params, rng, trials)
+    raw = raw_draws("zero_sum", params, rng, trials)[None]
+    theta = NoiseBank("zero_sum", params, raw).round_values(0)
     estimate = x0 + theta  # the round-0 broadcast
     return float(np.mean(np.abs(estimate - x0) <= epsilon))
 
@@ -259,9 +258,8 @@ def disclosure_attack(view: AdversaryView, trace: RunTrace, horizon: int) -> Dis
         raise ValueError("disclosure attack requires knows_target_neighbors=True")
     g = view.graph
     i, j = view.observer, view.target
-    needed = set(g.neighbors[j]) | {j}
-    if not needed <= (set(g.neighbors[i]) | {i}):
-        missing = sorted(needed - (set(g.neighbors[i]) | {i}))
+    if check_privacy_precondition(g, i, j):
+        missing = sorted(set(g.neighbors[j]) - view.observed_nodes)
         raise ValueError(
             f"incomplete neighborhood observation: broadcasts of {missing} "
             f"are invisible to node {i}"
@@ -280,15 +278,14 @@ def disclosure_attack(view: AdversaryView, trace: RunTrace, horizon: int) -> Dis
         raise ValueError("view graph does not match the trace")
 
     wm = metropolis(g)
-    row_j = list(zip(wm.cols[:, j].tolist(), wm.weights[:, j]))[: g.degree(j) + 1]
-    recovered = []
-    for k in range(1, horizon + 1):
-        predicted = 0.0
-        for l, w_jl in row_j:
-            predicted += w_jl * trace.x_pluses[k - 1][l]
-        recovered.append(trace.x_pluses[k][j] - predicted)
+    x_pluses = np.array(trace.x_pluses[: horizon + 1])
+    # W x+(k-1), k = 1..horizon, the rounds as lanes; row j reads only N_j and j.
+    # The whole layout: step would sum a one-row layout pairwise (see backend).
+    predicted = np.empty((horizon, g.n))
+    get_backend().step(wm.weights, wm.cols, x_pluses[:-1], predicted)
+    recovered = x_pluses[1:, j] - predicted[:, j]
     params = trace.config.noise
-    estimate = float(trace.x_pluses[0][j]) + math.fsum(recovered)
+    estimate = float(x_pluses[0, j]) + math.fsum(recovered.tolist())
     bound = 0.5 * params.alpha * params.rho ** (horizon + 1)
     return DisclosureResult(estimate, bound, horizon)
 
@@ -306,10 +303,7 @@ def privacy_sweep(
     reports = []
     for t, eps in enumerate(epsilons):
         analytic = sigma_analytic(PrivacyQuery(eps, params))
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,)))
-        )
-        rate = _naive_rate(params, eps, trials, rng, prior)
+        rate = _naive_rate(params, eps, trials, seeded_stream(seed, t), prior)
         stderr = math.sqrt(rate * (1.0 - rate) / trials)
         reports.append(PrivacyReport(eps, analytic, rate, trials, stderr, "naive"))
     return reports

@@ -5,12 +5,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    doubly_stochastic: float = 1e-12     # |row/col sum - 1|
-    sum_preservation: float = 1e-12      # scaled by n: |sum(Wv) - sum(v)|
     mass_conservation: float = 1e-12     # scaled by n*k
-    consensus_err: float = 1e-6          # scaled by (1 + max|x0|)
     aggregation_sum: float = 1e-4        # recovered sum vs true sum
-    noise_limit_bias: float = 1e-9       # biased-limit oracle for non-zero-sum noise
     envelope_slack: float = 1e-12        # relative slack on the run-time state guard
 
 

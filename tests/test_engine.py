@@ -10,6 +10,7 @@ from privagg.engine import (
     UPDATE_FORMS,
     EngineAbort,
     RunConfig,
+    RunTrace,
     aggregate,
     apply_run_event,
     decay_envelope,
@@ -519,6 +520,28 @@ def _zero_signs_differ(trace):
 _PAST_THE_FLOOR = dict(scheme="zero_sum", max_iterations=500)
 
 
+def _broadcast_repeats_last_round():
+    """A hand-built trace whose x_plus(1) repeats the bytes of x(0) while x(1)
+    differs from x(0): x_plus(1) may reuse only the strings of x(1), the row
+    it is compared with."""
+    xs = [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])]
+    x_pluses = [np.array([1.5, 2.5]), np.array([1.0, 2.0])]
+    ids = (0, 1)
+    return RunTrace(
+        config=RunConfig(graph=generate("path", 2), x0=xs[0], scheme="zero"),
+        ks=[0, 1, 2],
+        spreads=[1.0] * 3,
+        errs=[0.5] * 3,
+        node_ids=[ids] * 3,
+        true_averages=[1.5] * 3,
+        xs=xs,
+        x_pluses=x_pluses,
+        thetas=[xp - x for xp, x in zip(x_pluses, xs)],
+        k_stop=2,
+        reason="max_iterations",
+    )
+
+
 @pytest.mark.parametrize(
     "kw",
     [
@@ -586,14 +609,19 @@ _PAST_THE_FLOOR = dict(scheme="zero_sum", max_iterations=500)
             max_iterations=3,
             expect=_zero_signs_differ,
         ),
+        dict(build=_broadcast_repeats_last_round),
     ],
 )
 def test_csv_writers_match_csv_writer_reference(tmp_path, kw):
     kw = dict(kw)
     expect = kw.pop("expect", None)  # what the case must exercise in the writer
-    trace = run(RunConfig(**kw))
-    assert trace.reason == ("term_epsilon" if kw.get("term_epsilon") else "max_iterations")
-    assert len(trace.events_applied) == len(kw.get("events", ()))
+    build = kw.pop("build", None)  # a trace built by hand instead of run
+    if build is not None:
+        trace = build()
+    else:
+        trace = run(RunConfig(**kw))
+        assert trace.reason == ("term_epsilon" if kw.get("term_epsilon") else "max_iterations")
+        assert len(trace.events_applied) == len(kw.get("events", ()))
     if expect is not None:
         assert expect(trace)
     trace.write_trace_csv(tmp_path / "t.csv")

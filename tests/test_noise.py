@@ -18,9 +18,8 @@ from privagg.noise import (
     NoiseBank,
     NoiseParams,
     derive_seed,
-    initial_draw_block,
-    node_stream,
     raw_draws,
+    seeded_stream,
 )
 
 
@@ -44,10 +43,18 @@ def test_rho_zero_degenerates_to_silence():
     assert all(proc.sample(k) == 0.0 for k in range(10))
 
 
+def _round0(params, rng, count):
+    """count round-0 thetas of zero_sum noise, as the naive attack draws them:
+    one NoiseBank row of count lanes."""
+    raw = raw_draws("zero_sum", params, rng, count)[None]
+    return NoiseBank("zero_sum", params, raw).round_values(0)
+
+
 def test_initial_draw_interval_and_mean():
     params = NoiseParams(alpha=1.0, rho=0.5, seed=5)
     rng = np.random.default_rng(5)
-    draws = initial_draw_block(params, rng, 100_000)
+    draws = _round0(params, rng, 100_000)
+    assert draws.shape == (100_000,)
     half = 0.25  # (alpha/2) * rho
     assert np.all(np.abs(draws) <= half)
     stderr = (2 * half / math.sqrt(12)) / math.sqrt(draws.size)
@@ -82,7 +89,7 @@ def test_plain_scheme_matches_reference_reimplementation():
     proc = ZeroSumNoise(params, node=2)
     got = [proc.sample(k) for k in range(60)]
 
-    stream = RawStream(node_stream(params.seed, 2))
+    stream = RawStream(seeded_stream(params.seed, 2))
     delta = 0.0
     expected = []
     for k in range(60):
@@ -154,10 +161,29 @@ def test_truncated_gaussian_draws_respect_support():
     proc = ZeroSumNoise(params, node=0)
     assert abs(proc.sample(0)) <= 0.25
     rng = np.random.default_rng(0)
-    block = initial_draw_block(params, rng, 5000)
+    block = _round0(params, rng, 5000)
     assert np.all(np.abs(block) <= 0.25)
     # heavier mass near the center than uniform would give
     assert float(np.mean(np.abs(block) <= 0.125)) > 0.55
+
+
+def _rejection_fill(rng, count):
+    """Reference: a round-0 sampler that redraws each rejected position in place."""
+    out = rng.standard_normal(count)
+    bad = np.abs(out) > 2.0
+    while bad.any():
+        out[bad] = rng.standard_normal(int(bad.sum()))
+        bad = np.abs(out) > 2.0
+    return out
+
+
+def test_truncated_gaussian_draws_are_the_rejection_fills_in_stream_order():
+    # both keep the first count normals with |z| <= 2; only their positions differ
+    params = NoiseParams(distribution="truncated_gaussian")
+    for count in (1, 7, 5000):
+        fill = _rejection_fill(seeded_stream(4, count), count)
+        kept = raw_draws("zero_sum", params, seeded_stream(4, count), count) * 2.0
+        assert np.array_equal(np.sort(fill), np.sort(kept))
 
 
 def test_bank_unknown_scheme():
@@ -167,11 +193,11 @@ def test_bank_unknown_scheme():
 
 def test_numpy_block_draws_match_scalar_draws():
     # premise the bank relies on: batched generation equals sequential scalars
-    g1, g2 = node_stream(123, 0), node_stream(123, 0)
+    g1, g2 = seeded_stream(123, 0), seeded_stream(123, 0)
     block = g1.uniform(-1.0, 1.0, 1000)
     scalars = np.array([g2.uniform(-1.0, 1.0) for _ in range(1000)])
     assert np.array_equal(block, scalars)
-    g1, g2 = node_stream(123, 1), node_stream(123, 1)
+    g1, g2 = seeded_stream(123, 1), seeded_stream(123, 1)
     assert np.array_equal(
         g1.standard_normal(1000),
         np.array([g2.standard_normal() for _ in range(1000)]),
@@ -182,8 +208,8 @@ def test_truncated_gaussian_filter_matches_rejection_loop():
     # more draws than one RawStream chunk (512), so the loop refills mid-way
     params = NoiseParams(distribution="truncated_gaussian")
     count = 3 * 512 + 7
-    block = raw_draws("zero_sum", params, node_stream(5, 0), count)
-    stream = RawStream(node_stream(5, 0))
+    block = raw_draws("zero_sum", params, seeded_stream(5, 0), count)
+    stream = RawStream(seeded_stream(5, 0))
     scalars = np.array([stream.next_unit("truncated_gaussian") for _ in range(count)])
     assert np.array_equal(block, scalars)
 
@@ -210,9 +236,9 @@ def test_bank_matches_scalar_processes(scheme, distribution):
     node_procs = [oracle(params, i) for i in range(n)]
     # an attack trial's layout: one generator, lanes row-major (720 draws
     # cross the reference stream's 512-draw chunk boundary)
-    raw = raw_draws(scheme, params, node_stream(99, 0), rounds * n).reshape(-1, n)
+    raw = raw_draws(scheme, params, seeded_stream(99, 0), rounds * n).reshape(-1, n)
     shared_bank = NoiseBank(scheme, params, raw)
-    stream = RawStream(node_stream(99, 0))
+    stream = RawStream(seeded_stream(99, 0))
     shared_procs = [oracle(params, i, stream) for i in range(n)]
     for bank, procs in ((node_bank, node_procs), (shared_bank, shared_procs)):
         for k in range(rounds):

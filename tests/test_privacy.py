@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from noise_reference import SCHEME_CLASSES, RawStream
 
@@ -23,7 +23,12 @@ from privagg.privacy import (
     reports_to_csv,
     sigma_analytic,
 )
-from privagg.topology import TopologyEvent, build_graph, generate
+from privagg.topology import (
+    TopologyEvent,
+    build_graph,
+    check_privacy_precondition,
+    generate,
+)
 from privagg.weights import metropolis
 
 
@@ -61,6 +66,34 @@ def test_sigma_truncated_gaussian():
     assert got == pytest.approx(center, rel=1e-6)
     assert sigma_analytic(_q(0.05)) < got < 1.0  # peakier than uniform
     assert sigma_analytic(_q(0.25, distribution="truncated_gaussian")) == pytest.approx(1.0)
+
+
+def _grid_windows(epsilon, half):
+    """Reference: the truncated-gaussian mass of the window of width 2*epsilon
+    at each of 2001 centres across the support [-half, half]."""
+
+    def cdf(y):
+        z = max(-2.0, min(2.0, 2.0 * y / half))
+        lo = _normal_cdf(-2.0)
+        return (_normal_cdf(z) - lo) / (_normal_cdf(2.0) - lo)
+
+    centers = np.linspace(-half, half, 2001)
+    return [cdf(min(c + epsilon, half)) - cdf(max(c - epsilon, -half)) for c in centers]
+
+
+def _normal_cdf(z):
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("half", [1e-3, 0.05, 0.25, 0.45, 3.0])
+def test_sigma_truncated_gaussian_centred_window_is_the_maximum(half):
+    # (alpha/2)*rho = half exactly: every factor is a power of two
+    params = NoiseParams(alpha=4.0 * half, rho=0.5, distribution="truncated_gaussian")
+    for fraction in (1e-4, 0.1, 0.5, 0.9, 1.0, 1.5):
+        epsilon = fraction * half
+        sigma = sigma_analytic(PrivacyQuery(epsilon, params))
+        best = max(_grid_windows(epsilon, half))
+        assert best <= sigma + 2 * math.ulp(sigma), (epsilon, half, best - sigma)
 
 
 def test_privacy_query_validation():
@@ -225,6 +258,46 @@ def test_disclosure_error_bounded_by_residual_envelope():
         assert abs(result.estimate - x0[1]) <= bound
     # the guaranteed envelope at horizon 100 is ~1.2e-5
     assert 0.5 * 0.9**101 == pytest.approx(1.1953e-5, rel=1e-4)
+
+
+def _scalar_disclosure(graph, trace, target, horizon):
+    """Reference: the estimate as a scalar chain, each round's prediction summed
+    from 0.0 over the target's row support in ascending order."""
+    wm = metropolis(graph)
+    row = list(zip(wm.cols[:, target].tolist(), wm.weights[:, target]))
+    row = row[: graph.degree(target) + 1]
+    recovered = []
+    for k in range(1, horizon + 1):
+        predicted = 0.0
+        for l, w in row:
+            predicted += w * trace.x_pluses[k - 1][l]
+        recovered.append(trace.x_pluses[k][target] - predicted)
+    return float(trace.x_pluses[0][target]) + math.fsum(recovered)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    complete=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+    scheme=st.sampled_from(["zero_sum", "zero"]),
+    rounds=st.integers(1, 24),
+)
+@example(n=8, complete=True, seed=0, scheme="zero", rounds=3)  # 8 slots: a pairwise sum differs
+def test_disclosure_matches_scalar_chain(n, complete, seed, scheme, rounds):
+    g = generate("complete", n) if complete else generate("random_gnp", n, seed=seed, p=0.6)
+    x0 = np.random.default_rng(seed).uniform(-50.0, 50.0, n)
+    params = NoiseParams(seed=seed)
+    trace = _recorded_run(g, x0, params, scheme=scheme, max_iterations=rounds + 1)
+    for j in range(n):
+        # an observer that sees the whole of N_j, if any node does
+        covering = [i for i in g.neighbors[j] if not check_privacy_precondition(g, i, j)]
+        if not covering:
+            continue
+        view = AdversaryView(g, covering[0], j, knows_target_neighbors=True)
+        for horizon in range(1, rounds + 1):
+            got = disclosure_attack(view, trace, horizon).estimate
+            assert got == _scalar_disclosure(g, trace, j, horizon), (j, horizon)
 
 
 def test_disclosure_refusals():
