@@ -12,6 +12,7 @@ neighborhood.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,7 +21,14 @@ import numpy as np
 
 from .backend import get_backend
 from .engine import RunTrace
-from .noise import TRUNC_SIGMAS, NoiseBank, NoiseParams, raw_draws, seeded_stream
+from .noise import (
+    TRUNC_SIGMAS,
+    NoiseBank,
+    NoiseParams,
+    raw_draws,
+    seeded_stream,
+    seeded_streams,
+)
 from .topology import Graph, check_privacy_precondition
 from .weights import WeightMatrix, metropolis
 
@@ -159,31 +167,33 @@ def _trial_broadcasts(
     params: NoiseParams,
     scheme: str,
     rounds: int,
-    seeds: list[np.random.SeedSequence],
+    seed: int,
+    count: int,
     prior: tuple[float, float],
     target: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh runs, one per seed: the arrays x_target(0) and target broadcast at `rounds`.
+    """Fresh runs, one per trial: the arrays x_target(0) and target broadcast at `rounds`.
 
-    Trial t draws from PCG64(seeds[t]) first x0, then the noise, row-major so
-    that node i takes draw k*n + i at round k. A block of trials advances as
-    one (trials x n) state, one NoiseBank and one kernel call per round; it
-    holds at most BLOCK_VALUES draws and kernel products (one trial at least).
+    Trial t draws from stream t of seeded_streams(seed, count) first x0, then
+    the noise, row-major so that node i takes draw k*n + i at round k. A block
+    of trials advances as one (trials x n) state, one NoiseBank and one kernel
+    call per round; it holds at most BLOCK_VALUES draws and kernel products
+    (one trial at least).
     """
     n = wm.n
     kernel = get_backend().step
     size = max(1, BLOCK_VALUES // (max(rounds + 1, len(wm.cols)) * n))
-    x0_target, broadcast = np.empty(len(seeds)), np.empty(len(seeds))
-    for start in range(0, len(seeds), size):
-        block = slice(start, start + size)
-        x0, raw = [], []
-        for seed in seeds[block]:
-            rng = np.random.Generator(np.random.PCG64(seed))
-            x0.append(rng.uniform(prior[0], prior[1], n))
-            raw.append(raw_draws(scheme, params, rng, (rounds + 1) * n).reshape(-1, n))
-        x = np.array(x0)
+    streams = seeded_streams(seed, count)
+    x0_target, broadcast = np.empty(count), np.empty(count)
+    for start in range(0, count, size):
+        block = slice(start, min(start + size, count))
+        x = np.empty((block.stop - start, n))
+        raw = np.empty((0 if scheme == "zero" else rounds + 1, *x.shape))  # zero draws nothing
+        for t, rng in enumerate(itertools.islice(streams, len(x))):
+            x[t] = rng.uniform(prior[0], prior[1], n)
+            raw[:, t] = raw_draws(scheme, params, rng, (rounds + 1) * n).reshape(-1, n)
         x0_target[block] = x[:, target]
-        bank = NoiseBank(scheme, params, np.stack(raw, axis=1))
+        bank = NoiseBank(scheme, params, raw)
         for k in range(rounds):
             out = np.empty_like(x)
             kernel(wm.weights, wm.cols, x + bank.round_values(k), out)
@@ -230,9 +240,9 @@ def later_round_attack(
             "observer sees the target's entire neighborhood; "
             "estimation is exact there - use disclosure_attack"
         )
-    children = np.random.SeedSequence(seed).spawn(train_trials + trials)
     x0, broadcast = _trial_broadcasts(
-        metropolis(view.graph), params, scheme, round_k, children, prior, view.target
+        metropolis(view.graph), params, scheme, round_k, seed, train_trials + trials, prior,
+        view.target,
     )
     offset = _histogram_mode(broadcast[:train_trials] - x0[:train_trials])
     hits = np.abs((broadcast[train_trials:] - offset) - x0[train_trials:]) <= epsilon

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from privagg.cli import main
@@ -283,6 +285,19 @@ def test_attack_later_runs_other_schemes(tmp_path, capsys):
     argv = ["--kind", "later", "--epsilon", "0.1", "--trials", "50", "--train-trials", "50"]
     assert main(["attack", _cfg(tmp_path, text, "ind.cfg"), *argv]) == 0
     assert "success rate" in capsys.readouterr().out
+
+
+def test_attack_later_names_the_scheme_without_a_ceiling(tmp_path, capsys):
+    # sigma_analytic bounds the zero_sum round-0 law; the zero scheme hides nothing
+    demo = Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
+    text = demo.read_text().replace("scheme = zero_sum", "scheme = zero")
+    argv = ["--kind", "later", "--round", "0", "--epsilon", "0.1", "--trials", "500",
+            "--train-trials", "200"]
+    assert main(["attack", _cfg(tmp_path, text, "zero.cfg"), *argv]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("later attack: success rate 1.000000 over 500 trials")
+    assert "no analytic ceiling applies to scheme 'zero'" in out
+    assert "sigma_analytic" not in out
 
 
 def test_attack_precondition_failure_maps_to_exit_1(tmp_path, capsys):

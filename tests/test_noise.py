@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from noise_reference import (
     ZeroNoise,
     ZeroSumNoise,
 )
+from privagg import noise
 from privagg.noise import (
     DRAW_MARGIN,
     NoiseBank,
@@ -20,6 +22,7 @@ from privagg.noise import (
     derive_seed,
     raw_draws,
     seeded_stream,
+    seeded_streams,
 )
 
 
@@ -245,6 +248,47 @@ def test_bank_matches_scalar_processes(scheme, distribution):
             row = bank.round_values(k)
             ref = np.array([procs[i].sample(k) for i in range(n)])
             assert np.array_equal(row, ref), f"lane mismatch at k={k}"
+
+
+SCHEME_DISTRIBUTIONS = [
+    (s, d) for s in sorted(SCHEME_CLASSES) for d in ("uniform", "truncated_gaussian")
+]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 7, 2**160 - 1])
+def test_seeded_streams_are_numpys_streams(seed):
+    # seeds of 1, 1, 2, 3, 5 and 5 uint32 words: padded to the pool size or past it
+    for count in (0, 1, 3, 1000):
+        children = np.random.SeedSequence(seed).spawn(count)
+        taken = 0
+        for i, gen in enumerate(seeded_streams(seed, count)):
+            node, child = seeded_stream(seed, i), np.random.PCG64(children[i])
+            assert gen.bit_generator.state == node.bit_generator.state == child.state, i
+            # each key draws for one scheme and distribution, in rotation
+            scheme, distribution = SCHEME_DISTRIBUTIONS[i % len(SCHEME_DISTRIBUTIONS)]
+            params = NoiseParams(distribution=distribution)
+            got = raw_draws(scheme, params, gen, 7)
+            assert np.array_equal(got, raw_draws(scheme, params, node, 7)), (i, scheme)
+            ref = raw_draws(scheme, params, np.random.Generator(child), 7)
+            assert np.array_equal(got, ref), (i, scheme)
+            gen.integers(2, dtype=np.uint32)  # leaves a buffered half word to reset
+            taken += 1
+        assert taken == count
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        next(seeded_streams(-1, 1))
+
+
+@pytest.mark.parametrize("scheme", ["zero_sum", "zero"])
+def test_for_nodes_stacks_every_group_of_columns(scheme):
+    # groups of 4 columns, the last one short; lane i is node i's own stream
+    params = NoiseParams(h=2, distribution="truncated_gaussian", seed=8)
+    n, rounds = 11, 9
+    columns = [raw_draws(scheme, params, seeded_stream(8, i), rounds) for i in range(n)]
+    want = NoiseBank(scheme, params, np.column_stack(columns).reshape(-1, n))
+    with mock.patch.object(noise, "STACK_VALUES", 4 * rounds):
+        got = NoiseBank.for_nodes(scheme, params, n, rounds)
+    for k in range(rounds):
+        assert np.array_equal(got.round_values(k), want.round_values(k)), k
 
 
 def test_derive_seed_is_stable():

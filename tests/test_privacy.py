@@ -181,7 +181,7 @@ def test_trial_broadcast_matches_scalar_reference(scheme):
         for rounds in (0, 1, 80):  # 81 rounds x 7 nodes cross a 512-draw chunk
             prior, target = (-50.0, 50.0), 3
             seeds = np.random.SeedSequence(rounds).spawn(3)
-            got = _trial_broadcasts(wm, params, scheme, rounds, seeds, prior, target)
+            got = _trial_broadcasts(wm, params, scheme, rounds, rounds, 3, prior, target)
             for t, seed in enumerate(seeds):
                 rng = np.random.Generator(np.random.PCG64(seed))
                 ref = _reference_trial(g, wm, params, scheme, rounds, rng, prior, target)
@@ -213,7 +213,9 @@ def test_trial_broadcasts_match_scalar_reference(
     per_trial = max(rounds + 1, len(wm.cols)) * n
     values = {"default": privacy.BLOCK_VALUES, "one": 1, "uneven": (trials // 2 + 1) * per_trial}
     with mock.patch.object(privacy, "BLOCK_VALUES", values[budget]):
-        x0, broadcast = _trial_broadcasts(wm, params, scheme, rounds, seeds, prior, target)
+        x0, broadcast = _trial_broadcasts(
+            wm, params, scheme, rounds, graph_seed, trials, prior, target
+        )
     assert x0.shape == broadcast.shape == (trials,)
     for t, seed in enumerate(seeds):
         rng = np.random.Generator(np.random.PCG64(seed))
