@@ -1,4 +1,4 @@
-"""The consensus-round kernel: out = W v, row sums in ascending index order.
+"""The consensus-round kernel: returns W v, row sums in ascending index order.
 
 The update x(k+1) = W x+(k) is mandated to sum each row as the chain
 acc = 0.0; acc = acc + w[i, j] * v[j] over the row's columns j in
@@ -30,9 +30,9 @@ zero weights, wherever they sit, do not alter any total. The chain starts
 from ``acc = 0.0`` and therefore never ends at -0.0. NumPy 2.4's reduce
 starts from add's identity +0.0 as well, but a reduce that starts from
 the first product (as ``np.add.accumulate`` does) ends at -0.0 on an
-all-zero row with a -0.0 product. The trailing ``+ 0.0`` maps -0.0 to
-+0.0 and leaves every other value alone, so the sign of zero matches
-either way.
+all-zero row with a -0.0 product. The trailing ``+ 0.0``, added in place,
+maps -0.0 to +0.0 and leaves every other value alone, so the sign of zero
+matches either way.
 """
 
 from __future__ import annotations
@@ -42,8 +42,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 
-def step(weights, cols, v, out):
-    out[:] = np.add.reduce(np.multiply(weights, v[..., cols], order="C"), axis=-2) + 0.0
+def step(weights, cols, v):
+    """W v as a new array, aliasing neither argument; see the module docstring."""
+    out = np.add.reduce(np.multiply(weights, v[..., cols], order="C"), axis=-2)
+    out += 0.0
+    return out
 
 
 class Backend(NamedTuple):

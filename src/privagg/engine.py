@@ -232,8 +232,7 @@ def run(config: RunConfig) -> RunTrace:
             )
             ei += 1
         if ei > first:  # the new segment's weights and ids, once per iteration
-            # edge events keep n: re-weigh only the columns they touched
-            wm = metropolis(g, base=(before, wm)) if g.n == before.n else metropolis(g)
+            wm = metropolis(g, base=(before, wm))  # apply_event checked connectivity
             weights, cols = _kernel_operands(wm, matrix_form)
             ids = tuple(alive)
 
@@ -251,7 +250,7 @@ def run(config: RunConfig) -> RunTrace:
         trace.node_ids.append(ids)
         trace.true_averages.append(reference)
         if config.record_trace:
-            trace.xs.append(x.copy())
+            trace.xs.append(x)  # every round's x is a new array, never written to
 
         if (
             config.term_epsilon > 0.0
@@ -271,9 +270,7 @@ def run(config: RunConfig) -> RunTrace:
         if config.record_trace:
             trace.x_pluses.append(x_plus)
             trace.thetas.append(theta)
-        out = np.empty_like(x)
-        kernel(weights, cols, x_plus, out)
-        x = out
+        x = kernel(weights, cols, x_plus)
         k += 1
 
     trace.k_stop = k

@@ -32,7 +32,7 @@ from .noise import (
 from .topology import Graph, check_privacy_precondition
 from .weights import WeightMatrix, metropolis
 
-DEFAULT_PRIOR = (-50.0, 50.0)  # wide prior on initial values, |x| >> alpha*rho
+PRIOR = (-50.0, 50.0)  # the attacks' initial values are uniform on it, |x| >> alpha*rho
 BLOCK_VALUES = 2**14  # drawn values (and kernel products) per block of attack trials
 
 
@@ -133,7 +133,6 @@ def naive_attack(
     epsilon: float,
     trials: int,
     seed: int = 0,
-    prior: tuple[float, float] = DEFAULT_PRIOR,
 ) -> float:
     """Round-0 estimate x_hat = observed broadcast (zero noise guess).
 
@@ -143,7 +142,7 @@ def naive_attack(
         raise ValueError("naive attack models an observer without N_j knowledge")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return _naive_rate(params, epsilon, trials, seeded_stream(seed), prior)
+    return _naive_rate(params, epsilon, trials, seeded_stream(seed))
 
 
 def _naive_rate(
@@ -151,11 +150,10 @@ def _naive_rate(
     epsilon: float,
     trials: int,
     rng: np.random.Generator,
-    prior: tuple[float, float],
 ) -> float:
     """Fraction of trials whose round-0 broadcast lies within epsilon of x0;
     the trials are the lanes of one round-0 row of a zero_sum NoiseBank."""
-    x0 = rng.uniform(prior[0], prior[1], trials)
+    x0 = rng.uniform(*PRIOR, trials)
     raw = raw_draws("zero_sum", params, rng, trials)[None]
     theta = NoiseBank("zero_sum", params, raw).round_values(0)
     estimate = x0 + theta  # the round-0 broadcast
@@ -169,7 +167,6 @@ def _trial_broadcasts(
     rounds: int,
     seed: int,
     count: int,
-    prior: tuple[float, float],
     target: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fresh runs, one per trial: the arrays x_target(0) and target broadcast at `rounds`.
@@ -190,14 +187,12 @@ def _trial_broadcasts(
         x = np.empty((block.stop - start, n))
         raw = np.empty((0 if scheme == "zero" else rounds + 1, *x.shape))  # zero draws nothing
         for t, rng in enumerate(itertools.islice(streams, len(x))):
-            x[t] = rng.uniform(prior[0], prior[1], n)
+            x[t] = rng.uniform(*PRIOR, n)
             raw[:, t] = raw_draws(scheme, params, rng, (rounds + 1) * n).reshape(-1, n)
         x0_target[block] = x[:, target]
         bank = NoiseBank(scheme, params, raw)
         for k in range(rounds):
-            out = np.empty_like(x)
-            kernel(wm.weights, wm.cols, x + bank.round_values(k), out)
-            x = out
+            x = kernel(wm.weights, wm.cols, x + bank.round_values(k))
         broadcast[block] = (x + bank.round_values(rounds))[:, target]
     return x0_target, broadcast
 
@@ -215,7 +210,6 @@ def later_round_attack(
     epsilon: float,
     trials: int,
     seed: int = 0,
-    prior: tuple[float, float] = DEFAULT_PRIOR,
     train_trials: int = 2000,
     scheme: str = "zero_sum",
 ) -> float:
@@ -241,8 +235,7 @@ def later_round_attack(
             "estimation is exact there - use disclosure_attack"
         )
     x0, broadcast = _trial_broadcasts(
-        metropolis(view.graph), params, scheme, round_k, seed, train_trials + trials, prior,
-        view.target,
+        metropolis(view.graph), params, scheme, round_k, seed, train_trials + trials, view.target
     )
     offset = _histogram_mode(broadcast[:train_trials] - x0[:train_trials])
     hits = np.abs((broadcast[train_trials:] - offset) - x0[train_trials:]) <= epsilon
@@ -291,8 +284,7 @@ def disclosure_attack(view: AdversaryView, trace: RunTrace, horizon: int) -> Dis
     x_pluses = np.array(trace.x_pluses[: horizon + 1])
     # W x+(k-1), k = 1..horizon, the rounds as lanes; row j reads only N_j and j.
     # The whole layout: step would sum a one-row layout pairwise (see backend).
-    predicted = np.empty((horizon, g.n))
-    get_backend().step(wm.weights, wm.cols, x_pluses[:-1], predicted)
+    predicted = get_backend().step(wm.weights, wm.cols, x_pluses[:-1])
     recovered = x_pluses[1:, j] - predicted[:, j]
     params = trace.config.noise
     estimate = float(x_pluses[0, j]) + math.fsum(recovered.tolist())
@@ -305,7 +297,6 @@ def privacy_sweep(
     epsilons: list[float],
     trials: int,
     seed: int = 0,
-    prior: tuple[float, float] = DEFAULT_PRIOR,
 ) -> list[PrivacyReport]:
     """Analytic vs empirical (naive-attack) disclosure rates per epsilon."""
     if trials < 1:
@@ -313,7 +304,7 @@ def privacy_sweep(
     reports = []
     for t, eps in enumerate(epsilons):
         analytic = sigma_analytic(PrivacyQuery(eps, params))
-        rate = _naive_rate(params, eps, trials, seeded_stream(seed, t), prior)
+        rate = _naive_rate(params, eps, trials, seeded_stream(seed, t))
         stderr = math.sqrt(rate * (1.0 - rate) / trials)
         reports.append(PrivacyReport(eps, analytic, rate, trials, stderr, "naive"))
     return reports

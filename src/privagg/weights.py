@@ -6,9 +6,9 @@ symmetric doubly-stochastic matrix on any connected graph.
 
 Column i of the layout depends only on N_i and the degrees of i and its
 neighbours, so one builder fills the columns of any node set from the
-graph's neighbour tuples: every column for a new graph, and after edge
-events only those of the nodes whose tuple changed and of their
-neighbours, the rest copied from the previous segment's layout.
+graph's neighbour tuples: every column for a new graph or after a node
+removal, and after edge events only those of the nodes whose tuple changed
+and of their neighbours, the rest copied from the previous segment's layout.
 """
 
 from __future__ import annotations
@@ -46,28 +46,27 @@ def metropolis(
 ) -> WeightMatrix:
     """Build the Metropolis weights of a connected graph.
 
-    With ``base=(old_g, old_wm)``, the weights of an earlier graph on the
-    same n nodes, only the columns that can differ are rebuilt: those of
+    ``base=(old_g, old_wm)`` passes the weights of any earlier graph; the
+    caller then vouches for g's connectivity (``topology.apply_event`` has
+    checked it), and no search runs here. Without a base it is checked. On
+    the same n nodes only the columns that can differ are rebuilt: those of
     the nodes whose neighbour tuple changed, and of their neighbours in g
     (w_ij follows d_i). Every other column is copied, and the slot rows are
-    grown or trimmed to g's max degree + 1. The result equals
-    ``metropolis(g)``. The caller vouches for g's connectivity on that path
-    (``topology.apply_event`` has checked it); without a base it is checked
-    here.
+    grown or trimmed to g's max degree + 1. A base on another n (a node was
+    removed) has no columns to keep, so every column is built. Either way
+    the result equals ``metropolis(g)``.
     """
+    if base is None and not is_connected(g):
+        raise ValueError("weights require a connected graph")
     n = g.n
     degree = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=n)
     slots = int(degree.max()) + 1
-    if base is None:
-        if not is_connected(g):
-            raise ValueError("weights require a connected graph")
+    cols = np.empty((slots, n), dtype=np.intp)
+    weights = np.empty((slots, n))
+    if base is None or base[0].n != n:
         nodes = np.arange(n)
-        cols = np.empty((slots, n), dtype=np.intp)
-        weights = np.empty((slots, n))
     else:
         old_g, old = base
-        if old_g.n != n:
-            raise ValueError(f"base graph has {old_g.n} nodes, graph has {n}")
         changed = [
             i
             for i, (new, prev) in enumerate(zip(g.neighbors, old_g.neighbors))
@@ -76,11 +75,10 @@ def metropolis(
         touched = set(changed).union(*(g.neighbors[i] for i in changed))
         nodes = np.array(sorted(touched), dtype=np.intp)
         kept = min(slots, old.cols.shape[0])
-        cols = np.empty((slots, n), dtype=np.intp)
         cols[:kept] = old.cols[:kept]
         cols[kept:] = np.arange(n)
-        weights = np.zeros((slots, n))
         weights[:kept] = old.weights[:kept]
+        weights[kept:] = 0.0
     _fill_columns(g, nodes, degree, cols, weights)
     cols.setflags(write=False)
     weights.setflags(write=False)

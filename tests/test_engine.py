@@ -20,7 +20,13 @@ from privagg.engine import (
 )
 from privagg.noise import NoiseParams
 from privagg.tolerances import TOL
-from privagg.topology import ConnectivityError, TopologyEvent, build_graph, generate
+from privagg.topology import (
+    ConnectivityError,
+    TopologyEvent,
+    build_graph,
+    generate,
+    is_connected,
+)
 from privagg.weights import contraction_factor, metropolis
 
 
@@ -357,6 +363,44 @@ def test_node_ids_shared_within_a_segment():
     assert len({id(t) for t in ids}) == 3
     assert ids[0] is ids[2] and ids[3] is ids[4] and ids[5] is ids[8]
     assert ids[4] == tuple(range(6)) and ids[5] == (0, 1, 2, 3, 5)
+
+
+def test_one_connectivity_search_per_applied_event(monkeypatch):
+    # configs/demo.cfg's graph with an edge event and two node removals: one
+    # search for the first weights, then one in apply_event per event; the
+    # weights of a later segment take the previous ones as base and search
+    # no more, across a node removal too
+    g = generate("random_gnp", 20, seed=7, p=0.3)
+    events = (
+        TopologyEvent(5, "add_edge", (0, 1)),
+        TopologyEvent(9, "remove_node", 17),
+        TopologyEvent(30, "remove_node", 12),
+    )
+    searched = []
+
+    def counted(graph):
+        searched.append(graph.n)
+        return is_connected(graph)
+
+    monkeypatch.setattr("privagg.topology.is_connected", counted)
+    monkeypatch.setattr("privagg.weights.is_connected", counted)
+    cfg = RunConfig(
+        graph=g, x0=np.arange(20.0), noise=NoiseParams(seed=23), events=events,
+        max_iterations=40, update_form="per_node",
+    )
+    trace = run(cfg)
+    assert [e.n_after for e in trace.events_applied] == [20, 19, 18]
+    assert searched == [20, 20, 19, 18]
+
+
+def test_zero_scheme_seeds_no_stream(monkeypatch):
+    def refuse(seed, count):
+        raise AssertionError("a noise stream was seeded")
+
+    monkeypatch.setattr("privagg.noise.seeded_streams", refuse)
+    trace = run(_zero_cfg(generate("ring", 6), np.arange(6.0), max_iterations=12))
+    assert trace.k_stop == 12
+    assert all(not theta.any() for theta in trace.thetas)
 
 
 def test_disconnecting_event_rejected():

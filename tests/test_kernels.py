@@ -12,7 +12,7 @@ from privagg.topology import TopologyEvent, build_graph, generate
 from privagg.weights import WeightMatrix, metropolis
 
 
-def _loop_dense_step(w, v, out):
+def _loop_dense_step(w, v):
     """Reference: the mandated ascending-j chain from acc = 0.0."""
     vl = v.tolist()
     res = []
@@ -21,10 +21,10 @@ def _loop_dense_step(w, v, out):
         for wij, vj in zip(row, vl):
             acc = acc + wij * vj
         res.append(acc)
-    out[:] = res
+    return np.array(res)
 
 
-def _loop_step(weights, cols, v, out):
+def _loop_step(weights, cols, v):
     """The same chain over any slot-major layout: row i's s-th term is
     weights[s, i] * v[cols[s, i]] (cols may broadcast along rows)."""
     vl = v.tolist()
@@ -36,7 +36,7 @@ def _loop_step(weights, cols, v, out):
         for s in range(len(wl)):
             acc = acc + wl[s][i] * vl[cl[s][i]]
         res.append(acc)
-    out[:] = res
+    return np.array(res)
 
 
 def _bit_equal(a, b):
@@ -59,10 +59,8 @@ def test_dense_equals_neighbor():
     rng = np.random.default_rng(17)
     for _ in range(40):
         wm, v = _random_case(rng)
-        dense = np.empty(wm.n)
-        nbr = np.empty(wm.n)
-        step(*_kernel_operands(wm, True), v, dense)
-        step(*_kernel_operands(wm, False), v, nbr)
+        dense = step(*_kernel_operands(wm, True), v)
+        nbr = step(*_kernel_operands(wm, False), v)
         assert np.array_equal(dense, nbr)
 
 
@@ -103,10 +101,7 @@ def test_reduce_over_slots_is_sequential():
 
 
 def _assert_matches_loop(weights, cols, v):
-    got, loop = np.empty(v.shape[-1]), np.empty(v.shape[-1])
-    step(weights, cols, v, got)
-    _loop_step(weights, cols, v, loop)
-    assert _bit_equal(got, loop)
+    assert _bit_equal(step(weights, cols, v), _loop_step(weights, cols, v))
 
 
 def test_kernel_matches_loop_reference_on_large_layouts():
@@ -131,12 +126,9 @@ def test_kernel_matches_loop_reference_on_an_attack_block():
     lanes[rng.random(lanes.shape) < 0.05] = -0.0
     for matrix_form in (True, False):
         weights, cols = _kernel_operands(wm, matrix_form)
-        got = np.empty_like(lanes)
-        step(weights, cols, lanes, got)
+        got = step(weights, cols, lanes)
         for lane, row in zip(lanes, got):
-            loop = np.empty(20)
-            _loop_step(weights, cols, lane, loop)
-            assert _bit_equal(row, loop)
+            assert _bit_equal(row, _loop_step(weights, cols, lane))
 
 
 def test_kernel_pins_c_order_for_f_ordered_weights():
@@ -151,8 +143,7 @@ def test_kernel_pins_c_order_for_f_ordered_weights():
     for _ in range(50):
         v = rng.uniform(-100.0, 100.0, 50)
         _assert_matches_loop(weights, cols, v)
-        loop = np.empty(50)
-        _loop_step(weights, cols, v, loop)
+        loop = _loop_step(weights, cols, v)
         unpinned = np.add.reduce(weights * v[cols], axis=-2) + 0.0
         unpinned_misses += not _bit_equal(unpinned, loop)
     assert unpinned_misses > 0
@@ -167,14 +158,11 @@ def test_numpy_kernels_match_loop_reference():
     cases.append((single, np.array([-0.0])))
     cases.append((single, np.array([2.5])))
     for wm, v in cases:
-        want = np.empty(wm.n)
-        _loop_dense_step(wm.w, v, want)
+        want = _loop_dense_step(wm.w, v)
         for matrix_form in (True, False):
             weights, cols = _kernel_operands(wm, matrix_form)
-            got, loop = np.empty(wm.n), np.empty(wm.n)
-            step(weights, cols, v, got)
-            _loop_step(weights, cols, v, loop)
-            assert _bit_equal(got, loop)
+            got = step(weights, cols, v)
+            assert _bit_equal(got, _loop_step(weights, cols, v))
             assert _bit_equal(got, want)
 
 
@@ -187,12 +175,25 @@ def test_batched_state_matches_single_lane_calls():
         lanes = np.stack([v, np.full(wm.n, -0.0), rng.uniform(-5.0, 5.0, wm.n), -v])
         for matrix_form in (True, False):
             weights, cols = _kernel_operands(wm, matrix_form)
-            got = np.empty_like(lanes)
-            step(weights, cols, lanes, got)
+            got = step(weights, cols, lanes)
             for lane, row in zip(lanes, got):
-                want = np.empty(wm.n)
-                step(weights, cols, lane, want)
-                assert _bit_equal(row, want)
+                assert _bit_equal(row, step(weights, cols, lane))
+
+
+def test_step_returns_a_new_array():
+    # W v comes back in an array of its own: the engine keeps x and x_plus of
+    # every round in its trace, so the result may alias neither operand
+    wm = metropolis(generate("random_gnp", 12, seed=2, p=0.5))
+    v = np.random.default_rng(59).uniform(-5.0, 5.0, (3, 12))
+    for matrix_form in (True, False):
+        weights, cols = _kernel_operands(wm, matrix_form)
+        for operand in (v[0], v):  # one lane, then lanes
+            before = operand.copy()
+            got = step(weights, cols, operand)
+            assert got.shape == operand.shape and got.flags.owndata
+            assert not np.shares_memory(got, operand)
+            assert not np.shares_memory(got, weights)
+            assert np.array_equal(operand, before)
 
 
 # on random_gnp(10, seed=5, p=0.4): 1-2 is not an edge, and the graph stays

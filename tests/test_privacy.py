@@ -156,20 +156,18 @@ def test_later_round_attack_bounded_by_sigma():
     assert tiny <= 0.01
 
 
-def _reference_trial(graph, wm, params, scheme, rounds, rng, prior, target):
+def _reference_trial(graph, wm, params, scheme, rounds, rng, target):
     """A trial as scalar processes run it: every node samples one shared stream."""
     n = graph.n
-    x0 = rng.uniform(prior[0], prior[1], n)
+    x0 = rng.uniform(*privacy.PRIOR, n)
     stream = RawStream(rng)
     procs = [SCHEME_CLASSES[scheme](params, i, stream) for i in range(n)]
-    x = x0.copy()
-    out = np.empty(n)
+    x = x0
     for k in range(rounds + 1):
         x_plus = x + np.array([procs[i].sample(k) for i in range(n)])
         if k == rounds:
             return float(x0[target]), float(x_plus[target])
-        get_backend().step(wm.weights, wm.cols, x_plus, out)
-        x = out.copy()
+        x = get_backend().step(wm.weights, wm.cols, x_plus)
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEME_CLASSES))
@@ -179,12 +177,12 @@ def test_trial_broadcast_matches_scalar_reference(scheme):
     for distribution in ("uniform", "truncated_gaussian"):
         params = NoiseParams(alpha=1.2, rho=0.85, h=2, distribution=distribution, seed=0)
         for rounds in (0, 1, 80):  # 81 rounds x 7 nodes cross a 512-draw chunk
-            prior, target = (-50.0, 50.0), 3
+            target = 3
             seeds = np.random.SeedSequence(rounds).spawn(3)
-            got = _trial_broadcasts(wm, params, scheme, rounds, rounds, 3, prior, target)
+            got = _trial_broadcasts(wm, params, scheme, rounds, rounds, 3, target)
             for t, seed in enumerate(seeds):
                 rng = np.random.Generator(np.random.PCG64(seed))
-                ref = _reference_trial(g, wm, params, scheme, rounds, rng, prior, target)
+                ref = _reference_trial(g, wm, params, scheme, rounds, rng, target)
                 assert (float(got[0][t]), float(got[1][t])) == ref, (distribution, rounds, t)
 
 
@@ -208,18 +206,15 @@ def test_trial_broadcasts_match_scalar_reference(
     params = NoiseParams(alpha=1.2, rho=0.85, h=h, distribution=distribution, seed=0)
     target = data.draw(st.integers(0, n - 1))
     seeds = np.random.SeedSequence(graph_seed).spawn(trials)
-    prior = (-50.0, 50.0)
     # "uneven" splits the trials into blocks of trials // 2 + 1 and the rest
     per_trial = max(rounds + 1, len(wm.cols)) * n
     values = {"default": privacy.BLOCK_VALUES, "one": 1, "uneven": (trials // 2 + 1) * per_trial}
     with mock.patch.object(privacy, "BLOCK_VALUES", values[budget]):
-        x0, broadcast = _trial_broadcasts(
-            wm, params, scheme, rounds, graph_seed, trials, prior, target
-        )
+        x0, broadcast = _trial_broadcasts(wm, params, scheme, rounds, graph_seed, trials, target)
     assert x0.shape == broadcast.shape == (trials,)
     for t, seed in enumerate(seeds):
         rng = np.random.Generator(np.random.PCG64(seed))
-        want = _reference_trial(g, wm, params, scheme, rounds, rng, prior, target)
+        want = _reference_trial(g, wm, params, scheme, rounds, rng, target)
         assert (float(x0[t]), float(broadcast[t])) == want, t
 
 

@@ -263,8 +263,22 @@ def test_column_edit_grows_and_trims_slot_rows():
     assert [wm.cols.shape[0] for wm in layouts] == [3, 4, 5, 3]
 
 
-def test_column_edit_requires_the_same_nodes():
-    g = generate("ring", 5)
-    smaller = apply_event(g, TopologyEvent(0, "remove_node", 4))
-    with pytest.raises(ValueError, match="nodes"):
-        metropolis(smaller, base=(g, metropolis(g)))
+def test_node_removal_base_gives_the_fresh_build(monkeypatch):
+    # a base on other nodes keeps no column: every column is built, and the
+    # search that a base waives (apply_event has run it) does not run
+    cases = []
+    for g in (generate("ring", 5), generate("random_geometric", 30, seed=3, radius=0.4)):
+        for node in range(g.n):
+            try:
+                smaller = apply_event(g, TopologyEvent(0, "remove_node", node))
+            except ConnectivityError:  # node is a cut vertex
+                continue
+            cases.append((g, metropolis(g), smaller))
+    fresh = [metropolis(smaller) for _, _, smaller in cases]
+
+    def refuse(g):
+        raise AssertionError("connectivity searched with a base")
+
+    monkeypatch.setattr("privagg.weights.is_connected", refuse)
+    for (g, wm, smaller), want in zip(cases, fresh):
+        _assert_same_layout(metropolis(smaller, base=(g, wm)), want)
