@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -32,9 +33,20 @@ from .privacy import (
 SWEEP_PARAMS = ("alpha", "rho", "h", "term_epsilon", "max_iterations")
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of one finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _float_values(text: str) -> list[float]:
-    """The argparse type of a comma-separated list of at least one number."""
-    values = [float(v) for v in text.split(",") if v.strip()]
+    """The argparse type of a comma-separated list of at least one finite number."""
+    values = [_finite_float(v) for v in text.split(",") if v.strip()]
     if not values:
         raise argparse.ArgumentTypeError("no values given")
     return values
@@ -195,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run a concrete adversary")
     p.add_argument("config")
     p.add_argument("--kind", required=True, choices=("naive", "later", "disclosure"))
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=_finite_float, default=None)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--train-trials", type=int, default=2000, dest="train_trials")
     p.add_argument("--round", type=int, default=1)

@@ -12,6 +12,7 @@ nodes' initial average.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -91,29 +92,35 @@ class AppliedEvent:
 
 @dataclass
 class RunTrace:
-    """Per-iteration record of a run.
+    """Per-iteration record of a run; each fact is stored once.
 
     spreads[k] is V(x(k)) = max - min; errs[k] is max_i |x_i(k) - reference|
     where the reference is the mean initial state of the nodes alive at k,
     whose original ids node_ids[k] holds (the rounds of one topology segment
-    share one tuple). xs / x_pluses / thetas are populated only when
-    record_trace is set; broadcasts exist for k < k_stop.
+    share one tuple). xs / thetas are populated only when record_trace is
+    set; broadcasts exist for k < k_stop, and x_plus(k) is x(k) + theta(k),
+    formed by whoever reads it. k_stop, consensus_value and
+    final_true_average are derived from spreads, x_final and the applied
+    events.
     """
 
     config: RunConfig
-    ks: list[int] = field(default_factory=list)
     spreads: list[float] = field(default_factory=list)
     errs: list[float] = field(default_factory=list)
     node_ids: list[tuple[int, ...]] = field(default_factory=list)
-    true_averages: list[float] = field(default_factory=list)
     xs: list[np.ndarray] = field(default_factory=list)
-    x_pluses: list[np.ndarray] = field(default_factory=list)
     thetas: list[np.ndarray] = field(default_factory=list)
     events_applied: list[AppliedEvent] = field(default_factory=list)
-    k_stop: int = 0
     reason: str = ""
     x_final: np.ndarray = field(default_factory=lambda: np.empty(0))
-    consensus_value: float = math.nan
+
+    @property
+    def k_stop(self) -> int:
+        return len(self.spreads) - 1
+
+    @property
+    def consensus_value(self) -> float:
+        return float(self.x_final[0])
 
     @property
     def final_err(self) -> float:
@@ -125,7 +132,10 @@ class RunTrace:
 
     @property
     def final_true_average(self) -> float:
-        return self.true_averages[-1]
+        """The error's last reference: the survivors' mean initial state."""
+        if self.events_applied:
+            return self.events_applied[-1].true_average_after
+        return float(np.mean(self.config.x0))
 
     def write_trace_csv(self, path: str | Path) -> None:
         """One row per (k, node), in csv.writer's format: \\r\\n line ends,
@@ -144,22 +154,22 @@ class RunTrace:
         ids = x_bytes = None
         with open(path, "w", newline="") as f:
             f.write("k,node_id,x,x_plus,theta\r\n")
-            for idx, k in enumerate(self.ks):
-                if self.node_ids[idx] is not ids:
-                    ids = self.node_ids[idx]
+            for k, x in enumerate(self.xs):
+                if self.node_ids[k] is not ids:
+                    ids = self.node_ids[k]
                     heads = [f",{nid}," for nid in ids]
-                x = self.xs[idx]
                 prev_bytes, x_bytes = x_bytes, x.tobytes()
                 if x_bytes != prev_bytes:
                     xs = list(map(repr, x.tolist()))
                 k_text = str(k)
-                if idx < len(self.x_pluses):
-                    x_plus = self.x_pluses[idx]
-                    x_pluses = xs if x_plus.tobytes() == x_bytes else map(repr, x_plus.tolist())
-                    thetas = map(repr, self.thetas[idx].tolist())
+                if k < len(self.thetas):
+                    theta = self.thetas[k]
+                    x_plus = x + theta
+                    pluses = xs if x_plus.tobytes() == x_bytes else map(repr, x_plus.tolist())
+                    thetas = map(repr, theta.tolist())
                     rows = [
                         k_text + h + a + "," + b + "," + t + "\r\n"
-                        for h, a, b, t in zip(heads, xs, x_pluses, thetas)
+                        for h, a, b, t in zip(heads, xs, pluses, thetas)
                     ]
                 else:
                     rows = [k_text + h + a + ",,\r\n" for h, a in zip(heads, xs)]
@@ -172,7 +182,7 @@ class RunTrace:
             f.write(
                 "".join(
                     f"{k},{v!r},{e!r}\r\n"
-                    for k, v, e in zip(self.ks, self.spreads, self.errs)
+                    for k, (v, e) in enumerate(zip(self.spreads, self.errs))
                 )
             )
 
@@ -199,8 +209,8 @@ def run(config: RunConfig) -> RunTrace:
     kernel = get_backend().step
     matrix_form = config.update_form == "matrix"
 
-    x = np.array(config.x0, dtype=np.float64)
-    x0_full = x.copy()
+    x0_full = np.array(config.x0, dtype=np.float64)
+    x = x0_full  # x is replaced each round, never written to
     alive = list(range(g.n))
     wm = metropolis(g)
     weights, cols = _kernel_operands(wm, matrix_form)
@@ -217,7 +227,7 @@ def run(config: RunConfig) -> RunTrace:
 
     ei = 0
     k = 0
-    alive_arr = np.array(alive, dtype=np.intp)
+    alive_arr = np.arange(g.n)
     ids = tuple(alive)  # one tuple per topology segment, shared by its rounds
     while True:
         first, before = ei, g
@@ -225,8 +235,8 @@ def run(config: RunConfig) -> RunTrace:
             g, alive, gone = apply_run_event(g, events[ei], alive)
             if gone is not None:
                 x = np.delete(x, gone)
-            alive_arr = np.array(alive, dtype=np.intp)
-            reference = float(np.mean(x0_full[alive_arr]))
+                alive_arr = np.delete(alive_arr, gone)
+                reference = float(np.mean(x0_full[alive_arr]))
             trace.events_applied.append(
                 AppliedEvent(k, events[ei].kind, events[ei].payload, g.n, reference)
             )
@@ -244,11 +254,9 @@ def run(config: RunConfig) -> RunTrace:
                 f"state envelope exceeded at iteration {k}: {peak} > {guard}"
             )
 
-        trace.ks.append(k)
         trace.spreads.append(float(x.max() - x.min()))
         trace.errs.append(float(np.max(np.abs(x - reference))))
         trace.node_ids.append(ids)
-        trace.true_averages.append(reference)
         if config.record_trace:
             trace.xs.append(x)  # every round's x is a new array, never written to
 
@@ -268,14 +276,11 @@ def run(config: RunConfig) -> RunTrace:
         if not np.isfinite(x_plus).all():
             raise EngineAbort(f"non-finite broadcast at iteration {k}")
         if config.record_trace:
-            trace.x_pluses.append(x_plus)
             trace.thetas.append(theta)
         x = kernel(weights, cols, x_plus)
         k += 1
 
-    trace.k_stop = k
-    trace.x_final = x.copy()
-    trace.consensus_value = float(x[0])
+    trace.x_final = x
     return trace
 
 
@@ -284,24 +289,30 @@ def apply_run_event(
 ) -> tuple[Graph, list[int], int | None]:
     """Translate an original-id event to current positions and apply it.
 
-    alive lists the original ids of g's nodes by position. Returns the new
-    graph, the surviving original ids and the position a remove_node took
-    out (None for edge events).
+    alive lists the original ids of g's nodes by position, ascending.
+    Returns the new graph, the surviving original ids and the position a
+    remove_node took out (None for edge events).
     """
-    pos_of = {orig: p for p, orig in enumerate(alive)}
     if event.kind == "remove_node":
         orig = event.payload
         assert isinstance(orig, int)
-        if orig not in pos_of:
+        pos = _position(alive, orig)
+        if pos is None:
             raise ValueError(f"remove_node: node {orig} is not present")
-        pos = pos_of[orig]
         g2 = apply_event(g, replace(event, payload=pos))
         return g2, alive[:pos] + alive[pos + 1 :], pos
     i, j = event.payload  # type: ignore[misc]
-    if i not in pos_of or j not in pos_of:
+    pi, pj = _position(alive, i), _position(alive, j)
+    if pi is None or pj is None:
         raise ValueError(f"{event.kind}: node in ({i},{j}) is not present")
-    g2 = apply_event(g, replace(event, payload=(pos_of[i], pos_of[j])))
+    g2 = apply_event(g, replace(event, payload=(pi, pj)))
     return g2, alive, None
+
+
+def _position(alive: list[int], orig: int) -> int | None:
+    """The position of original id orig in the ascending alive list, if any."""
+    pos = bisect_left(alive, orig)
+    return pos if pos < len(alive) and alive[pos] == orig else None
 
 
 def aggregate(trace: RunTrace, kind: str) -> float:

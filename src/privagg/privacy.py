@@ -271,23 +271,23 @@ def disclosure_attack(view: AdversaryView, trace: RunTrace, horizon: int) -> Dis
         raise ValueError("disclosure attack requires a static-topology trace")
     if trace.config.scheme not in ("zero_sum", "zero"):
         raise ValueError("reconstruction assumes telescoping (or zero) noise")
-    if not trace.x_pluses:
+    if not trace.xs:
         raise ValueError("trace must be recorded with record_trace=True")
-    if not 1 <= horizon <= len(trace.x_pluses) - 1:
+    if not 1 <= horizon <= len(trace.thetas) - 1:
         raise ValueError(
-            f"horizon must be in [1, {len(trace.x_pluses) - 1}] for this trace"
+            f"horizon must be in [1, {len(trace.thetas) - 1}] for this trace"
         )
     if g.n != len(trace.node_ids[0]):
         raise ValueError("view graph does not match the trace")
 
     wm = metropolis(g)
-    x_pluses = np.array(trace.x_pluses[: horizon + 1])
+    broadcasts = np.array(trace.xs[: horizon + 1]) + np.array(trace.thetas[: horizon + 1])
     # W x+(k-1), k = 1..horizon, the rounds as lanes; row j reads only N_j and j.
     # The whole layout: step would sum a one-row layout pairwise (see backend).
-    predicted = get_backend().step(wm.weights, wm.cols, x_pluses[:-1])
-    recovered = x_pluses[1:, j] - predicted[:, j]
+    predicted = get_backend().step(wm.weights, wm.cols, broadcasts[:-1])
+    recovered = broadcasts[1:, j] - predicted[:, j]
     params = trace.config.noise
-    estimate = float(x_pluses[0, j]) + math.fsum(recovered.tolist())
+    estimate = float(broadcasts[0, j]) + math.fsum(recovered.tolist())
     bound = 0.5 * params.alpha * params.rho ** (horizon + 1)
     return DisclosureResult(estimate, bound, horizon)
 

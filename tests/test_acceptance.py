@@ -333,7 +333,6 @@ def test_criterion_9_dual_implementation_equivalence(tmp_path):
         a, b = traces
         same = (
             all(np.array_equal(p, q) for p, q in zip(a.xs, b.xs))
-            and all(np.array_equal(p, q) for p, q in zip(a.x_pluses, b.x_pluses))
             and all(np.array_equal(p, q) for p, q in zip(a.thetas, b.thetas))
             and np.array_equal(a.x_final, b.x_final)
         )

@@ -85,23 +85,30 @@ def test_validate_names_the_bad_field(tmp_path, capsys, field, overrides):
 
 
 @pytest.mark.parametrize(
-    "prefix, text",
+    "message, text",
     [
-        ("run.events entry '3:remove_edge:2-3'",
-         GOOD + "events = 1:remove_edge:0-1, 3:remove_edge:2-3\n"),  # disconnects
-        ("run.events entry '1:add_edge:1-0'", GOOD + "events = 1:add_edge:1-0\n"),  # present
-        ("run.events entry '1:remove_edge:0-2'", GOOD + "events = 1:remove_edge:0-2\n"),
-        ("run.events entry '2:remove_edge:2-3'",
+        ("run.events entry '3:remove_edge:2-3': event remove_edge (2, 3) at iteration 3 "
+         "would disconnect the graph; rejected",
+         GOOD + "events = 1:remove_edge:0-1, 3:remove_edge:2-3\n"),
+        ("run.events entry '1:add_edge:1-0': add_edge: (0,1) already present",
+         GOOD + "events = 1:add_edge:1-0\n"),
+        ("run.events entry '1:remove_edge:0-2': remove_edge: (0,2) is not an edge",
+         GOOD + "events = 1:remove_edge:0-2\n"),
+        ("run.events entry '2:remove_edge:2-3': remove_edge: node in (2,3) is not present",
          GOOD + "events = 2:remove_edge:2-3, 1:remove_node:2\n"),  # removed node
-        ("topology: no connected random_gnp graph",
+        ("run.events entry '3:remove_node:2': remove_node: node 2 is not present",
+         GOOD + "events = 1:remove_node:2, 3:remove_node:2\n"),  # removed twice
+        ("topology: no connected random_gnp graph with n=5 after 100 draws; "
+         "check the kind-specific parameters",
          GOOD.replace("kind = ring", "kind = random_gnp\np = 0.0\nseed = 1")),
     ],
 )
-def test_validate_and_run_reject_a_topology_that_does_not_hold(tmp_path, capsys, prefix, text):
+def test_validate_and_run_reject_a_topology_that_does_not_hold(tmp_path, capsys, message, text):
     cfg = _cfg(tmp_path, text, "bad.cfg")
     assert main(["validate", cfg]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {prefix}")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert main(["run", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.endswith(message.split(": ", 1)[1] + "\n")
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
@@ -188,6 +195,31 @@ def test_empty_value_list_is_rejected(tmp_path, capsys, argv):
     assert main([argv[0], _cfg(tmp_path), *argv[1:], "--out", str(tmp_path / "o")]) == 2
     assert f"argument {flag}: no values given" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["sweep", "--param", "term_epsilon", "--values"], "inf"),
+        (["sweep", "--param", "alpha", "--values"], "0.5,nan"),
+        (["privacy", "--epsilons"], "nan"),
+        (["privacy", "--epsilons"], "0.1,-inf"),
+        (["attack", "--kind", "later", "--epsilon"], "inf"),
+        (["attack", "--kind", "naive", "--epsilon"], "nan"),
+        (["sweep", "--param", "rho", "--values"], "0.5,x"),
+        (["attack", "--kind", "later", "--epsilon"], "x"),
+    ],
+    ids=["sweep-inf", "sweep-nan", "privacy-nan", "privacy-minus-inf", "attack-inf", "attack-nan",
+         "sweep-text", "attack-text"],
+)
+def test_non_finite_values_are_rejected(tmp_path, capsys, argv, value):
+    flag = argv[-1]
+    out = tmp_path / "o"
+    tail = [] if argv[0] == "attack" else ["--out", str(out)]
+    assert main([argv[0], _cfg(tmp_path), *argv[1:], value, *tail]) == 2
+    bad = value.split(",")[-1]
+    assert f"argument {flag}: {bad!r} is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_attack_naive(tmp_path, capsys):

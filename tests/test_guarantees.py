@@ -13,8 +13,8 @@ the experiment, and checks on that run:
   process of its own stream, bit for bit, and the running sum of a chain's
   theta is that chain's residual, inside its envelope;
 - the state envelope, for the schemes whose noise decays;
-- the round update: x+(k) = x(k) + theta(k), and x(k+1) is the ascending
-  chain of the Metropolis weights of the round's graph times x+(k);
+- the round update: x(k+1) is the ascending chain of the Metropolis weights
+  of the round's graph times x+(k) = x(k) + theta(k);
 - the matrix and per_node forms agree bit for bit;
 - experiment_from_manifest replays the manifest and every CSV byte for byte.
 """
@@ -121,8 +121,8 @@ def _bits(a):
 
 
 def _check_round_updates(trace, graph):
-    """x+(k) = x(k) + theta(k), and x(k+1) = sum over j ascending from 0.0 of
-    w_ij x+_j(k) with the weights of the graph the round ran on."""
+    """x(k+1) = sum over j ascending from 0.0 of w_ij x+_j(k), where x+(k) =
+    x(k) + theta(k), with the weights of the graph the round ran on."""
     events = sorted(trace.config.events, key=lambda e: e.at_iteration)
     g, alive, ei, columns = graph, list(range(graph.n)), 0, None
     for k in range(trace.k_stop):
@@ -132,8 +132,7 @@ def _check_round_updates(trace, graph):
             ei += 1
         if columns is None or ei > first:
             columns = _metropolis_columns(g)
-        x_plus = trace.x_pluses[k]
-        assert _bits(x_plus) == _bits(trace.xs[k] + trace.thetas[k]), k
+        x_plus = trace.xs[k] + trace.thetas[k]
         acc = np.zeros(g.n)
         for j, column in enumerate(columns):
             acc = acc + column * x_plus[j]
@@ -171,7 +170,7 @@ def _residual_envelope(params, rounds):
     return sum(_envelope(params, k // params.h) for k in last)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(data=_configs())
 def test_runs_keep_the_paper_guarantees(data):
     config = build_config(data)
@@ -193,7 +192,8 @@ def test_runs_keep_the_paper_guarantees(data):
         _check_round_updates(trace, graph)
         _check_noise(trace, ids)
 
-        magnitude = max(float(np.max(np.abs(v))) for v in trace.xs + trace.x_pluses)
+        broadcasts = [x + theta for x, theta in zip(trace.xs, trace.thetas)]
+        magnitude = max(float(np.max(np.abs(v))) for v in trace.xs + broadcasts)
         rounding = 4 * rounds * len(ids) * (len(ids) + 1) * _EPS * magnitude
         final_mean = math.fsum(trace.x_final.tolist()) / len(ids)
         initial_mean = math.fsum(x0[ids].tolist()) / len(ids)
@@ -210,7 +210,7 @@ def test_runs_keep_the_paper_guarantees(data):
         other = [form for form in UPDATE_FORMS if form != run_config.update_form]
         twin = run(replace(run_config, update_form=other[0]))
         assert twin.k_stop == trace.k_stop and twin.reason == trace.reason
-        for name in ("xs", "x_pluses", "thetas"):
+        for name in ("xs", "thetas"):
             assert list(map(_bits, getattr(twin, name))) == list(map(_bits, getattr(trace, name)))
 
         replay = run_experiment(experiment_from_manifest(result.manifest_path), Path(tmp, "b"))

@@ -217,7 +217,7 @@ def test_engine_matches_loop_reference(monkeypatch, update_form, events):
 
     assert [e.kind for e in got.events_applied] == [e.kind for e in events]
     assert got.k_stop == want.k_stop
-    for name in ("xs", "x_pluses", "thetas"):
+    for name in ("xs", "thetas"):
         a, b = getattr(got, name), getattr(want, name)
         assert len(a) == len(b) > 0
         assert all(_bit_equal(p, q) for p, q in zip(a, b)), name

@@ -296,7 +296,7 @@ def test_derive_seed_is_stable():
     assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     alpha=st.floats(min_value=1e-3, max_value=100.0),
     rho=st.floats(min_value=0.0, max_value=0.98),

@@ -219,7 +219,7 @@ def _graph_and_events(draw):
     return build_graph(n, edges), steps
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(case=_graph_and_events())
 def test_apply_event_matches_rebuild_reference(case):
     g, steps = case
@@ -285,7 +285,7 @@ def test_graph_is_hashable_value_type():
     assert a != generate("path", 5)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     kind=st.sampled_from(["ring", "path", "complete", "random_gnp"]),
     n=st.integers(min_value=1, max_value=25),

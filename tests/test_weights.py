@@ -184,7 +184,7 @@ def test_weight_matrix_is_immutable():
         wm.w[0, 0] = 0.0
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     n=st.integers(min_value=2, max_value=30),
     seed=st.integers(min_value=0, max_value=2**31),
@@ -193,7 +193,7 @@ def test_weight_invariants_property(n, seed):
     _check_weight_invariants(generate("random_gnp", n, seed=seed, p=0.6))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(
     n=st.integers(min_value=2, max_value=20),
     seed=st.integers(min_value=0, max_value=2**31),
@@ -252,7 +252,7 @@ def _edge_batches(draw):
 @example(case=(generate("ring", 12), [[(0, 3)], [(1, 4), (2, 5)], [(0, 3), (1, 4)], [(2, 5)]]))
 @example(case=(generate("complete", 2), [[(0, 1)], []]))
 @example(case=(generate("path", 4), [[(0, 2), (0, 2)]]))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(case=_edge_batches())
 def test_column_edit_equals_fresh_build(case):
     _check_column_edits(*case)
