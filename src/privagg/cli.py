@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (ConfigError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .backend import get_backend
-from .noise import SCHEMES, NoiseBank, NoiseParams, derive_seed
+from .noise import SCHEMES, NoiseParams, derive_seed, node_theta_block
 from .tolerances import TOL
 from .topology import Graph, TopologyEvent, apply_event
 from .topology import is_connected  # noqa: F401  perfbench/tracer.py wraps engine.is_connected
@@ -216,7 +216,7 @@ def run(config: RunConfig) -> RunTrace:
     weights, cols = _kernel_operands(wm, matrix_form)
     reference = float(np.mean(x0_full))
     max_rounds = config.max_rounds
-    bank = NoiseBank.for_nodes(config.scheme, config.noise, g.n, max_rounds)
+    block = node_theta_block(config.scheme, config.noise, g.n, max_rounds)
     guard = (
         state_envelope(x0_full, config.noise) * (1.0 + TOL.envelope_slack)
         if config.scheme in _ENVELOPE_SCHEMES
@@ -271,7 +271,7 @@ def run(config: RunConfig) -> RunTrace:
             trace.reason = "max_iterations"
             break
 
-        theta = bank.round_values(k)[alive_arr]
+        theta = block[k][alive_arr]
         x_plus = x + theta
         if not np.isfinite(x_plus).all():
             raise EngineAbort(f"non-finite broadcast at iteration {k}")

@@ -401,23 +401,23 @@ def output_dir(config: ExperimentConfig, base_dir: str | Path | None = None) -> 
 def run_experiment(
     config: ExperimentConfig, base_dir: str | Path | None = None
 ) -> ExperimentResult:
-    """Execute all repetitions, write CSVs + manifest into output_dir, return
-    the artifacts."""
-    out_dir = output_dir(config, base_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    """Execute all repetitions, then write CSVs + manifest into output_dir and
+    return the artifacts; a failing repetition writes nothing."""
     graph = config.topology.build()
-
     seeds = []
-    runs = []
     traces = []
     for rep in range(config.repetitions):
         run_config, rep_seeds = repetition_inputs(config, graph, rep)
         try:
-            trace = run(run_config)
+            traces.append(run(run_config))
         except Exception as exc:
             raise RuntimeError(f"repetition {rep}: {exc}") from exc
-        traces.append(trace)
+        seeds.append(rep_seeds)
+
+    out_dir = output_dir(config, base_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    runs = []
+    for rep, trace in enumerate(traces):
         files = {}
         if config.outputs.write_trace and config.run.record_trace:
             name = f"trace_{rep:03d}.csv"
@@ -427,7 +427,6 @@ def run_experiment(
             name = f"summary_{rep:03d}.csv"
             trace.write_summary_csv(out_dir / name)
             files["summary"] = name
-        seeds.append(rep_seeds)
         runs.append(
             {
                 "repetition": rep,

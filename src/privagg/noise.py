@@ -16,9 +16,11 @@ With h >= 2 the rounds are split round-robin into h independent chains;
 each chain runs its own telescoping residual with the envelope indexed by
 its inner counter, so the zero-sum and decay conditions hold per chain.
 
-Every scheme is computed in one place, NoiseBank.round_values, from a block
-of raw draws that raw_draws reads from a generator in draw order, with no
-exception: runs, later-round attack trials and the naive attack's round 0 alike.
+theta is data, not a process: theta_block overwrites a block of raw draws,
+which raw_draws reads from a generator in draw order, with every round's
+theta, and the round loops index its rows. It is the one place every scheme
+is computed, with no exception: runs (through node_theta_block), later-round
+attack trials and the naive attack's round 0 alike.
 
 Streams: node i of a run reads stream (seed, i), numpy's
 PCG64(SeedSequence(seed, spawn_key=(i,))), and attack trial t reads
@@ -43,7 +45,7 @@ DRAW_MARGIN = 1.0 - 2.0**-20
 SCHEMES = ("zero_sum", "independent_decaying", "gaussian_constant", "zero")
 DISTRIBUTIONS = ("uniform", "truncated_gaussian")
 
-# Drawn values (1 MiB) NoiseBank.for_nodes holds beside its block: it stacks
+# Drawn values (1 MiB) node_theta_block holds beside its block: it stacks
 # the node columns into the block this many values at a time (one column at least).
 STACK_VALUES = 2**17
 
@@ -178,13 +180,14 @@ def raw_draws(
     """The raw values `count` noise draws of `scheme` take from gen, in draw order.
 
     zero_sum takes its distribution's values on [-1, 1], independent_decaying
-    uniforms on [-1, 1], gaussian_constant standard normals, and zero nothing.
+    uniforms on [-1, 1], gaussian_constant standard normals; zero draws
+    nothing and gives `count` zeros.
     The truncated gaussian keeps the normals with |z| <= TRUNC_SIGMAS in the
     order drawn; numpy fills normal arrays element by element, so this accepts
     exactly the draws a per-draw rejection loop accepts.
     """
     if scheme == "zero":
-        return np.empty(0)
+        return np.zeros(count)
     if scheme == "gaussian_constant":
         return gen.standard_normal(count)
     if scheme == "independent_decaying" or params.distribution == "uniform":
@@ -204,79 +207,69 @@ def _envelope(params: NoiseParams, inner: int) -> float:
     return 0.5 * params.alpha * params.rho ** (inner + 1)
 
 
-class NoiseBank:
-    """theta, the noise each lane adds to its broadcast, one round at a time.
+def theta_block(scheme: str, params: NoiseParams, raw: np.ndarray) -> np.ndarray:
+    """Write theta over raw, round by round, and return raw.
 
-    raw is a (rounds x *lanes) block from raw_draws; row k feeds round k (the
-    zero scheme's block has no rows), and the lanes may have any shape. The
-    engine gives each node its own stream (for_nodes); a block of attack
-    trials stacks (trials x nodes) lanes, each trial laying one generator's
-    draws out row-major over its nodes; the naive attack's round 0 is one row
-    of (trials,) lanes. This is the only code that turns raw draws into theta.
+    raw is a (rounds x *lanes) block from raw_draws; row k becomes the noise
+    every lane adds to its round-k broadcast, and the lanes may have any
+    shape. A run's block has one lane per node (node_theta_block); a block of
+    attack trials stacks (trials x nodes) lanes, each trial laying one
+    generator's draws out row-major over its nodes; the naive attack's round
+    0 is one row of (trials,) lanes. This is the only code that turns raw
+    draws into theta.
     """
-
-    def __init__(self, scheme: str, params: NoiseParams, raw: np.ndarray):
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown noise scheme {scheme!r}")
-        self.scheme = scheme
-        self.params = params
-        self.lanes = raw.shape[1:]
-        self._raw = raw
-        self._next_k = 0
-        if scheme == "zero_sum":
-            self._delta = np.zeros((params.h, *self.lanes))
-
-    @classmethod
-    def for_nodes(cls, scheme: str, params: NoiseParams, n: int, rounds: int) -> NoiseBank:
-        """A run's noise: lane i reads node i's own stream (params.seed, i).
-
-        The nodes' columns are drawn a group of STACK_VALUES values at a time
-        and stacked into their slice of one (rounds x n) block, so at most one
-        group exists beside the block. The block is allocated after the first
-        group is drawn, in the order np.column_stack allocates: writing one
-        column at a time into a block allocated first moved glibc's heap so
-        that repeated 50-node, 2500-round runs that write their trace CSV
-        peaked 9 MiB higher in most processes. The zero scheme draws nothing,
-        so its streams are never seeded.
-        """
-        if scheme == "zero":
-            return cls(scheme, params, np.empty((0, n)))
-        size = max(1, STACK_VALUES // max(rounds, 1))
-        streams = seeded_streams(params.seed, n)
-        raw = None
-        for start in range(0, n, size):
-            group = [
-                raw_draws(scheme, params, gen, rounds) for gen in itertools.islice(streams, size)
-            ]
-            if raw is None:
-                raw = np.empty((len(group[0]), n))
-            np.stack(group, axis=1, out=raw[:, start : start + len(group)])
-        return cls(scheme, params, raw)
-
-    def round_values(self, k: int) -> np.ndarray:
-        """theta for every lane at round k (full width; callers slice survivors)."""
-        if k != self._next_k:
-            raise ValueError(f"out-of-order round: expected k={self._next_k}, got {k}")
-        self._next_k += 1
-        p = self.params
-        if self.scheme == "zero":
-            return np.zeros(self.lanes)
-        if self.scheme == "gaussian_constant":
-            return math.sqrt(p.variance) * self._raw[k]
-        if self.scheme == "independent_decaying":
-            scale = 0.5 * p.alpha * p.rho**k * DRAW_MARGIN
-            return self._raw[k] * scale
-        chain, inner = k % p.h, k // p.h
-        draw = self._raw[k] * (_envelope(p, inner) * DRAW_MARGIN)
-        if inner == 0:
-            self._delta[chain] = draw
-            return draw
-        delta = self._delta[chain]
-        theta = draw - delta
-        new = delta + theta
-        bad = np.abs(new) > _envelope(p, inner)
-        if bad.any():  # float guard; margin makes this unreachable
-            theta = np.where(bad, -delta, theta)
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown noise scheme {scheme!r}")
+    p = params
+    if scheme == "zero":
+        raw[...] = 0.0
+    elif scheme == "gaussian_constant":
+        raw *= math.sqrt(p.variance)
+    elif scheme == "independent_decaying":
+        for k in range(len(raw)):
+            raw[k] *= 0.5 * p.alpha * p.rho**k * DRAW_MARGIN
+    else:
+        deltas = [None] * p.h  # each chain's residual after its latest round
+        for k in range(len(raw)):
+            chain, inner = k % p.h, k // p.h
+            draw = raw[k] * (_envelope(p, inner) * DRAW_MARGIN)
+            if inner == 0:
+                raw[k] = deltas[chain] = draw
+                continue
+            delta = deltas[chain]
+            theta = draw - delta
             new = delta + theta
-        self._delta[chain] = new
-        return theta
+            bad = np.abs(new) > _envelope(p, inner)
+            if bad.any():  # float guard; fires once an ulp of delta outgrows the margin
+                theta = np.where(bad, -delta, theta)
+                new = delta + theta
+            raw[k] = theta
+            deltas[chain] = new
+    return raw
+
+
+def node_theta_block(scheme: str, params: NoiseParams, n: int, rounds: int) -> np.ndarray:
+    """A run's (rounds x n) theta: column i reads node i's own stream (params.seed, i).
+
+    The nodes' columns are drawn a group of STACK_VALUES values at a time and
+    stacked into their slice of one (rounds x n) block, so at most one group
+    exists beside the block. The block is allocated after the first group is
+    drawn, in the order np.column_stack allocates: writing one column at a
+    time into a block allocated first moved glibc's heap so that repeated
+    50-node, 2500-round runs that write their trace CSV peaked 9 MiB higher
+    in most processes. The zero scheme draws nothing, so its streams are
+    never seeded, and its block is a read-only broadcast of one 0.0.
+    """
+    if scheme == "zero":
+        return np.broadcast_to(0.0, (rounds, n))
+    size = max(1, STACK_VALUES // max(rounds, 1))
+    streams = seeded_streams(params.seed, n)
+    raw = None
+    for start in range(0, n, size):
+        group = [
+            raw_draws(scheme, params, gen, rounds) for gen in itertools.islice(streams, size)
+        ]
+        if raw is None:
+            raw = np.empty((len(group[0]), n))
+        np.stack(group, axis=1, out=raw[:, start : start + len(group)])
+    return theta_block(scheme, params, raw)

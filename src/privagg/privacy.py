@@ -23,11 +23,11 @@ from .backend import get_backend
 from .engine import RunTrace
 from .noise import (
     TRUNC_SIGMAS,
-    NoiseBank,
     NoiseParams,
     raw_draws,
     seeded_stream,
     seeded_streams,
+    theta_block,
 )
 from .topology import Graph, check_privacy_precondition
 from .weights import WeightMatrix, metropolis
@@ -152,10 +152,10 @@ def _naive_rate(
     rng: np.random.Generator,
 ) -> float:
     """Fraction of trials whose round-0 broadcast lies within epsilon of x0;
-    the trials are the lanes of one round-0 row of a zero_sum NoiseBank."""
+    the trials are the lanes of one round-0 row of zero_sum theta."""
     x0 = rng.uniform(*PRIOR, trials)
     raw = raw_draws("zero_sum", params, rng, trials)[None]
-    theta = NoiseBank("zero_sum", params, raw).round_values(0)
+    theta = theta_block("zero_sum", params, raw)[0]
     estimate = x0 + theta  # the round-0 broadcast
     return float(np.mean(np.abs(estimate - x0) <= epsilon))
 
@@ -173,7 +173,7 @@ def _trial_broadcasts(
 
     Trial t draws from stream t of seeded_streams(seed, count) first x0, then
     the noise, row-major so that node i takes draw k*n + i at round k. A block
-    of trials advances as one (trials x n) state, one NoiseBank and one kernel
+    of trials advances as one (trials x n) state, one theta row and one kernel
     call per round; it holds at most BLOCK_VALUES draws and kernel products
     (one trial at least).
     """
@@ -185,15 +185,15 @@ def _trial_broadcasts(
     for start in range(0, count, size):
         block = slice(start, min(start + size, count))
         x = np.empty((block.stop - start, n))
-        raw = np.empty((0 if scheme == "zero" else rounds + 1, *x.shape))  # zero draws nothing
+        raw = np.empty((rounds + 1, *x.shape))
         for t, rng in enumerate(itertools.islice(streams, len(x))):
             x[t] = rng.uniform(*PRIOR, n)
             raw[:, t] = raw_draws(scheme, params, rng, (rounds + 1) * n).reshape(-1, n)
         x0_target[block] = x[:, target]
-        bank = NoiseBank(scheme, params, raw)
+        theta = theta_block(scheme, params, raw)
         for k in range(rounds):
-            x = kernel(wm.weights, wm.cols, x + bank.round_values(k))
-        broadcast[block] = (x + bank.round_values(rounds))[:, target]
+            x = kernel(wm.weights, wm.cols, x + theta[k])
+        broadcast[block] = (x + theta[rounds])[:, target]
     return x0_target, broadcast
 
 

@@ -1,4 +1,4 @@
-"""Scalar per-node noise processes: the reference that NoiseBank is tested against.
+"""Scalar per-node noise processes: the reference theta_block is tested against.
 
 Each class computes one node's theta one round at a time with Python floats,
 reading its raw values from a RawStream: the node's own stream by default,

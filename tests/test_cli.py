@@ -109,7 +109,7 @@ def test_validate_and_run_reject_a_topology_that_does_not_hold(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {message}\n"
     assert main(["run", cfg, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.endswith(message.split(": ", 1)[1] + "\n")
-    assert not (tmp_path / "out" / "manifest.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_skips_events_past_the_round_cap(tmp_path):
@@ -339,3 +339,22 @@ def test_attack_precondition_failure_maps_to_exit_1(tmp_path, capsys):
         == 1
     )
     assert "disclosure" in capsys.readouterr().err
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    text = GOOD.replace("n = 5", "n = 3").replace("1, 2, 3, 4, 5", "1, 2, 3")
+    cfg = _cfg(tmp_path, text + "events = 1:remove_node:2, 3:remove_node:2\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "base")]) == 1
+    assert capsys.readouterr().err == (
+        "error: repetition 0: remove_node: node 2 is not present\n"
+    )
+    assert not (tmp_path / "base").exists()
+
+
+def test_unusable_paths_are_one_error_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["validate", str(tmp_path)]) == 1  # a directory, not a config
+    assert main(["run", _cfg(tmp_path), "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err), err

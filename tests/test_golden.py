@@ -2,9 +2,10 @@
 
 Each call runs in process through ``privagg.cli.main``: ``run`` on both
 files in ``configs/`` and on variants of ``demo.cfg``, ``privacy`` on
-``demo.cfg`` and its truncated-gaussian variant, and ``attack`` of every
-kind. Every manifest, trace and summary CSV, privacy CSV and attack stdout
-is hashed and compared with ``tests/golden_digests.json``.
+``demo.cfg`` and its truncated-gaussian variant, ``attack`` of every
+kind, and the later-round attack on two more variants. Every manifest,
+trace and summary CSV, privacy CSV and attack stdout is hashed and
+compared with ``tests/golden_digests.json``.
 
 The table records the numpy version it was computed with, since the
 random streams come from numpy. An intended change of an output edits the
@@ -45,6 +46,7 @@ VARIANTS = {
     "gaussian_constant": {("noise", "scheme"): "gaussian_constant"},
     "independent_decaying": {("noise", "scheme"): "independent_decaying"},
     "term_epsilon": {("run", "term_epsilon"): "1e-3"},
+    "zero": {("noise", "scheme"): "zero"},
 }
 
 EPSILONS = "0.01,0.05,0.1"
@@ -96,9 +98,12 @@ def compute_digests(workdir: Path) -> dict[str, str]:
                   "--round", 3),
         "disclosure": (DISCLOSURE_DEMO, "--horizon", 100),
     }
-    for kind, (config, *flags) in attacks.items():
+    for name in ("truncated_h2", "gaussian_constant"):
+        attacks[f"later_{name}"] = (configs[name], *attacks["later"][1:])
+    for name, (config, *flags) in attacks.items():
+        kind = name.split("_")[0]
         stdout = _main("attack", config, "--kind", kind, *flags)
-        digests[f"attack/{kind}/stdout"] = _sha(stdout.encode())
+        digests[f"attack/{name}/stdout"] = _sha(stdout.encode())
     return digests
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,12 +18,14 @@ from noise_reference import (
 from privagg import noise
 from privagg.noise import (
     DRAW_MARGIN,
-    NoiseBank,
+    SCHEMES,
     NoiseParams,
     derive_seed,
+    node_theta_block,
     raw_draws,
     seeded_stream,
     seeded_streams,
+    theta_block,
 )
 
 
@@ -48,9 +51,9 @@ def test_rho_zero_degenerates_to_silence():
 
 def _round0(params, rng, count):
     """count round-0 thetas of zero_sum noise, as the naive attack draws them:
-    one NoiseBank row of count lanes."""
+    one theta row of count lanes."""
     raw = raw_draws("zero_sum", params, rng, count)[None]
-    return NoiseBank("zero_sum", params, raw).round_values(0)
+    return theta_block("zero_sum", params, raw)[0]
 
 
 def test_initial_draw_interval_and_mean():
@@ -190,12 +193,14 @@ def test_truncated_gaussian_draws_are_the_rejection_fills_in_stream_order():
 
 
 def test_bank_unknown_scheme():
-    with pytest.raises(ValueError):
-        NoiseBank.for_nodes("bursty", NoiseParams(seed=0), 3, 10)
+    with pytest.raises(ValueError, match="unknown noise scheme 'bursty'"):
+        node_theta_block("bursty", NoiseParams(seed=0), 3, 10)
+    with pytest.raises(ValueError, match="unknown noise scheme 'bursty'"):
+        theta_block("bursty", NoiseParams(seed=0), np.zeros((10, 3)))
 
 
 def test_numpy_block_draws_match_scalar_draws():
-    # premise the bank relies on: batched generation equals sequential scalars
+    # premise theta blocks rely on: batched generation equals sequential scalars
     g1, g2 = seeded_stream(123, 0), seeded_stream(123, 0)
     block = g1.uniform(-1.0, 1.0, 1000)
     scalars = np.array([g2.uniform(-1.0, 1.0) for _ in range(1000)])
@@ -235,19 +240,19 @@ def test_bank_matches_scalar_processes(scheme, distribution):
     n, rounds = 6, 120
     oracle = SCHEME_CLASSES[scheme]
     # the engine's layout: lane i reads node i's own stream
-    node_bank = NoiseBank.for_nodes(scheme, params, n, rounds)
+    node_block = node_theta_block(scheme, params, n, rounds)
     node_procs = [oracle(params, i) for i in range(n)]
     # an attack trial's layout: one generator, lanes row-major (720 draws
     # cross the reference stream's 512-draw chunk boundary)
     raw = raw_draws(scheme, params, seeded_stream(99, 0), rounds * n).reshape(-1, n)
-    shared_bank = NoiseBank(scheme, params, raw)
+    shared_block = theta_block(scheme, params, raw)
     stream = RawStream(seeded_stream(99, 0))
     shared_procs = [oracle(params, i, stream) for i in range(n)]
-    for bank, procs in ((node_bank, node_procs), (shared_bank, shared_procs)):
+    for block, procs in ((node_block, node_procs), (shared_block, shared_procs)):
+        assert block.shape == (rounds, n)
         for k in range(rounds):
-            row = bank.round_values(k)
             ref = np.array([procs[i].sample(k) for i in range(n)])
-            assert np.array_equal(row, ref), f"lane mismatch at k={k}"
+            assert np.array_equal(block[k], ref), f"lane mismatch at k={k}"
 
 
 SCHEME_DISTRIBUTIONS = [
@@ -284,11 +289,52 @@ def test_for_nodes_stacks_every_group_of_columns(scheme):
     params = NoiseParams(h=2, distribution="truncated_gaussian", seed=8)
     n, rounds = 11, 9
     columns = [raw_draws(scheme, params, seeded_stream(8, i), rounds) for i in range(n)]
-    want = NoiseBank(scheme, params, np.column_stack(columns).reshape(-1, n))
+    want = theta_block(scheme, params, np.column_stack(columns))
     with mock.patch.object(noise, "STACK_VALUES", 4 * rounds):
-        got = NoiseBank.for_nodes(scheme, params, n, rounds)
+        got = node_theta_block(scheme, params, n, rounds)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_theta_block_returns_raw_overwritten_in_any_lane_shape(scheme):
+    # one (10 x 6) draw block as 6 lanes, as 2 x 3 lanes and as one lane per column
+    params = NoiseParams(rho=0.7, h=2, seed=6)
+    raw = raw_draws(scheme, params, seeded_stream(6), 60).reshape(10, 6)
+    want = theta_block(scheme, params, raw.copy())
+    shaped = raw.copy().reshape(10, 2, 3)
+    assert theta_block(scheme, params, shaped) is shaped
+    assert np.array_equal(shaped.reshape(10, 6), want)
+    for i, column in enumerate(raw.T):
+        lane = column.copy()
+        assert theta_block(scheme, params, lane) is lane
+        assert np.array_equal(lane, want[:, i]), i
+
+
+def test_float_guard_matches_the_reference_where_it_fires():
+    # rho = 1e-16: an ulp of the round-0 residual outgrows the round-1 envelope,
+    # so fl(delta + theta) can leave it and the guard sets theta = -delta
+    params = NoiseParams(rho=1e-16, seed=2)
+    n, rounds = 16, 4
+    raw = raw_draws("zero_sum", params, seeded_stream(2), rounds * n).reshape(-1, n)
+    with mock.patch.object(noise.np, "where", wraps=np.where) as guard:
+        block = theta_block("zero_sum", params, raw)
+    assert guard.called
+    stream = RawStream(seeded_stream(2))
+    procs = [ZeroSumNoise(params, i, stream) for i in range(n)]
     for k in range(rounds):
-        assert np.array_equal(got.round_values(k), want.round_values(k)), k
+        assert np.array_equal(block[k], [p.sample(k) for p in procs]), k
+
+
+def test_zero_node_block_holds_no_rounds_by_nodes_memory():
+    # a materialised zeros block would be 61 MiB here (and 64 GB at K = n**2)
+    tracemalloc.start()
+    try:
+        block = node_theta_block("zero", NoiseParams(seed=1), 2000, 4000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (4000, 2000) and not block.any()
+    assert peak < 2**20
 
 
 def test_derive_seed_is_stable():
