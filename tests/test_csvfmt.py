@@ -1,0 +1,113 @@
+"""privagg.csvfmt writes repr's bytes for every float64 and str's for ints.
+
+repr is the reference throughout: the formatter's text is read back through
+a Sheet, the way the CSV writers emit it, and compared byte for byte.
+"""
+
+from __future__ import annotations
+
+import io
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from privagg.csvfmt import FLOAT_WORDS, Formatter, Sheet, int_words
+
+_FORMATTER = Formatter()  # its scratch arrays serve one call at a time
+
+
+def _float_lines(values) -> list[bytes]:
+    values = np.asarray(values, dtype=np.float64)
+    sheet = Sheet([FLOAT_WORDS], len(values))
+    _FORMATTER.floats(values, sheet.field(0))
+    out = io.BytesIO()
+    sheet.write(out, len(values))
+    return out.getvalue().split(b"\r\n")[:-1]
+
+
+def _assert_repr(values) -> None:
+    values = np.asarray(values, dtype=np.float64)
+    got = _float_lines(values)
+    want = [repr(v).encode() for v in values.tolist()]
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def _neighbours(values: np.ndarray) -> np.ndarray:
+    """Each value with the next double below and above it."""
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+def test_floats_from_raw_bit_patterns_match_repr(patterns):
+    _assert_repr(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50))
+def test_floats_match_repr(values):
+    _assert_repr(values)
+
+
+def test_non_finite_values_are_written_as_repr_writes_them():
+    nan_bits = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+                        dtype=np.uint64)
+    values = np.concatenate([[np.inf, -np.inf, 1.0], nan_bits.view(np.float64)])
+    assert _float_lines(values) == [b"inf", b"-inf", b"1.0", b"nan", b"nan", b"nan"]
+
+
+def test_seeded_sweep_of_random_bit_patterns_matches_repr():
+    rng = np.random.default_rng(20180618)
+    _assert_repr(rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64))
+
+
+def test_edge_values_match_repr():
+    largest_subnormal = np.nextafter(2.2250738585072014e-308, 0.0)
+    edges = np.array([
+        0.0, 5e-324, largest_subnormal, 2.2250738585072014e-308, sys.float_info.max,
+        0.0001, 1e-05, 1e15, 9999999999999998.0, 1e16, 0.1, 0.3, 1 / 3, 2 / 3, 100.0, 1e23,
+    ])
+    _assert_repr(np.concatenate([edges, -edges]))
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    with np.errstate(over="ignore"):
+        powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    for powers in (powers_of_two, powers_of_ten):
+        assert np.isfinite(powers).all() and (powers > 0).all()
+        _assert_repr(_neighbours(powers))
+        _assert_repr(-_neighbours(powers))
+
+
+def test_floats_span_blocks_and_strided_rows():
+    """Values across many blocks, written into rows of a wider matrix."""
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=10_000) * 10.0 ** rng.integers(-30, 30, 10_000)
+    sheet = Sheet([1, FLOAT_WORDS, FLOAT_WORDS], len(values))
+    fmt = Formatter()
+    fmt.ints(np.arange(len(values)), sheet.field(0))
+    fmt.floats(values, sheet.field(1))
+    fmt.floats(values[::-1].copy(), sheet.field(2))
+    out = io.BytesIO()
+    sheet.write(out, len(values))
+    want = b"".join(
+        b"%d,%s,%s\r\n" % (k, repr(a).encode(), repr(b).encode())
+        for k, (a, b) in enumerate(zip(values.tolist(), values[::-1].tolist()))
+    )
+    assert out.getvalue() == want
+
+
+@pytest.mark.parametrize("words", [1, 2])
+def test_ints_match_str(words):
+    top = 10 ** (8 * words - 1) - 1
+    values = np.array(sorted({0, 1, 9, 10, 99, 100, 12345, top, top // 10, top // 10 + 1}
+                             | {10**k for k in range(8 * words - 1)}
+                             | {10**k - 1 for k in range(1, 8 * words - 1)}))
+    assert int_words(int(values.max())) == words
+    sheet = Sheet([words], len(values))
+    Formatter().ints(values, sheet.field(0))
+    out = io.BytesIO()
+    sheet.write(out, len(values))
+    assert out.getvalue() == b"".join(b"%d\r\n" % v for v in values.tolist())

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privagg.engine import (
+    _CHUNK_ROWS,
     UPDATE_FORMS,
     EngineAbort,
     RunConfig,
@@ -583,6 +584,39 @@ def _broadcast_repeats_last_round():
     )
 
 
+def _extreme_values():
+    """A hand-built trace of values at the edges of repr's formats: -0.0,
+    subnormals, the 1e16 switch to exponents, three-digit exponents."""
+    xs = [
+        np.array([-0.0, 5e-324, 1e16, 9999999999999998.0]),
+        np.array([2.225073858507201e-308, -1.5e-300, 1e-05, 0.0001]),
+        np.array([1.7976931348623157e308, -2.2250738585072014e-308, 123.0, 1e22]),
+    ]
+    thetas = [
+        np.array([1e-200, -0.0, -1e16, 5e-324]),
+        np.array([-4.9e-321, 1e-300, -9.5e-5, 1e100]),
+    ]
+    return RunTrace(
+        config=RunConfig(graph=generate("path", 4), x0=xs[0], scheme="zero"),
+        spreads=[1e16, 5e-324, -0.0],
+        errs=[1.5e-300, 1e300, 0.1],
+        node_ids=[(0, 1, 2, 3)] * 3,
+        xs=xs,
+        thetas=thetas,
+        reason="max_iterations",
+    )
+
+
+def _rows_before(trace, k):
+    return sum(len(x) for x in trace.xs[:k])
+
+
+# A 64-node run whose first node removal starts exactly at a chunk boundary
+# and whose second falls inside a chunk.
+_AT_BOUNDARY = _CHUNK_ROWS // 64
+assert _AT_BOUNDARY * 64 == _CHUNK_ROWS
+
+
 @pytest.mark.parametrize(
     "kw",
     [
@@ -651,6 +685,41 @@ def _broadcast_repeats_last_round():
             expect=_zero_signs_differ,
         ),
         dict(build=_broadcast_repeats_last_round),
+        # several chunks; segments change at a chunk boundary and inside a chunk
+        dict(
+            graph=generate("random_gnp", 64, seed=3, p=0.2),
+            x0=np.random.default_rng(3).uniform(0.0, 100.0, 64),
+            noise=NoiseParams(seed=3),
+            scheme="zero_sum",
+            max_iterations=400,
+            events=(
+                TopologyEvent(_AT_BOUNDARY, "remove_node", 5),
+                TopologyEvent(_AT_BOUNDARY + 70, "remove_node", 9),
+            ),
+            update_form="per_node",
+            expect=lambda t: _rows_before(t, _AT_BOUNDARY) == _CHUNK_ROWS
+            and _rows_before(t, _AT_BOUNDARY + 70) % _CHUNK_ROWS != 0
+            and _rows_before(t, len(t.xs)) > 2 * _CHUNK_ROWS,
+        ),
+        # one round wider than a chunk
+        dict(
+            graph=generate("ring", _CHUNK_ROWS + 1808),
+            x0=np.random.default_rng(6).uniform(-1.0, 1.0, _CHUNK_ROWS + 1808),
+            noise=NoiseParams(seed=6),
+            scheme="zero_sum",
+            max_iterations=3,
+            update_form="per_node",
+            expect=lambda t: len(t.xs[0]) > _CHUNK_ROWS,
+        ),
+        # a single node
+        dict(
+            graph=generate("path", 1),
+            x0=[2.5],
+            noise=NoiseParams(seed=1),
+            scheme="zero_sum",
+            max_iterations=5,
+        ),
+        dict(build=_extreme_values),
     ],
 )
 def test_csv_writers_match_csv_writer_reference(tmp_path, kw):

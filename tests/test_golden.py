@@ -47,6 +47,11 @@ VARIANTS = {
     "independent_decaying": {("noise", "scheme"): "independent_decaying"},
     "term_epsilon": {("run", "term_epsilon"): "1e-3"},
     "zero": {("noise", "scheme"): "zero"},
+    # theta falls to about 1e-137, so the trace holds three-digit exponents
+    "long_horizon": {
+        ("run", "max_iterations"): "3000",
+        ("noise", "distribution"): "truncated_gaussian",
+    },
 }
 
 EPSILONS = "0.01,0.05,0.1"
