@@ -119,7 +119,8 @@ _QUADS, _ONES = _digit_tables()
 # Row neg * 5 + z: the separator byte (left NUL), the sign, and for z > 0 "0."
 # with z - 1 zeros, the head of a fixed value below 1.
 _HEAD = _text_words(
-    [b"\0" + b"-" * neg + (b"0." + b"0" * (z - 1) if z else b"") for neg in (0, 1) for z in range(5)],
+    [b"\0" + b"-" * neg + (b"0." + b"0" * (z - 1) if z else b"")
+     for neg in (0, 1) for z in range(5)],
     1,
 ).ravel()
 # Row e + 324: repr's exponent suffix; the last row is blank.
