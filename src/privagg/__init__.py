@@ -20,7 +20,6 @@ from .engine import (
     decay_envelope,
     run,
     state_envelope,
-    transform_aggregate,
 )
 from .harness import ExperimentConfig, load_config, run_experiment
 from .noise import NoiseParams
@@ -77,5 +76,4 @@ __all__ = [
     "run_experiment",
     "sigma_analytic",
     "state_envelope",
-    "transform_aggregate",
 ]

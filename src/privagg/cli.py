@@ -83,9 +83,16 @@ def _override(config: ExperimentConfig, param: str, value: float) -> ExperimentC
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
+    # Every value is checked, and gets a directory of its own, before any point runs.
+    points: dict[str, tuple[float, ExperimentConfig]] = {}
     for value in args.values:
-        point = _override(config, args.param, value)
         sub = f"{args.param}={value:g}"
+        if sub in points:
+            raise ConfigError(
+                f"--values {points[sub][0]!r} and {value!r} would share the directory {sub}"
+            )
+        points[sub] = (value, _override(config, args.param, value))
+    for sub, (_, point) in points.items():
         point = replace(
             point, outputs=replace(point.outputs, directory=str(Path(point.outputs.directory) / sub))
         )

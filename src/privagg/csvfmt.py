@@ -1,28 +1,37 @@
-"""CSV text for whole arrays at once, byte-identical to Python's ``repr``.
+"""The trace and summary CSVs, byte-identical to Python's ``repr``.
 
-A float64 is written as ``repr`` writes it: the shortest digit string that
-reads back to the same double, the nearest such string when several are
-shortest, in fixed notation when the decimal point falls within 16 digits
-of the first digit and as ``d.ddde±XX`` otherwise. The digits come from
-Ryu (Ulf Adams, "Ryū: fast float-to-string conversion", PLDI 2018), which
-yields the same digits as the dtoa behind ``repr`` from fixed-width
-integer arithmetic alone; numpy runs it over a block of values at a time,
-with its 64×128-bit products done in 32-bit limbs of uint64 arrays.
+``write_trace`` and ``write_summary`` write the files a run leaves,
+formatting a chunk of rows at a time in numpy. A float64 is written as
+``repr`` writes it: the shortest digit string that reads back to the same
+double, the nearest such string when several are shortest, in fixed
+notation when the decimal point falls within 16 digits of the first digit
+and as ``d.ddde±XX`` otherwise. The digits come from Ryu (Ulf Adams, "Ryū:
+fast float-to-string conversion", PLDI 2018), which yields the same digits
+as the dtoa behind ``repr`` from fixed-width integer arithmetic alone;
+numpy runs it over a block of values at a time, with its 64×128-bit
+products done in 32-bit limbs of uint64 arrays. An integer column is a
+table of ``b"%d"`` texts built once per file and copied into each chunk.
 ``repr`` is the reference the tests compare against.
 
 Text is laid out in little-endian 64-bit words (byte j of a word is its
 bits 8j..8j+7) as fixed-width, NUL-padded fields: a ``Formatter`` writes
 the fields of a column of values, a chunk of CSV rows is one word matrix
 (a ``Sheet``), and its CSV text is the matrix's bytes with the NULs
-dropped.
+dropped. Every buffer a writer holds lives in ``workspace`` memory.
 """
 
 from __future__ import annotations
 
 import mmap
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
+# Trace and summary rows formatted per chunk, unless one round is wider. A
+# file's buffers, chunk and formatter scratch, take about 4 MiB and are
+# allocated once per file.
+CHUNK_ROWS = 8192
 FLOAT_WORDS = 4  # a separator byte, sign, "0.000", 17 digits, a point, exponent
 _BLOCK = 4096  # values per pass through a Formatter's scratch arrays
 _PIECE = 1 << 16  # matrix bytes packed per step, the most one step allocates
@@ -144,8 +153,8 @@ _SCRATCH = {
 
 
 class Formatter:
-    """repr's text for float64 arrays and str's for integers, as rows of
-    text words, a block of values at a time.
+    """repr's text for float64 arrays, as rows of text words, a block of
+    values at a time.
 
     Every array the formatting works in is allocated once, by workspace(),
     and filled with out=, so formatting allocates nothing per value.
@@ -167,29 +176,6 @@ class Formatter:
         for b0 in range(0, len(values), _BLOCK):
             b1 = min(b0 + _BLOCK, len(values))
             self._float_words(values[b0:b1].view(np.uint64), out[b0:b1])
-
-    def ints(self, values: np.ndarray, out: np.ndarray) -> None:
-        """Write str(v) of each integer 0 <= v < 10^(8w-1) in values into the
-        rows of out, a (len(values), w) array of text words with w = 1 or 2,
-        right-aligned and NUL-padded; byte 0 of each row is left NUL for a
-        separator."""
-        for b0 in range(0, len(values), _BLOCK):
-            m = min(_BLOCK, len(values) - b0)
-            v, tmp, n = self._take(m, "output tmp n")
-            np.copyto(v, values[b0 : b0 + m], casting="unsafe")
-            self._count_digits(v, n)
-            np.multiply(v, 10, out=v)  # the last digit in byte 15 of 16
-            words = self._words[:m]
-            self._digit_words(v, words)
-            np.subtract(8, n, out=n)  # keep the bytes >= 16 - n
-            np.take(_PREFIX, n, out=tmp, mode="clip")
-            np.bitwise_and(words[:, 1], ~tmp, out=tmp)
-            np.copyto(out[b0 : b0 + m, -1], tmp)
-            if out.shape[1] == 2:
-                np.add(n, 8, out=n)
-                np.take(_PREFIX, n, out=tmp, mode="clip")
-                np.bitwise_and(words[:, 0], ~tmp, out=tmp)
-                np.copyto(out[b0 : b0 + m, 0], tmp)
 
     def _count_digits(self, values: np.ndarray, n: np.ndarray) -> None:
         """n = the number of decimal digits of each value < 10^19 (1 for 0),
@@ -485,11 +471,6 @@ class Formatter:
                 out[k, 0] = _text_words([b"\0" + text], 1)[0, 0]
 
 
-def int_words(largest: int) -> int:
-    """The words Formatter.ints needs for integers up to `largest`."""
-    return 1 if largest < 10**7 else 2
-
-
 class Sheet:
     """A chunk of CSV rows as one matrix of fixed-width text fields.
 
@@ -526,3 +507,122 @@ class Sheet:
             flat[end : end + kept.size] = kept
             end += kept.size
         f.write(flat[:end])
+
+
+def int_text(values: Sequence[int]) -> np.ndarray:
+    """b"%d" of each integer 0 <= v in values, one row of text words each,
+    in workspace() memory: NUL-padded, with byte 0 of every row left NUL
+    for a separator and as many words as the largest value needs."""
+    words = len(b"%d" % max(values, default=0)) // 8 + 1
+    (table,) = workspace(((len(values), words), TEXT_WORD))
+    data = table.view(np.uint8).reshape(-1).data
+    for i, v in enumerate(values):
+        text = b"%d" % v
+        data[8 * words * i + 1 : 8 * words * i + 1 + len(text)] = text
+    return table
+
+
+def write_trace(
+    path: str | Path,
+    xs: Sequence[np.ndarray],
+    thetas: Sequence[np.ndarray],
+    node_ids: Sequence[tuple[int, ...]],
+) -> None:
+    """Write one row k,node_id,x,x_plus,theta per (round k, node), in
+    csv.writer's format: \\r\\n line ends, floats as repr writes them and no
+    quoting, which no field needs. Round k's rows are node_ids[k] with
+    xs[k], x_plus = xs[k] + thetas[k] and thetas[k]; the rounds from
+    len(thetas) on had no broadcast, so their x_plus and theta are empty.
+
+    Rows are formatted a chunk of whole rounds at a time: CHUNK_ROWS rows
+    at most, or one round wider than that. Once the noise falls below an
+    ulp of the state, rounds repeat their values, so x(k) is formatted
+    only when its bytes differ from x(k-1)'s and is copied otherwise, from
+    the previous chunk's last round too, whose text is kept; x_plus(k) is
+    formatted only in the rows where its bytes differ from x(k)'s. Bytes,
+    never values: -0.0 == 0.0, but their reprs differ. The node ids come
+    from one text table per topology segment, whose rounds share one tuple.
+    """
+    sizes = [len(x) for x in xs]
+    widest = max(sizes)
+    rows = min(sum(sizes), max(CHUNK_ROWS, widest))
+    k_table = int_text(range(len(xs)))
+    segments = list({id(ids): ids for ids in node_ids}.values())
+    id_table = int_text([i for ids in segments for i in ids])
+    ends = np.cumsum([len(ids) for ids in segments]).tolist()
+    id_rows = {id(ids): id_table[end - len(ids) : end] for ids, end in zip(segments, ends)}
+    widths = [k_table.shape[1], id_table.shape[1], FLOAT_WORDS, FLOAT_WORDS, FLOAT_WORDS]
+    sheet = Sheet(widths, rows)
+    k_text, id_text, x_text, plus_text, theta_text = map(sheet.field, range(5))
+    # values holds theta, then the fresh x, then the x_plus that differ from x
+    x, plus, values, text, kept = workspace(
+        ((rows,), float), ((rows,), float), ((3 * rows,), float),
+        ((3 * rows, FLOAT_WORDS), TEXT_WORD), ((widest, FLOAT_WORDS), TEXT_WORD),
+    )
+    fmt = Formatter()
+    with open(path, "wb") as f:
+        f.write(b"k,node_id,x,x_plus,theta\r\n")
+        k0, before, last = 0, None, kept[:0]  # the previous round's x bytes and text
+        while k0 < len(xs):
+            k1, m = k0, 0
+            while k1 < len(xs) and m + sizes[k1] <= rows:
+                m += sizes[k1]
+                k1 += 1
+            starts = np.cumsum([0] + sizes[k0:k1]).tolist()
+            mt = starts[len(thetas[k0:k1])]  # the rows with a broadcast
+            fresh, end = [], mt
+            for k, r0, r1 in zip(range(k0, k1), starts, starts[1:]):
+                k_text[r0:r1] = k_table[k]
+                id_text[r0:r1] = id_rows[id(node_ids[k])]
+                x[r0:r1] = xs[k]
+                if k < len(thetas):
+                    values[r0:r1] = thetas[k]
+                now = xs[k].tobytes()
+                fresh.append(now != before)
+                if fresh[-1]:
+                    values[end : end + r1 - r0] = xs[k]
+                    end += r1 - r0
+                before = now
+            np.add(x[:mt], values[:mt], out=plus[:mt])
+            differ = np.flatnonzero(plus[:mt].view(np.uint64) != x[:mt].view(np.uint64))
+            np.take(plus, differ, out=values[end : end + len(differ)], mode="clip")
+            fmt.floats(values[: end + len(differ)], text[: end + len(differ)])
+
+            theta_text[:mt] = text[:mt]
+            at = mt
+            for new, r0, r1 in zip(fresh, starts, starts[1:]):
+                if new:
+                    last = text[at : at + r1 - r0]
+                    at += r1 - r0
+                x_text[r0:r1] = last
+                last = x_text[r0:r1]
+            plus_text[:mt] = x_text[:mt]
+            plus_text[differ] = text[end : end + len(differ)]
+            plus_text[mt:m] = 0
+            theta_text[mt:m] = 0
+            kept[: len(last)] = last  # write() packs the sheet in place
+            last = kept[: len(last)]
+            sheet.write(f, m)
+            k0 = k1
+
+
+def write_summary(path: str | Path, spreads: Sequence[float], errs: Sequence[float]) -> None:
+    """Write one row k,V,err per round, in the same format as write_trace,
+    a chunk of CHUNK_ROWS rows at a time, V and err in one Formatter call."""
+    rows = min(len(spreads), CHUNK_ROWS)
+    k_table = int_text(range(len(spreads)))
+    sheet = Sheet([k_table.shape[1], FLOAT_WORDS, FLOAT_WORDS], rows)
+    k_text, v_text, e_text = map(sheet.field, range(3))
+    values, text = workspace(((2 * rows,), float), ((2 * rows, FLOAT_WORDS), TEXT_WORD))
+    fmt = Formatter()
+    with open(path, "wb") as f:
+        f.write(b"k,V,err\r\n")
+        for r0 in range(0, len(spreads), rows):
+            m = min(rows, len(spreads) - r0)
+            k_text[:m] = k_table[r0 : r0 + m]
+            values[:m] = spreads[r0 : r0 + m]
+            values[m : 2 * m] = errs[r0 : r0 + m]
+            fmt.floats(values[: 2 * m], text[: 2 * m])
+            v_text[:m] = text[:m]
+            e_text[:m] = text[m : 2 * m]
+            sheet.write(f, m)

@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .backend import get_backend
-from .csvfmt import FLOAT_WORDS, TEXT_WORD, Formatter, Sheet, int_words, workspace
-from .noise import SCHEMES, NoiseParams, derive_seed, node_theta_block
+from .csvfmt import write_summary, write_trace
+from .noise import SCHEMES, NoiseParams, node_theta_block
 from .tolerances import TOL
 from .topology import Graph, TopologyEvent, apply_event
 from .topology import is_connected  # noqa: F401  perfbench/tracer.py wraps engine.is_connected
@@ -29,11 +29,6 @@ from .weights import WeightMatrix, metropolis
 
 UPDATE_FORMS = ("matrix", "per_node")
 AGGREGATE_KINDS = ("sum", "average")
-TRANSFORM_KINDS = ("product", "second_moment", "variance")
-
-# Trace and summary CSV rows formatted per chunk. A file's buffers, chunk
-# and formatter scratch, take about 4 MiB and are allocated once per file.
-_CHUNK_ROWS = 8192
 
 # Schemes whose noise is bounded by alpha*rho^k, so the state envelope holds.
 _ENVELOPE_SCHEMES = ("zero_sum", "independent_decaying", "zero")
@@ -106,7 +101,8 @@ class RunTrace:
     set; broadcasts exist for k < k_stop, and x_plus(k) is x(k) + theta(k),
     formed by whoever reads it. k_stop, consensus_value and
     final_true_average are derived from spreads, x_final and the applied
-    events.
+    events. write_trace_csv and write_summary_csv hand these lists to
+    privagg.csvfmt, which lays out and formats the CSV text.
     """
 
     config: RunConfig
@@ -143,125 +139,14 @@ class RunTrace:
         return float(np.mean(self.config.x0))
 
     def write_trace_csv(self, path: str | Path) -> None:
-        """One row per (k, node), in csv.writer's format: \\r\\n line ends,
-        floats as repr writes them and no quoting, which no field needs; the
-        final round has no broadcast, so its x_plus and theta are empty.
-
-        Rows are formatted a chunk at a time by privagg.csvfmt. Once the
-        noise falls below an ulp of the state, rounds repeat their values,
-        so x(k) is formatted only when its bytes differ from x(k-1)'s and
-        is copied otherwise, and x_plus(k) only in the rows where its bytes
-        differ from x(k)'s. Bytes, never values: -0.0 == 0.0, but their
-        reprs differ.
-        """
+        """The trace CSV, one row per (k, node); see csvfmt.write_trace."""
         if not self.xs:
             raise ValueError("run was executed with record_trace=False")
-        xs, thetas = self.xs, self.thetas
-        rows = min(sum(map(len, xs)), _CHUNK_ROWS)
-        id_arrays = {}  # one per segment, which shares one tuple
-        for ids in self.node_ids:
-            if id(ids) not in id_arrays:
-                id_arrays[id(ids)] = np.array(ids)
-        sheet = Sheet(
-            [
-                int_words(len(xs) - 1),
-                int_words(max(int(ids.max()) for ids in id_arrays.values())),
-                FLOAT_WORDS,
-                FLOAT_WORDS,
-                FLOAT_WORDS,
-            ],
-            rows,
-        )
-        k_text, id_text, x_text, plus_text, theta_text = map(sheet.field, range(5))
-        # values holds theta, then the fresh x, then the x_plus that differ from x
-        x, plus, values, ids, ks, k_words, text = workspace(
-            ((rows,), float), ((rows,), float), ((3 * rows,), float), ((rows,), np.int64),
-            ((rows,), np.int64), (k_text.shape, TEXT_WORD), ((3 * rows, FLOAT_WORDS), TEXT_WORD),
-        )
-        fmt = Formatter()
-        with open(path, "wb") as f:
-            f.write(b"k,node_id,x,x_plus,theta\r\n")
-            for pieces in _chunks(list(map(len, xs)), rows):
-                starts = np.cumsum([0] + [hi - lo for _, lo, hi in pieces]).tolist()
-                m = starts[-1]
-                for p, (k, lo, hi) in enumerate(pieces):
-                    ks[p] = k
-                    ids[starts[p] : starts[p + 1]] = id_arrays[id(self.node_ids[k])][lo:hi]
-                    x[starts[p] : starts[p + 1]] = xs[k][lo:hi]
-                    if k < len(thetas):
-                        values[starts[p] : starts[p + 1]] = thetas[k][lo:hi]
-                fmt.ints(ids[:m], id_text[:m])
-                fmt.ints(ks[: len(pieces)], k_words[: len(pieces)])
-                for p in range(len(pieces)):
-                    k_text[starts[p] : starts[p + 1]] = k_words[p]
-
-                # The final round has no broadcast and is the last piece.
-                mt = starts[-2] if pieces[-1][0] == len(thetas) else m
-                np.add(x[:mt], values[:mt], out=plus[:mt])
-                # x(k) repeats x(k-1) when their bytes are equal and round
-                # k-1 is whole in this chunk: its rows' text is copied.
-                repeats = [
-                    p > 0 and pieces[p - 1][1] == 0 and xs[k].tobytes() == xs[k - 1].tobytes()
-                    for p, (k, _, _) in enumerate(pieces)
-                ]
-                end = mt
-                for p in range(len(pieces)):
-                    if not repeats[p]:
-                        values[end : end + starts[p + 1] - starts[p]] = x[starts[p] : starts[p + 1]]
-                        end += starts[p + 1] - starts[p]
-                differ = np.flatnonzero(plus[:mt].view(np.uint64) != x[:mt].view(np.uint64))
-                np.take(plus, differ, out=values[end : end + len(differ)], mode="clip")
-                fmt.floats(values[: end + len(differ)], text[: end + len(differ)])
-
-                theta_text[:mt] = text[:mt]
-                fresh = mt
-                for p in range(len(pieces)):
-                    r0, r1 = starts[p], starts[p + 1]
-                    if repeats[p]:
-                        x_text[r0:r1] = x_text[starts[p - 1] : starts[p - 1] + r1 - r0]
-                    else:
-                        x_text[r0:r1] = text[fresh : fresh + r1 - r0]
-                        fresh += r1 - r0
-                plus_text[:mt] = x_text[:mt]
-                plus_text[differ] = text[end : end + len(differ)]
-                plus_text[mt:m] = 0
-                theta_text[mt:m] = 0
-                sheet.write(f, m)
+        write_trace(path, self.xs, self.thetas, self.node_ids)
 
     def write_summary_csv(self, path: str | Path) -> None:
-        """One row per k, in the same format as write_trace_csv and, like it,
-        formatted a chunk at a time by privagg.csvfmt."""
-        rows = min(len(self.spreads), _CHUNK_ROWS)
-        sheet = Sheet([int_words(len(self.spreads) - 1), FLOAT_WORDS, FLOAT_WORDS], rows)
-        k_text, v_text, e_text = map(sheet.field, range(3))
-        fmt = Formatter()
-        with open(path, "wb") as f:
-            f.write(b"k,V,err\r\n")
-            for r0 in range(0, len(self.spreads), rows):
-                m = min(rows, len(self.spreads) - r0)
-                fmt.ints(np.arange(r0, r0 + m), k_text[:m])
-                fmt.floats(np.array(self.spreads[r0 : r0 + m]), v_text[:m])
-                fmt.floats(np.array(self.errs[r0 : r0 + m]), e_text[:m])
-                sheet.write(f, m)
-
-
-def _chunks(sizes: list[int], rows: int):
-    """Split consecutive rounds of the given sizes into chunks of at most
-    `rows` rows, a round across chunks where it must; yield each chunk as
-    a list of (round, lo, hi) row ranges."""
-    pieces, room = [], rows
-    for k, size in enumerate(sizes):
-        lo = 0
-        while lo < size:
-            hi = min(size, lo + room)
-            pieces.append((k, lo, hi))
-            room -= hi - lo
-            lo = hi
-            if not room:
-                yield pieces
-                pieces, room = [], rows
-    if pieces:
-        yield pieces
+        """The summary CSV, one row per k; see csvfmt.write_summary."""
+        write_summary(path, self.spreads, self.errs)
 
 
 def state_envelope(x0: Sequence[float] | np.ndarray, params: NoiseParams) -> float:
@@ -400,35 +285,6 @@ def aggregate(trace: RunTrace, kind: str) -> float:
     if kind == "average":
         return trace.consensus_value
     return len(trace.node_ids[-1]) * trace.consensus_value
-
-
-def transform_aggregate(
-    x0: Sequence[float] | np.ndarray, kind: str, config: RunConfig
-) -> float:
-    """Aggregate beyond the mean by running consensus on transformed inputs.
-
-    product = exp(n * avg(log x)); second_moment = avg(x^2);
-    variance = avg(x^2) - avg(x)^2 (two runs with derived noise seeds).
-    """
-    if kind not in TRANSFORM_KINDS:
-        raise ValueError(f"unknown transform kind {kind!r}")
-    x0 = np.asarray(x0, dtype=np.float64)
-    n = config.graph.n
-    if x0.shape != (n,):
-        raise ValueError(f"x0 has length {x0.shape}, graph has {n} nodes")
-
-    def avg_of(values: np.ndarray, salt: int) -> float:
-        params = replace(config.noise, seed=derive_seed(config.noise.seed, 101, salt))
-        cfg = replace(config, x0=values, noise=params, record_trace=False)
-        return run(cfg).consensus_value
-
-    if kind == "product":
-        if np.any(x0 <= 0.0):
-            raise ValueError("product aggregation requires strictly positive inputs")
-        return math.exp(n * avg_of(np.log(x0), 0))
-    if kind == "second_moment":
-        return avg_of(x0 * x0, 1)
-    return avg_of(x0 * x0, 1) - avg_of(x0, 0) ** 2
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,29 @@ def test_sweep_rejects_non_integer_h(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_checks_every_value_before_any_point_runs(tmp_path, capsys):
+    argv = ["sweep", _cfg(tmp_path), "--param", "h", "--values", "3,2.5", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "h takes integer values, got 2.5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "values, first, second, sub",
+    [("0.1,0.1000001", "0.1", "0.1000001", "alpha=0.1"), ("0.5,0.2,0.5", "0.5", "0.5", "alpha=0.5")],
+    ids=["print-alike", "repeated"],
+)
+def test_sweep_rejects_values_that_share_a_directory(tmp_path, capsys, values, first, second, sub):
+    argv = ["sweep", _cfg(tmp_path), "--param", "alpha", "--values", values, "--out", str(tmp_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --values {first} and {second} would share the directory {sub}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["sweep", "--param", "rho", "--values", " , "], ["privacy", "--epsilons", ","]],

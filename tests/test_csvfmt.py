@@ -1,4 +1,4 @@
-"""privagg.csvfmt writes repr's bytes for every float64 and str's for ints.
+"""privagg.csvfmt writes repr's bytes for every float64 and b"%d"'s for ints.
 
 repr is the reference throughout: the formatter's text is read back through
 a Sheet, the way the CSV writers emit it, and compared byte for byte.
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privagg.csvfmt import FLOAT_WORDS, Formatter, Sheet, int_words
+from privagg.csvfmt import FLOAT_WORDS, Formatter, Sheet, int_text
 
 _FORMATTER = Formatter()  # its scratch arrays serve one call at a time
 
@@ -85,9 +85,10 @@ def test_floats_span_blocks_and_strided_rows():
     """Values across many blocks, written into rows of a wider matrix."""
     rng = np.random.default_rng(5)
     values = rng.normal(size=10_000) * 10.0 ** rng.integers(-30, 30, 10_000)
-    sheet = Sheet([1, FLOAT_WORDS, FLOAT_WORDS], len(values))
+    ks = int_text(range(len(values)))
+    sheet = Sheet([ks.shape[1], FLOAT_WORDS, FLOAT_WORDS], len(values))
+    sheet.field(0)[:] = ks
     fmt = Formatter()
-    fmt.ints(np.arange(len(values)), sheet.field(0))
     fmt.floats(values, sheet.field(1))
     fmt.floats(values[::-1].copy(), sheet.field(2))
     out = io.BytesIO()
@@ -99,15 +100,19 @@ def test_floats_span_blocks_and_strided_rows():
     assert out.getvalue() == want
 
 
-@pytest.mark.parametrize("words", [1, 2])
-def test_ints_match_str(words):
-    top = 10 ** (8 * words - 1) - 1
-    values = np.array(sorted({0, 1, 9, 10, 99, 100, 12345, top, top // 10, top // 10 + 1}
-                             | {10**k for k in range(8 * words - 1)}
-                             | {10**k - 1 for k in range(1, 8 * words - 1)}))
-    assert int_words(int(values.max())) == words
-    sheet = Sheet([words], len(values))
-    Formatter().ints(values, sheet.field(0))
+_INTS = sorted({0, 9, 10} | {10**k - 1 for k in range(1, 16)} | {10**k for k in range(16)})
+
+
+@pytest.mark.parametrize("largest, words", [(10**7 - 1, 1), (10**15 - 1, 2), (10**15, 3)])
+def test_int_text_matches_percent_d(largest, words):
+    """Fields of 1, 2 and 3 words, read back in the first column of a Sheet
+    and after a separator."""
+    values = [v for v in _INTS if v <= largest]
+    table = int_text(values)
+    assert table.shape == (len(values), words)
+    sheet = Sheet([words, words], len(values))
+    sheet.field(0)[:] = table
+    sheet.field(1)[:] = table[::-1]
     out = io.BytesIO()
     sheet.write(out, len(values))
-    assert out.getvalue() == b"".join(b"%d\r\n" % v for v in values.tolist())
+    assert out.getvalue() == b"".join(b"%d,%d\r\n" % pair for pair in zip(values, values[::-1]))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from privagg.csvfmt import CHUNK_ROWS, Formatter
 from privagg.engine import (
-    _CHUNK_ROWS,
     UPDATE_FORMS,
     EngineAbort,
     RunConfig,
@@ -17,7 +17,6 @@ from privagg.engine import (
     decay_envelope,
     run,
     state_envelope,
-    transform_aggregate,
 )
 from privagg.noise import NoiseParams
 from privagg.tolerances import TOL
@@ -186,23 +185,6 @@ def test_aggregate_examples():
 
     with pytest.raises(ValueError):
         aggregate(trace, "median")
-
-
-def test_transform_aggregates():
-    g = generate("complete", 3)
-    base = _zero_cfg(g, [1.0, 1.0, 1.0])
-    assert transform_aggregate([1.0, 1.0, 1.0], "product", base) == pytest.approx(1.0, rel=1e-12)
-    assert transform_aggregate([1.0, 1.0, 1.0], "variance", base) == pytest.approx(0.0, abs=1e-12)
-    assert transform_aggregate([1.0, 2.0, 4.0], "product", base) == pytest.approx(8.0, rel=1e-9)
-
-    k2 = _zero_cfg(generate("complete", 2), [0.0, 2.0])
-    assert transform_aggregate([0.0, 2.0], "second_moment", k2) == pytest.approx(2.0, rel=1e-9)
-    assert transform_aggregate([0.0, 2.0], "variance", k2) == pytest.approx(1.0, rel=1e-9)
-
-    with pytest.raises(ValueError):
-        transform_aggregate([0.0, 2.0], "product", k2)
-    with pytest.raises(ValueError):
-        transform_aggregate([1.0, 2.0], "cumulant", k2)
 
 
 def test_edge_events_keep_exactness():
@@ -611,10 +593,32 @@ def _rows_before(trace, k):
     return sum(len(x) for x in trace.xs[:k])
 
 
+# An 8-node run of three chunks, past the noise floor at both chunk boundaries.
+_ACROSS_CHUNKS = dict(
+    graph=generate("random_gnp", 8, seed=1, p=0.5),
+    x0=np.random.default_rng(1).uniform(-50.0, 50.0, 8),
+    noise=NoiseParams(seed=1),
+    scheme="zero_sum",
+    max_iterations=2100,
+    update_form="per_node",
+)
+
+
+def _repeats_across_a_chunk_boundary(trace):
+    """The second chunk (whole rounds of 8 rows) starts with a round whose x
+    repeats the bytes of the first chunk's last round."""
+    k = CHUNK_ROWS // 8
+    return (
+        all(len(x) == 8 for x in trace.xs)
+        and len(trace.xs) > k
+        and trace.xs[k].tobytes() == trace.xs[k - 1].tobytes()
+    )
+
+
 # A 64-node run whose first node removal starts exactly at a chunk boundary
 # and whose second falls inside a chunk.
-_AT_BOUNDARY = _CHUNK_ROWS // 64
-assert _AT_BOUNDARY * 64 == _CHUNK_ROWS
+_AT_BOUNDARY = CHUNK_ROWS // 64
+assert _AT_BOUNDARY * 64 == CHUNK_ROWS
 
 
 @pytest.mark.parametrize(
@@ -697,19 +701,19 @@ assert _AT_BOUNDARY * 64 == _CHUNK_ROWS
                 TopologyEvent(_AT_BOUNDARY + 70, "remove_node", 9),
             ),
             update_form="per_node",
-            expect=lambda t: _rows_before(t, _AT_BOUNDARY) == _CHUNK_ROWS
-            and _rows_before(t, _AT_BOUNDARY + 70) % _CHUNK_ROWS != 0
-            and _rows_before(t, len(t.xs)) > 2 * _CHUNK_ROWS,
+            expect=lambda t: _rows_before(t, _AT_BOUNDARY) == CHUNK_ROWS
+            and _rows_before(t, _AT_BOUNDARY + 70) % CHUNK_ROWS != 0
+            and _rows_before(t, len(t.xs)) > 2 * CHUNK_ROWS,
         ),
         # one round wider than a chunk
         dict(
-            graph=generate("ring", _CHUNK_ROWS + 1808),
-            x0=np.random.default_rng(6).uniform(-1.0, 1.0, _CHUNK_ROWS + 1808),
+            graph=generate("ring", CHUNK_ROWS + 1808),
+            x0=np.random.default_rng(6).uniform(-1.0, 1.0, CHUNK_ROWS + 1808),
             noise=NoiseParams(seed=6),
             scheme="zero_sum",
             max_iterations=3,
             update_form="per_node",
-            expect=lambda t: len(t.xs[0]) > _CHUNK_ROWS,
+            expect=lambda t: len(t.xs[0]) > CHUNK_ROWS,
         ),
         # a single node
         dict(
@@ -720,6 +724,8 @@ assert _AT_BOUNDARY * 64 == _CHUNK_ROWS
             max_iterations=5,
         ),
         dict(build=_extreme_values),
+        # a chunk starts with a round that repeats the previous chunk's last
+        dict(**_ACROSS_CHUNKS, expect=_repeats_across_a_chunk_boundary),
     ],
 )
 def test_csv_writers_match_csv_writer_reference(tmp_path, kw):
@@ -739,6 +745,53 @@ def test_csv_writers_match_csv_writer_reference(tmp_path, kw):
     _csv_writer_trace(trace, tmp_path / "t_ref.csv")
     _csv_writer_summary(trace, tmp_path / "s_ref.csv")
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t_ref.csv").read_bytes()
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "s_ref.csv").read_bytes()
+
+
+def _counting_floats(monkeypatch):
+    """Patch Formatter.floats to record how many values each call formats."""
+    counts = []
+    floats = Formatter.floats
+
+    def counting(self, values, out):
+        counts.append(len(values))
+        floats(self, values, out)
+
+    monkeypatch.setattr(Formatter, "floats", counting)
+    return counts
+
+
+def test_trace_writer_formats_each_text_once(tmp_path, monkeypatch):
+    """Across chunk boundaries too, x(k) is formatted only where its bytes
+    differ from x(k-1)'s and x_plus(k) only where they differ from x(k)'s."""
+    trace = run(RunConfig(**_ACROSS_CHUNKS))
+    xs, thetas = trace.xs, trace.thetas
+    assert _repeats_across_a_chunk_boundary(trace)
+    counts = _counting_floats(monkeypatch)
+    trace.write_trace_csv(tmp_path / "t.csv")
+    fresh_x = sum(
+        len(x) for k, x in enumerate(xs) if k == 0 or x.tobytes() != xs[k - 1].tobytes()
+    )
+    fresh_plus = sum(
+        np.count_nonzero((x + theta).view(np.uint64) != x.view(np.uint64))
+        for x, theta in zip(xs, thetas)
+    )
+    assert len(counts) == -(-_rows_before(trace, len(xs)) // CHUNK_ROWS) == 3
+    assert sum(counts) == sum(map(len, thetas)) + fresh_x + fresh_plus
+
+
+def test_summary_writer_formats_a_chunk_in_one_call(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    rounds = 2 * CHUNK_ROWS + 5
+    trace = RunTrace(
+        config=RunConfig(graph=generate("path", 2), x0=[0.0, 1.0], scheme="zero"),
+        spreads=rng.exponential(size=rounds).tolist(),
+        errs=(-rng.exponential(size=rounds)).tolist(),
+    )
+    counts = _counting_floats(monkeypatch)
+    trace.write_summary_csv(tmp_path / "s.csv")
+    assert counts == [2 * CHUNK_ROWS, 2 * CHUNK_ROWS, 10]
+    _csv_writer_summary(trace, tmp_path / "s_ref.csv")
     assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "s_ref.csv").read_bytes()
 
 
