@@ -16,7 +16,8 @@ layout: a product left in F order (as ``W.T`` without a copy would give)
 puts the slot axis in fast memory, and the reduce then sums it pairwise
 and misses the chain. The per-node form passes the support layout
 of ``privagg.weights.WeightMatrix`` (row i's support ascending, padded
-with weight 0.0); the matrix form passes ``W.T`` with
+with weight 0.0); the matrix form passes ``W`` itself, which is ``W.T``
+because Metropolis weights are symmetric bit for bit, with
 ``cols = arange(n)[:, None]``, so slot s of every row is column s.
 
 A leading batch axis of ``v`` holds independent lanes (attack trials), each

@@ -158,7 +158,8 @@ def cmd_attack(args) -> int:
         print(f"estimate x_{target}(0) = {result.estimate!r}")
         print(f"actual   x_{target}(0) = {actual!r}")
         print(f"abs error = {abs(result.estimate - actual):.3e} "
-              f"(bound {result.error_bound:.3e} at horizon {result.horizon})")
+              f"(bound {result.error_bound + result.rounding_bound:.3e} "
+              f"at horizon {result.horizon})")
         return 0
 
     if args.epsilon is None:

@@ -13,15 +13,18 @@ products done in 32-bit limbs of uint64 arrays. An integer column is a
 table of ``b"%d"`` texts built once per file and copied into each chunk.
 ``repr`` is the reference the tests compare against.
 
-Text is laid out in little-endian 64-bit words (byte j of a word is its
-bits 8j..8j+7) as fixed-width, NUL-padded fields: a ``Formatter`` writes
-the fields of a column of values, a chunk of CSV rows is one word matrix
-(a ``Sheet``), and its CSV text is the matrix's bytes with the NULs
-dropped. Every buffer a writer holds lives in ``workspace`` memory.
+Text sits in fixed-width, NUL-padded fields of little-endian 64-bit
+words: a chunk of CSV rows is one word matrix (a ``Sheet``), and its CSV
+text is the matrix's bytes with the NULs dropped. A ``Formatter`` writes a
+float's field as one byte gather: Ryu's digits and the exponent fill a
+source row, and a table of repr's layout patterns (``_patterns``), one row
+per sign, digit count and point position, names the source byte of each
+text byte. Every buffer a writer holds lives in ``workspace`` memory.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 from pathlib import Path
 from typing import Sequence
@@ -32,7 +35,7 @@ import numpy as np
 # file's buffers, chunk and formatter scratch, take about 4 MiB and are
 # allocated once per file.
 CHUNK_ROWS = 8192
-FLOAT_WORDS = 4  # a separator byte, sign, "0.000", 17 digits, a point, exponent
+FLOAT_WORDS = 4  # a separator byte and at most 24 of text, as in "-1.2345678901234567e-100"
 _BLOCK = 4096  # values per pass through a Formatter's scratch arrays
 _PIECE = 1 << 16  # matrix bytes packed per step, the most one step allocates
 
@@ -54,7 +57,7 @@ def workspace(*specs: tuple[tuple[int, ...], type | np.dtype]) -> list[np.ndarra
     would stay resident after it, below whatever the process allocates
     next; a map goes back to the system when its arrays are dropped.
     """
-    counts = [int(np.prod(shape)) for shape, _ in specs]
+    counts = [math.prod(shape) for shape, _ in specs]
     sizes = [-(-c * np.dtype(dtype).itemsize // 64) * 64 for c, (_, dtype) in zip(counts, specs)]
     memory = mmap.mmap(-1, max(sum(sizes), 1))
     offsets = np.cumsum([0] + sizes)
@@ -62,12 +65,6 @@ def workspace(*specs: tuple[tuple[int, ...], type | np.dtype]) -> list[np.ndarra
         np.frombuffer(memory, dtype, count, offset).reshape(shape)
         for (shape, dtype), count, offset in zip(specs, counts, offsets.tolist())
     ]
-
-
-def _text_words(texts: list[bytes], words: int) -> np.ndarray:
-    """Byte strings as rows of `words` little-endian words, NUL-padded."""
-    raw = b"".join(t.ljust(8 * words, b"\0") for t in texts)
-    return np.frombuffer(raw, dtype=TEXT_WORD).astype(np.uint64).reshape(len(texts), words)
 
 
 def _exponent_tables():
@@ -111,43 +108,75 @@ def _exponent_tables():
 (_MUL, _SHIFT, _E10, _HIDDEN, _SMALL, _LOW, _MID_MASK, _P5) = _exponent_tables()
 
 
-def _digit_tables():
-    """Row g of the first is the four ASCII digits of g < 10^4, zero-padded;
-    row d of the second is digit d followed by three NULs."""
+def _digit_table():
+    """Row g is the four ASCII digits of g < 10^4, zero-padded."""
     digits = np.arange(48, 58, dtype=np.uint8)
     quad = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
     for place in range(4):
         quad[..., place] = digits.reshape([10 if j == place else 1 for j in range(4)])
-    one = np.zeros((10, 4), dtype=np.uint8)
-    one[:, 0] = digits
-    return (quad.reshape(-1, 4).view(_QUAD).ravel().astype(np.uint32),
-            one.view(_QUAD).ravel().astype(np.uint32))
+    return quad.reshape(-1, 4).view(_QUAD).ravel().astype(np.uint32)
 
 
-_QUADS, _ONES = _digit_tables()
-# Row neg * 5 + z: the separator byte (left NUL), the sign, and for z > 0 "0."
-# with z - 1 zeros, the head of a fixed value below 1.
-_HEAD = _text_words(
-    [b"\0" + b"-" * neg + (b"0." + b"0" * (z - 1) if z else b"")
-     for neg in (0, 1) for z in range(5)],
-    1,
-).ravel()
-# Row e + 324: repr's exponent suffix; the last row is blank.
-_EXPONENT = _text_words([b"e%+03d" % e for e in range(-324, 309)] + [b""], 1).ravel()
-_PREFIX = np.array([(1 << (8 * c)) - 1 for c in range(9)], dtype=np.uint64)  # bytes < c
-_CRLF = _text_words([b"\r\n"], 1)[0, 0]
-_DOT = np.array([0] + [46 << (8 * c) for c in range(8)] + [0], dtype=np.uint64)
+# A value's source row: its digits, zero-padded on the left to 20, and then
+# these bytes, with the exponent's four bytes written over the NULs after "e".
+_TAIL = b".0-e\0\0\0\0naif\0\0\0\0"
+_WIDTH = 20 + len(_TAIL)
+_FIXED = range(-3, 17)  # the decimal-point positions repr writes in fixed notation
+_NAN = 2 * 17 * (len(_FIXED) + 1)  # the pattern rows of nan, inf and -inf
+
+
+def _patterns() -> np.ndarray:
+    """The layout of repr's text: entry j of a row is the source-row byte
+    that text byte j copies, and entry 0, the separator, is a NUL.
+
+    Row (neg * 17 + n - 1) * 21 + p lays out a value of sign neg and n
+    digits d1..dn, value = 0.d1...dn * 10^decpt. p = decpt + 3 for decpt in
+    -3..16, fixed notation: "0.00ddd" for decpt <= 0, "dd.ddd" up to
+    decpt = n - 1 and "ddd00.0" from n on. p = 20 is scientific notation,
+    "d.ddde" and the exponent ("de" after one digit). Rows _NAN, _NAN + 1
+    and _NAN + 2 are "nan", "inf" and "-inf"; NULs pad every row.
+    """
+    at = {c: 20 + i for i, c in enumerate(_TAIL.decode())}
+    point, zero = at["."], at["0"]
+    rows = []
+    for sign in ("", "-"):
+        for n in range(1, 18):
+            d = list(range(20 - n, 20))
+            for decpt in [*_FIXED, None]:
+                if decpt is None:
+                    text = d[:1] + [point] * (n > 1) + d[1:] + [at["e"] + i for i in range(5)]
+                elif decpt <= 0:
+                    text = [zero, point] + [zero] * -decpt + d
+                elif decpt < n:
+                    text = d[:decpt] + [point] + d[decpt:]
+                else:
+                    text = d + [zero] * (decpt - n) + [point, zero]
+                rows.append([at[c] for c in sign] + text)
+    rows += [[at[c] for c in word] for word in ("nan", "inf", "-inf")]
+    nul = _WIDTH - 1  # a NUL never written over
+    return np.array([[nul, *row] + [nul] * (31 - len(row)) for row in rows], dtype=np.intp)
+
+
+_QUADS = _digit_table()
+_PATTERNS = _patterns()
+_ROWS = np.arange(0, _WIDTH * _BLOCK, _WIDTH, dtype=np.intp)[:, None]  # source row offsets
+# Row decpt + 323: the four bytes of repr's exponent decpt - 1 after the
+# "e", NUL-padded.
+_EXPONENT = np.frombuffer(
+    b"".join((b"%+03d" % e).ljust(4, b"\0") for e in range(-324, 309)), dtype=_QUAD
+).astype(np.uint32)
+_CRLF = np.frombuffer(b"\r\n".ljust(8, b"\0"), dtype=TEXT_WORD)[0]
 
 
 # The scratch arrays of a Formatter, one block long, by name and dtype. b1,
 # b2 and test carry nothing across a call from one method to another.
 _SCRATCH = {
-    np.uint64: "magnitude output left tmp word shifted carry suffix mv t0 t1 t2 t3 r r32 vr vp "
-    "vm up down a0 a1 p q s h limb3 high low top test",
-    np.int64: "exponent n decpt point length at gap e removed idx",
+    np.uint64: "magnitude output mv t0 t1 t2 t3 r r32 vr vp vm up down a0 a1 p q s h limb3 "
+    "rest top test",
+    np.int64: "exponent n decpt key at e removed idx",
     np.int32: "binary",
     np.uint32: "quad",
-    np.bool_: "neg special sci below accept mm_shift vr_tz vm_tz go b1 b2",
+    np.bool_: "neg special accept mm_shift vr_tz vm_tz go b1 b2",
     np.float64: "f",
 }
 
@@ -162,9 +191,11 @@ class Formatter:
 
     def __init__(self) -> None:
         names = [(name, dtype) for dtype, text in _SCRATCH.items() for name in text.split()]
-        arrays = workspace(*[((_BLOCK,), dtype) for _, dtype in names], ((_BLOCK, 3), TEXT_WORD))
+        arrays = workspace(*[((_BLOCK,), dtype) for _, dtype in names],
+                           ((_BLOCK, _WIDTH), np.uint8), ((_BLOCK, 32), np.intp), ((_BLOCK, 32), np.uint8))
         self._scratch = dict(zip([name for name, _ in names], arrays))
-        self._words = arrays[-1]
+        self._source, self._index, self._text = arrays[-3:]
+        self._source[:, 20:] = np.frombuffer(_TAIL, dtype=np.uint8)
 
     def _take(self, m: int, names: str) -> list[np.ndarray]:
         return [self._scratch[name][:m] for name in names.split()]
@@ -190,29 +221,17 @@ class Formatter:
         np.add(n, b1, out=n)
         np.maximum(n, 1, out=n)
 
-    def _digit_words(self, values: np.ndarray, out: np.ndarray) -> None:
-        """The 17 ASCII digits of each value < 10^17, zero-padded, into the
-        first 17 bytes of out's three words per row."""
-        quads = out.view(_QUAD)
-        high, low, top, quad = self._take(len(values), "high low top quad")
-        np.floor_divide(values, 10**9, out=high)
-        np.multiply(high, 10**9, out=low)
-        np.subtract(values, low, out=low)
-        np.floor_divide(low, 10, out=low)
-        for col, group in ((0, high), (2, low)):
-            np.floor_divide(group, 10**4, out=top)
+    def _digit_words(self, values: np.ndarray, quads: np.ndarray) -> None:
+        """The ASCII digits of each value < 10^20, zero-padded to 20, into
+        the first five columns of quads, four bytes each."""
+        rest, top, quad = self._take(len(values), "rest top quad")
+        np.copyto(rest, values)
+        for col, place in enumerate((10**16, 10**12, 10**8, 10**4, 1)):
+            np.floor_divide(rest, place, out=top)  # divmod is four times slower
             np.take(_QUADS, top.view(np.int64), out=quad, mode="clip")
             np.copyto(quads[:, col], quad)
-            np.multiply(top, 10**4, out=top)
-            np.subtract(group, top, out=top)
-            np.take(_QUADS, top.view(np.int64), out=quad, mode="clip")
-            np.copyto(quads[:, col + 1], quad)
-        np.floor_divide(values, 10, out=top)
-        np.multiply(top, 10, out=top)
-        np.subtract(values, top, out=top)
-        np.take(_ONES, top.view(np.int64), out=quad, mode="clip")
-        np.copyto(quads[:, 4], quad)
-        quads[:, 5] = 0
+            np.multiply(top, place, out=top)
+            np.subtract(rest, top, out=rest)
 
     def _shortest(self, bits, output, exponent) -> None:
         """Ryu's shortest digits of positive finite doubles given as their
@@ -368,17 +387,14 @@ class Formatter:
         np.bitwise_or(s, limb3, out=out)
 
     def _float_words(self, bits: np.ndarray, out: np.ndarray) -> None:
-        """repr's text of the doubles with these bits as FLOAT_WORDS words
-        per row: a head word (separator byte, sign, "0.000") and three words
-        of digits, the point and the exponent suffix."""
+        """repr's text of the doubles with these bits into out's rows: Ryu's
+        digits and the exponent's bytes fill a source row per value, and
+        one gather through the value's _PATTERNS row lays out its text."""
         m = len(bits)
-        magnitude, output, left, tmp, word, shifted, carry, suffix = self._take(
-            m, "magnitude output left tmp word shifted carry suffix"
-        )
-        exponent, n, decpt, point, length, at, gap = self._take(
-            m, "exponent n decpt point length at gap"
-        )
-        neg, special, sci, below, b1 = self._take(m, "neg special sci below b1")
+        magnitude, output, quad = self._take(m, "magnitude output quad")
+        exponent, n, decpt, key, at = self._take(m, "exponent n decpt key at")
+        neg, special, b1 = self._take(m, "neg special b1")
+        source, index, text = self._source[:m], self._index[:m], self._text[:m]
         np.greater_equal(bits, _SIGN, out=neg)
         np.bitwise_and(bits, ~_SIGN, out=magnitude)
         np.equal(magnitude, 0, out=special)
@@ -392,83 +408,32 @@ class Formatter:
 
         self._count_digits(output, n)
         np.add(exponent, n, out=decpt)  # value = 0.d1d2...dn * 10^decpt
-        np.less_equal(decpt, -4, out=sci)
-        np.greater(decpt, 16, out=b1)
-        np.logical_or(sci, b1, out=sci)
-        np.less_equal(decpt, 0, out=below)
-        np.logical_not(sci, out=b1)
-        np.logical_and(below, b1, out=below)
-        # head row neg * 5 + z: z - 1 zeros after "0." when below 1
-        np.subtract(1, decpt, out=point)
-        np.multiply(point, below, out=point)
-        np.multiply(neg, 5, out=length)
-        np.add(point, length, out=point)
-        np.take(_HEAD, point, out=tmp, mode="clip")
-        np.copyto(out[:, 0], tmp)
+        quads = source.view(_QUAD)
+        self._digit_words(output, quads)
+        np.add(decpt, 323, out=at)
+        np.take(_EXPONENT, at, out=quad, mode="clip")
+        np.copyto(quads[:, 6], quad)  # bytes 24..27, after the "e"
+        # Row (neg * 17 + n - 1) * 21 + p: p = decpt + 3 in fixed notation;
+        # as unsigned, any other decpt + 3 is at least 20, scientific.
+        np.add(decpt, 3, out=key)
+        np.minimum(key.view(np.uint64), len(_FIXED), out=key.view(np.uint64))
+        np.multiply(neg, 17, out=at)
+        np.add(at, n, out=at)
+        np.subtract(at, 1, out=at)
+        np.multiply(at, len(_FIXED) + 1, out=at)
+        np.add(key, at, out=key)
+        if nonfinite:  # rows _NAN, _NAN + 1 and _NAN + 2: nan, inf, -inf
+            np.bitwise_and(bits, ~_SIGN, out=magnitude)
+            np.equal(magnitude, _INF, out=b1)
+            np.add(neg, _NAN + 1, out=at)
+            np.copyto(key, at, where=b1)
+            np.greater(magnitude, _INF, out=b1)
+            np.copyto(key, _NAN, where=b1)
 
-        # Digits left-aligned, then the point after `point` of them;
-        # `length` bytes are kept (the digits, the point and a fixed
-        # ".0"'s zero), and the exponent suffix follows them.
-        body = self._words[:m]
-        np.subtract(17, n, out=length)
-        np.take(_P10, length, out=left, mode="clip")
-        np.multiply(output, left, out=left)
-        self._digit_words(left, body)
-        np.add(decpt, 1, out=length)
-        np.maximum(length, n, out=length)
-        np.copyto(length, n, where=sci)
-        np.copyto(length, n, where=below)
-        np.copyto(point, decpt)
-        np.greater(n, 1, out=b1)
-        np.copyto(point, 1, where=sci)
-        np.logical_not(b1, out=b1)
-        np.logical_and(sci, b1, out=b1)  # one digit: no point
-        np.logical_or(b1, below, out=b1)
-        np.copyto(point, 99, where=b1)
-        np.logical_not(b1, out=b1)
-        np.add(length, b1, out=length)
-        np.add(decpt, 323, out=at)  # row e + 324 for e = decpt - 1
-        np.logical_not(sci, out=b1)
-        np.copyto(at, len(_EXPONENT) - 1, where=b1)
-        np.take(_EXPONENT, at, out=suffix, mode="clip")
-        carry[:] = 0
-        for w in range(3):
-            np.copyto(word, body[:, w])
-            np.subtract(point, 8 * w, out=at)
-            np.left_shift(word, 8, out=shifted)
-            np.bitwise_or(shifted, carry, out=shifted)
-            np.right_shift(word, 56, out=carry)
-            np.take(_PREFIX, at, out=tmp, mode="clip")
-            np.bitwise_and(word, tmp, out=word)  # the digits before the point
-            np.add(at, 1, out=at)
-            np.take(_DOT, at, out=tmp, mode="clip")
-            np.bitwise_or(word, tmp, out=word)
-            np.take(_PREFIX, at, out=tmp, mode="clip")
-            np.bitwise_and(shifted, ~tmp, out=shifted)  # the digits after it
-            np.bitwise_or(word, shifted, out=word)
-            np.subtract(length, 8 * w, out=at)
-            np.take(_PREFIX, at, out=tmp, mode="clip")
-            np.bitwise_and(word, tmp, out=word)
-            # the suffix starts `gap` bits into this word, or before it
-            np.multiply(at, 8, out=gap)
-            np.less(gap, 0, out=b1)
-            np.minimum(gap, 64, out=at)
-            np.copyto(at, 64, where=b1)
-            np.left_shift(suffix, at.view(np.uint64), out=tmp)
-            np.bitwise_or(word, tmp, out=word)
-            np.negative(gap, out=at)
-            np.minimum(at, 64, out=at)
-            np.logical_not(b1, out=b1)
-            np.copyto(at, 64, where=b1)
-            np.right_shift(suffix, at.view(np.uint64), out=tmp)
-            np.bitwise_or(word, tmp, out=word)
-            np.copyto(out[:, w + 1], word)
-
-        if nonfinite:
-            for k in np.flatnonzero((bits & ~_SIGN) >= _INF):
-                text = b"nan" if bits[k] & ~_SIGN > _INF else b"-inf" if neg[k] else b"inf"
-                out[k] = 0
-                out[k, 0] = _text_words([b"\0" + text], 1)[0, 0]
+        np.take(_PATTERNS, key, axis=0, out=index, mode="clip")
+        np.add(index, _ROWS[:m], out=index)
+        np.take(source.reshape(-1), index, out=text, mode="clip")
+        np.copyto(out, text.view(TEXT_WORD))
 
 
 class Sheet:

@@ -157,9 +157,11 @@ def state_envelope(x0: Sequence[float] | np.ndarray, params: NoiseParams) -> flo
 
 def _kernel_operands(wm: WeightMatrix, matrix_form: bool) -> tuple[np.ndarray, np.ndarray]:
     """The (weights, cols) the round kernel takes: the dense layout for the
-    matrix form, the support layout for the per-node form."""
+    matrix form, the support layout for the per-node form. The kernel takes
+    W slot-major, as W.T; Metropolis W is symmetric bit for bit, so W
+    itself is that layout."""
     if matrix_form:
-        return np.ascontiguousarray(wm.w.T), np.arange(wm.n)[:, None]
+        return wm.w, np.arange(wm.n)[:, None]
     return wm.weights, wm.cols
 
 

@@ -24,6 +24,7 @@ from .engine import RunTrace
 from .noise import (
     TRUNC_SIGMAS,
     NoiseParams,
+    _envelope,
     raw_draws,
     seeded_stream,
     seeded_streams,
@@ -247,6 +248,7 @@ class DisclosureResult:
     estimate: float
     error_bound: float
     horizon: int
+    rounding_bound: float
 
 
 def disclosure_attack(view: AdversaryView, trace: RunTrace, horizon: int) -> DisclosureResult:
@@ -255,7 +257,15 @@ def disclosure_attack(view: AdversaryView, trace: RunTrace, horizon: int) -> Dis
     Every round-k noise of the target is recovered as theta_j(k) =
     x_j+(k) - sum over j's row support of w_jl * x_l+(k-1); the telescoped
     zero-sum property then gives x_j(0) = x_j+(0) + sum_{k=1..K} theta_j(k)
-    with residual error at most (alpha/2) * rho^(K+1).
+    with residual error at most (alpha/2) * rho^(K+1), the error_bound.
+
+    Float rounding adds at most rounding_bound: half an ulp of each rounded
+    result between x_j(0) and the estimate. The d_j + 1-term kernel chain
+    is the run's own chain on the same broadcasts, bit for bit, so it gives
+    x_j(k) exactly; the run's adds x_j+(k) = fl(x_j(k) + theta_j(k)), k =
+    0..K, the subtractions fl(x_j+(k) - x_j(k)), the fsum and the final add
+    round. So do the residual updates fl(delta + theta) that the theta_j
+    telescope through, each |delta| within its round's envelope.
     """
     if not view.knows_target_neighbors:
         raise ValueError("disclosure attack requires knows_target_neighbors=True")
@@ -287,9 +297,13 @@ def disclosure_attack(view: AdversaryView, trace: RunTrace, horizon: int) -> Dis
     predicted = get_backend().step(wm.weights, wm.cols, broadcasts[:-1])
     recovered = broadcasts[1:, j] - predicted[:, j]
     params = trace.config.noise
-    estimate = float(broadcasts[0, j]) + math.fsum(recovered.tolist())
+    total = math.fsum(recovered.tolist())
+    estimate = float(broadcasts[0, j]) + total
     bound = 0.5 * params.alpha * params.rho ** (horizon + 1)
-    return DisclosureResult(estimate, bound, horizon)
+    rounded = np.abs(np.concatenate([broadcasts[:, j], recovered, [total, estimate]]))
+    updates = [math.ulp(_envelope(params, k // params.h)) for k in range(params.h, horizon + 1)]
+    rounding = 0.5 * math.fsum([*np.spacing(rounded).tolist(), *updates])
+    return DisclosureResult(estimate, bound, horizon, rounding)
 
 
 def privacy_sweep(

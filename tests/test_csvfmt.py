@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privagg.csvfmt import FLOAT_WORDS, Formatter, Sheet, int_text
+from privagg.csvfmt import _PATTERNS, FLOAT_WORDS, Formatter, Sheet, int_text
 
 _FORMATTER = Formatter()  # its scratch arrays serve one call at a time
 
@@ -58,6 +58,69 @@ def test_non_finite_values_are_written_as_repr_writes_them():
                         dtype=np.uint64)
     values = np.concatenate([[np.inf, -np.inf, 1.0], nan_bits.view(np.float64)])
     assert _float_lines(values) == [b"inf", b"-inf", b"1.0", b"nan", b"nan", b"nan"]
+
+
+def _pattern_row(text: str) -> int:
+    """The layout repr's text follows, numbered as csvfmt._PATTERNS numbers
+    its rows: (neg * 17 + n - 1) * 21 + p for n digits at decimal-point
+    position decpt (value = 0.d1...dn * 10^decpt), p = decpt + 3 in fixed
+    notation (decpt in -3..16) and 20 in scientific; then nan, inf, -inf."""
+    neg, body = text.startswith("-"), text.lstrip("-")
+    if body in ("nan", "inf"):
+        return 714 + (body == "inf") + neg
+    mantissa, sci, _ = body.partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).lstrip("0").rstrip("0") or "0"
+    if sci:
+        p = 20
+    elif whole != "0":
+        p = len(whole) + 3
+    else:
+        p = 3 - (len(fraction) - len(fraction.lstrip("0"))) if digits != "0" else 4
+    return (neg * 17 + len(digits) - 1) * 21 + p
+
+
+def _with_digits(n: int, decpt: int) -> float:
+    """A double whose shortest digits are n long, at point position decpt:
+    up to 15 digits any decimal string round-trips; at 16 and 17 the next
+    doubles up are tried until one has them."""
+    value = float(f"0.{'12345678912345678'[:n]}e{decpt}")
+    while len(repr(value).partition("e")[0].replace(".", "").strip("0")) != n:
+        value = float(np.nextafter(value, np.inf))
+    return value
+
+
+def test_every_layout_pattern_matches_repr():
+    """One value for every row of the pattern table: both signs, 1 to 17
+    digits at each fixed point position -3..16 and in scientific notation,
+    nan, inf and -inf."""
+    values = [_with_digits(n, decpt) for n in range(1, 18) for decpt in [*range(-3, 17), -30]]
+    values = np.array(values + [np.nan, np.inf])
+    values = np.concatenate([values, -values])
+    rows = [_pattern_row(repr(v)) for v in values.tolist()]
+    assert set(rows) == set(range(len(_PATTERNS)))
+    _assert_repr(values)
+
+
+def test_exponent_boundaries_match_repr():
+    """Exponents of two and three digits, and the extremes e-324 and e+308."""
+    edges = np.array([1e99, 1e-99, 1e100, 1e-100, 9.5e99, 5e-324, 1e-323, sys.float_info.max])
+    with np.errstate(over="ignore"):  # the double above the largest is inf
+        values = _neighbours(edges)
+    texts = [repr(v) for v in values.tolist()]
+    for suffix in ("e+99", "e-99", "e+100", "e-100", "e-324", "e+308"):
+        assert any(t.endswith(suffix) for t in texts), suffix
+    _assert_repr(np.concatenate([values, -values]))
+
+
+def test_every_nan_is_written_nan():
+    """nan of either sign, quiet or signalling, with any payload."""
+    bits = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF0000000000001, 0x7FF4000000000000, 0xFFFFFFFFFFFFFFFF,
+                     0x7FFFFFFFFFFFFFFF, 0xFFF0000000000F00], dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert np.isnan(values).all()
+    assert _float_lines(values) == [b"nan"] * len(values)
 
 
 def test_seeded_sweep_of_random_bit_patterns_matches_repr():

@@ -257,6 +257,24 @@ def test_disclosure_error_bounded_by_residual_envelope():
     assert 0.5 * 0.9**101 == pytest.approx(1.1953e-5, rel=1e-4)
 
 
+def test_disclosure_error_stays_within_the_printed_bound():
+    """At long horizons the envelope falls below the estimate's float
+    rounding; the envelope plus rounding_bound, which the CLI prints,
+    still holds for every target of a complete graph."""
+    for n in (3, 5):
+        g = generate("complete", n)
+        x0 = np.random.default_rng(5).uniform(0.0, 100.0, n)
+        trace = _recorded_run(g, x0, NoiseParams(alpha=1.0, rho=0.9, seed=6), max_iterations=501)
+        for target in range(n):
+            view = AdversaryView(g, (target + 1) % n, target, knows_target_neighbors=True)
+            for horizon in (1, 50, 100, 200, 300, 400, 500):
+                result = disclosure_attack(view, trace, horizon)
+                assert result.error_bound == 0.5 * 0.9 ** (horizon + 1)
+                assert 0.0 < result.rounding_bound < 1e-11
+                error = abs(result.estimate - x0[target])
+                assert error <= result.error_bound + result.rounding_bound, (n, target, horizon)
+
+
 def _scalar_disclosure(graph, trace, target, horizon):
     """Reference: the estimate as a scalar chain, each round's prediction summed
     from 0.0 over the target's row support in ascending order."""
