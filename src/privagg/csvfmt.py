@@ -475,16 +475,29 @@ class Sheet:
 
 
 def int_text(values: Sequence[int]) -> np.ndarray:
-    """b"%d" of each integer 0 <= v in values, one row of text words each,
-    in workspace() memory: NUL-padded, with byte 0 of every row left NUL
-    for a separator and as many words as the largest value needs."""
-    words = len(b"%d" % max(values, default=0)) // 8 + 1
-    (table,) = workspace(((len(values), words), TEXT_WORD))
-    data = table.view(np.uint8).reshape(-1).data
-    for i, v in enumerate(values):
-        text = b"%d" % v
-        data[8 * words * i + 1 : 8 * words * i + 1 + len(text)] = text
+    """b"%d" of each integer 0 <= v < 2^64 in values, one row of text words
+    each, in workspace() memory: NUL-padded, with byte 0 of every row left
+    NUL for a separator and as many words as the largest value needs. The
+    table is written a digit place at a time, over all values at once."""
+    v = np.array(values, dtype=np.uint64).reshape(-1)
+    words = len(b"%d" % int(v.max(initial=0))) // 8 + 1
+    (table,) = workspace(((len(v), words), TEXT_WORD))
+    text = table.view(np.uint8).reshape(len(v), 8 * words)
+    count = np.ones(len(v), dtype=np.intp)  # each value's digits
+    for power in _P10[1:]:
+        count += v >= power
+    for place in range(int(count.max(initial=0))):
+        below = count - 1 - place  # the digits after this place's
+        digit = v // _P10[np.maximum(below, 0)] % _U(10) + _U(48)
+        text[:, place + 1] = np.where(below >= 0, digit, 0)
     return table
+
+
+def _items(fields: np.ndarray) -> np.ndarray:
+    """A (rows, words) array of text fields as one item per row: numpy
+    copies and gathers such items whole, where it steps through a row's
+    words one at a time."""
+    return fields.view(np.dtype((np.void, fields.shape[1] * TEXT_WORD.itemsize)))[:, 0]
 
 
 def write_trace(
@@ -500,73 +513,93 @@ def write_trace(
     len(thetas) on had no broadcast, so their x_plus and theta are empty.
 
     Rows are formatted a chunk of whole rounds at a time: CHUNK_ROWS rows
-    at most, or one round wider than that. Once the noise falls below an
-    ulp of the state, rounds repeat their values, so x(k) is formatted
-    only when its bytes differ from x(k-1)'s and is copied otherwise, from
-    the previous chunk's last round too, whose text is kept; x_plus(k) is
-    formatted only in the rows where its bytes differ from x(k)'s. Bytes,
-    never values: -0.0 == 0.0, but their reprs differ. The node ids come
-    from one text table per topology segment, whose rounds share one tuple.
+    at most, or one round wider than that. A chunk's columns are array
+    operations over its rows, with no step per round. Its topology
+    segments, the runs of rounds that share one node_ids tuple, take k
+    and the node ids from b"%d" text tables by broadcasting, one table
+    for each segment's ids, and x and theta are one concatenation each.
+    Once the noise falls below an ulp of the state, rounds repeat their
+    values, so a round of x is formatted only when it is fresh: when its
+    size or its bytes differ from the previous round's, found by one
+    comparison of every row with the same node's row a round earlier,
+    across chunk boundaries too. Every row's x text is then gathered from
+    the latest fresh round's, or, before a chunk's first fresh round,
+    from the previous chunk's last round, whose text is kept. x_plus(k)
+    is formatted only in the rows where its bytes differ from x(k)'s.
+    Bytes, never values: -0.0 == 0.0, but their reprs differ.
     """
-    sizes = [len(x) for x in xs]
-    widest = max(sizes)
-    rows = min(sum(sizes), max(CHUNK_ROWS, widest))
-    k_table = int_text(range(len(xs)))
-    segments = list({id(ids): ids for ids in node_ids}.values())
+    rounds = len(xs)
+    sizes = np.fromiter(map(len, xs), dtype=np.intp, count=rounds)
+    starts = np.concatenate([[0], np.cumsum(sizes)])  # each round's first row
+    widest = int(sizes.max())
+    rows = min(int(starts[-1]), max(CHUNK_ROWS, widest))
+    tuples = np.fromiter(map(id, node_ids[:rounds]), dtype=np.uint64, count=rounds)
+    opens = np.concatenate([[True], tuples[1:] != tuples[:-1]])  # a segment's first round
+    segments = [node_ids[k] for k in np.flatnonzero(opens).tolist()]
+    k_table = int_text(range(rounds))
     id_table = int_text([i for ids in segments for i in ids])
-    ends = np.cumsum([len(ids) for ids in segments]).tolist()
-    id_rows = {id(ids): id_table[end - len(ids) : end] for ids, end in zip(segments, ends)}
+    # each round's segment's first row in id_table
+    id_first = np.cumsum([0] + [len(ids) for ids in segments[:-1]])[np.cumsum(opens) - 1]
+    before = np.concatenate([[0], sizes[:-1]])  # the previous round's size
     widths = [k_table.shape[1], id_table.shape[1], FLOAT_WORDS, FLOAT_WORDS, FLOAT_WORDS]
     sheet = Sheet(widths, rows)
-    k_text, id_text, x_text, plus_text, theta_text = map(sheet.field, range(5))
-    # values holds theta, then the fresh x, then the x_plus that differ from x
-    x, plus, values, text, kept = workspace(
-        ((rows,), float), ((rows,), float), ((3 * rows,), float),
-        ((3 * rows, FLOAT_WORDS), TEXT_WORD), ((widest, FLOAT_WORDS), TEXT_WORD),
+    k_text, id_text, x_text, plus_text, theta_text = (_items(sheet.field(j)) for j in range(5))
+    k_table, id_table = _items(k_table), _items(id_table)
+    # x holds the previous chunk's last round in its first `widest` rows,
+    # then the chunk; text holds that round's text, then the formatted
+    # values: theta, the fresh x and the x_plus that differ from x.
+    x, plus, values, words, changed = workspace(
+        ((widest + rows,), float), ((rows,), float), ((3 * rows,), float),
+        ((widest + 3 * rows, FLOAT_WORDS), TEXT_WORD), ((rows,), np.bool_),
     )
+    text = _items(words)
+    bits = x.view(np.uint64)
     fmt = Formatter()
     with open(path, "wb") as f:
         f.write(b"k,node_id,x,x_plus,theta\r\n")
-        k0, before, last = 0, None, kept[:0]  # the previous round's x bytes and text
-        while k0 < len(xs):
-            k1, m = k0, 0
-            while k1 < len(xs) and m + sizes[k1] <= rows:
-                m += sizes[k1]
-                k1 += 1
-            starts = np.cumsum([0] + sizes[k0:k1]).tolist()
-            mt = starts[len(thetas[k0:k1])]  # the rows with a broadcast
-            fresh, end = [], mt
-            for k, r0, r1 in zip(range(k0, k1), starts, starts[1:]):
-                k_text[r0:r1] = k_table[k]
-                id_text[r0:r1] = id_rows[id(node_ids[k])]
-                x[r0:r1] = xs[k]
-                if k < len(thetas):
-                    values[r0:r1] = thetas[k]
-                now = xs[k].tobytes()
-                fresh.append(now != before)
-                if fresh[-1]:
-                    values[end : end + r1 - r0] = xs[k]
-                    end += r1 - r0
-                before = now
-            np.add(x[:mt], values[:mt], out=plus[:mt])
-            differ = np.flatnonzero(plus[:mt].view(np.uint64) != x[:mt].view(np.uint64))
+        k0 = 0
+        while k0 < rounds:
+            k1 = int(np.searchsorted(starts, starts[k0] + rows, side="right")) - 1
+            k1 = min(max(k1, k0 + 1), rounds)
+            kt = min(max(k0, len(thetas)), k1)
+            size, first = sizes[k0:k1], starts[k0:k1] - starts[k0]  # each round's rows
+            m, mt = int(starts[k1] - starts[k0]), int(starts[kt] - starts[k0])
+            chunk = x[widest : widest + m]
+            np.concatenate(xs[k0:k1], out=chunk)
+            if mt:  # the rows with a broadcast
+                np.concatenate(thetas[k0:kt], out=values[:mt])
+            cuts = [k0, *(np.flatnonzero(opens[k0 + 1 : k1]) + k0 + 1).tolist(), k1]
+            for a, b in zip(cuts, cuts[1:]):  # the chunk's pieces of topology segments
+                n, r0, r1 = int(sizes[a]), int(first[a - k0]), int(starts[b] - starts[k0])
+                k_text[r0:r1].reshape(b - a, n)[:] = k_table[a:b, None]
+                id_text[r0:r1].reshape(b - a, n)[:] = id_table[id_first[a] : id_first[a] + n]
+                # each row against the same node's a round earlier; before
+                # the chunk sit the previous chunk's last round's rows
+                r = widest + r0
+                np.not_equal(bits[r : r + r1 - r0], bits[r - n : r + r1 - r0 - n], out=changed[r0:r1])
+            fresh = np.logical_or.reduceat(changed[:m], first) | (size != before[k0:k1])
+            fresh_rows = np.repeat(fresh, size)
+            end = mt + np.count_nonzero(fresh_rows)
+            np.compress(fresh_rows, chunk, out=values[mt:end])
+            np.add(chunk[:mt], values[:mt], out=plus[:mt])
+            differ = np.flatnonzero(plus[:mt].view(np.uint64) != chunk[:mt].view(np.uint64))
             np.take(plus, differ, out=values[end : end + len(differ)], mode="clip")
-            fmt.floats(values[: end + len(differ)], text[: end + len(differ)])
+            fmt.floats(values[: end + len(differ)], words[widest : widest + end + len(differ)])
 
-            theta_text[:mt] = text[:mt]
-            at = mt
-            for new, r0, r1 in zip(fresh, starts, starts[1:]):
-                if new:
-                    last = text[at : at + r1 - r0]
-                    at += r1 - r0
-                x_text[r0:r1] = last
-                last = x_text[r0:r1]
+            # A round's x text starts at its latest fresh round's, in text
+            # after theta's, or at the kept round's, at 0.
+            at = np.cumsum(size * fresh) - size * fresh + widest + mt
+            latest = np.maximum.accumulate(np.where(fresh, np.arange(k1 - k0), -1))
+            source = np.where(latest >= 0, at[latest], 0) - first
+            np.take(text, np.repeat(source, size) + np.arange(m), out=x_text[:m])
+            theta_text[:mt] = text[widest : widest + mt]
             plus_text[:mt] = x_text[:mt]
-            plus_text[differ] = text[end : end + len(differ)]
-            plus_text[mt:m] = 0
-            theta_text[mt:m] = 0
-            kept[: len(last)] = last  # write() packs the sheet in place
-            last = kept[: len(last)]
+            plus_text[differ] = text[widest + end : widest + end + len(differ)]
+            sheet.field(3)[mt:m] = 0
+            sheet.field(4)[mt:m] = 0
+            last = int(size[-1])  # kept, as write() packs the sheet in place
+            text[:last] = x_text[m - last : m]
+            x[widest - last : widest] = chunk[m - last :]
             sheet.write(f, m)
             k0 = k1
 

@@ -7,6 +7,16 @@ form or a per-node support form that agree bit-for-bit. Topology events
 (edge add/remove, node removal) start a new segment; removed nodes take
 their state mass with them and the error metric re-targets the surviving
 nodes' initial average.
+
+A run advances one block of rounds at a time. A block ends at the next
+event iteration, at max_rounds or after noise.STACK_VALUES values of
+state. Each of its rounds only adds theta to the state and calls the
+kernel; the bookkeeping runs once per block over the (rounds x n) stack
+of states: the envelope and finiteness guards, the check that every
+broadcast is finite, spread, error and the term_epsilon gap. The run
+stops where a round-by-round loop stops, at the first round at which a
+guard or a stopping rule fires, and the block's later rounds are
+discarded.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ import numpy as np
 
 from .backend import get_backend
 from .csvfmt import write_summary, write_trace
-from .noise import SCHEMES, NoiseParams, node_theta_block
+from .noise import SCHEMES, STACK_VALUES, NoiseParams, node_theta_block
 from .tolerances import TOL
 from .topology import Graph, TopologyEvent, apply_event
 from .topology import is_connected  # noqa: F401  perfbench/tracer.py wraps engine.is_connected
@@ -99,7 +109,9 @@ class RunTrace:
     whose original ids node_ids[k] holds (the rounds of one topology segment
     share one tuple). xs / thetas are populated only when record_trace is
     set; broadcasts exist for k < k_stop, and x_plus(k) is x(k) + theta(k),
-    formed by whoever reads it. k_stop, consensus_value and
+    formed by whoever reads it. xs[k] is a row of its block's states and
+    thetas[k] a row of the run's noise block; neither is written after
+    the round that made it. k_stop, consensus_value and
     final_true_average are derived from spreads, x_final and the applied
     events. write_trace_csv and write_summary_csv hand these lists to
     privagg.csvfmt, which lays out and formats the CSV text.
@@ -174,7 +186,7 @@ def run(config: RunConfig) -> RunTrace:
     matrix_form = config.update_form == "matrix"
 
     x0_full = np.array(config.x0, dtype=np.float64)
-    x = x0_full  # x is replaced each round, never written to
+    x = x0_full  # the latest state; a block's states are written once each
     alive = list(range(g.n))
     wm = metropolis(g)
     weights, cols = _kernel_operands(wm, matrix_form)
@@ -191,7 +203,6 @@ def run(config: RunConfig) -> RunTrace:
 
     ei = 0
     k = 0
-    alive_arr = np.arange(g.n)
     ids = tuple(alive)  # one tuple per topology segment, shared by its rounds
     while True:
         first, before = ei, g
@@ -199,8 +210,7 @@ def run(config: RunConfig) -> RunTrace:
             g, alive, gone = apply_run_event(g, events[ei], alive)
             if gone is not None:
                 x = np.delete(x, gone)
-                alive_arr = np.delete(alive_arr, gone)
-                reference = float(np.mean(x0_full[alive_arr]))
+                reference = float(np.mean(x0_full[alive]))
             trace.events_applied.append(
                 AppliedEvent(k, events[ei].kind, events[ei].payload, g.n, reference)
             )
@@ -210,42 +220,95 @@ def run(config: RunConfig) -> RunTrace:
             weights, cols = _kernel_operands(wm, matrix_form)
             ids = tuple(alive)
 
-        peak = float(np.max(np.abs(x)))
-        if not math.isfinite(peak):
-            raise EngineAbort(f"non-finite state at iteration {k}")
-        if peak > guard:
-            raise EngineAbort(
-                f"state envelope exceeded at iteration {k}: {peak} > {guard}"
+        # The block: rounds k .. end - 1 broadcast, up to the next event,
+        # max_rounds or the value budget; at k == max_rounds it holds the
+        # last state alone. The trace keeps rows of its states x(k) ..
+        # x(end), and theta's are rows of the noise block.
+        n = g.n
+        end = min(max_rounds, k + max(1, STACK_VALUES // n))
+        if ei < len(events):
+            end = min(end, events[ei].at_iteration)
+        theta = block[k:end] if n == block.shape[1] else block[k:end, alive]
+        states, plus = np.empty((end - k + 1, n)), np.empty((end - k, n))
+        states[0] = x
+        x = states[0]
+        # Past a failing round the block works on values the round loop never
+        # formed; its rounds are discarded, and their warnings with them.
+        with np.errstate(all="ignore"):
+            for x_plus, theta_k, x_next in zip(plus, theta, states[1:]):
+                np.add(x, theta_k, out=x_plus)
+                x_next[:] = kernel(weights, cols, x_plus)
+                x = x_next
+            rows = max(end - k, 1)  # the states checked here: x(k) .. x(k + rows - 1)
+            stop, reason, spreads, errs = _block_checks(
+                states[:rows], plus, k, guard, reference, max_rounds,
+                config.term_epsilon if g.edges else 0.0, wm.cols,
             )
-
-        trace.spreads.append(float(x.max() - x.min()))
-        trace.errs.append(float(np.max(np.abs(x - reference))))
-        trace.node_ids.append(ids)
+        trace.spreads += spreads
+        trace.errs += errs
+        trace.node_ids += [ids] * len(spreads)
         if config.record_trace:
-            trace.xs.append(x)  # every round's x is a new array, never written to
+            trace.xs += list(states[: len(spreads)])
+            trace.thetas += list(theta[: stop - k])
+        if reason:
+            trace.reason = reason
+            trace.x_final = states[stop - k]
+            return trace
+        k = end
 
-        if (
-            config.term_epsilon > 0.0
-            and g.edges
-            and float(np.max(np.abs(x[wm.cols] - x))) <= config.term_epsilon
-        ):
-            trace.reason = "term_epsilon"
-            break
-        if k == max_rounds:
-            trace.reason = "max_iterations"
-            break
 
-        theta = block[k][alive_arr]
-        x_plus = x + theta
-        if not np.isfinite(x_plus).all():
-            raise EngineAbort(f"non-finite broadcast at iteration {k}")
-        if config.record_trace:
-            trace.thetas.append(theta)
-        x = kernel(weights, cols, x_plus)
-        k += 1
+def _block_checks(
+    states: np.ndarray,
+    plus: np.ndarray,
+    k: int,
+    guard: float,
+    reference: float,
+    max_rounds: int,
+    term_epsilon: float,
+    support: np.ndarray,
+) -> tuple[int, str, list[float], list[float]]:
+    """Check a block's rounds at once and return (stop, reason, spreads, errs).
 
-    trace.x_final = x
-    return trace
+    Row r of states is x(k + r) and row r of plus its broadcast, if it had
+    one. Round by round, in this order: a state that is non-finite or past
+    the guard aborts; the state is recorded; term_epsilon (when > 0) and
+    then max_rounds stop the run; a non-finite broadcast aborts. The first
+    round at which any of these fires decides; reason is "" when none does
+    and stop is then the block's end. spreads and errs cover the rounds
+    recorded. max and min are exact and rounding is monotone, so a row's
+    max |x - reference| is that of its max or of its min.
+    """
+    rows = len(states)
+    high, low = states.max(axis=1), states.min(axis=1)
+    peak = np.maximum(np.abs(high), np.abs(low))
+    bad_state = ~np.isfinite(peak) | (peak > guard)
+    close = np.zeros(rows, dtype=bool)
+    if term_epsilon > 0.0:
+        gap = np.zeros(rows)
+        for c in support:  # slot by slot: each node against one neighbour
+            np.maximum(gap, np.abs(states[:, c] - states).max(axis=1), out=gap)
+        close = gap <= term_epsilon
+    last = np.zeros(rows, dtype=bool)
+    last[-1] = k + rows - 1 == max_rounds
+    bad_plus = np.zeros(rows, dtype=bool)
+    bad_plus[: len(plus)] = ~np.isfinite(plus).all(axis=1)
+    fired = np.flatnonzero(bad_state | close | last | bad_plus)
+    r = int(fired[0]) if len(fired) else rows
+    if r < rows and bad_state[r]:
+        if not math.isfinite(peak[r]):
+            raise EngineAbort(f"non-finite state at iteration {k + r}")
+        raise EngineAbort(
+            f"state envelope exceeded at iteration {k + r}: {float(peak[r])} > {guard}"
+        )
+    kept = min(r + 1, rows)
+    high, low = high[:kept], low[:kept]
+    spreads = (high - low).tolist()
+    errs = np.maximum(np.abs(high - reference), np.abs(low - reference)).tolist()
+    if r == rows:
+        return k + rows, "", spreads, errs
+    if close[r] or last[r]:
+        return k + r, "term_epsilon" if close[r] else "max_iterations", spreads, errs
+    raise EngineAbort(f"non-finite broadcast at iteration {k + r}")
 
 
 def apply_run_event(

@@ -46,7 +46,9 @@ SCHEMES = ("zero_sum", "independent_decaying", "gaussian_constant", "zero")
 DISTRIBUTIONS = ("uniform", "truncated_gaussian")
 
 # Drawn values (1 MiB) node_theta_block holds beside its block: it stacks
-# the node columns into the block this many values at a time (one column at least).
+# the node columns into the block this many values at a time (one column at
+# least). engine.run advances a block of rounds of this many state values
+# (one round at least).
 STACK_VALUES = 2**17
 
 # Truncation point (in standard deviations) of the truncated-gaussian draw;

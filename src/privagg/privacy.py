@@ -257,7 +257,10 @@ def disclosure_attack(view: AdversaryView, trace: RunTrace, horizon: int) -> Dis
     Every round-k noise of the target is recovered as theta_j(k) =
     x_j+(k) - sum over j's row support of w_jl * x_l+(k-1); the telescoped
     zero-sum property then gives x_j(0) = x_j+(0) + sum_{k=1..K} theta_j(k)
-    with residual error at most (alpha/2) * rho^(K+1), the error_bound.
+    with residual error at most the error_bound: the sum telescopes, chain by
+    chain, to each chain's latest residual, so the bound is the sum over the
+    h chains c of (alpha/2) * rho^(i_c+1), i_c the inner index of chain c's
+    latest round up to K; (alpha/2) * rho^(K+1) when h = 1.
 
     Float rounding adds at most rounding_bound: half an ulp of each rounded
     result between x_j(0) and the estimate. The d_j + 1-term kernel chain
@@ -299,7 +302,8 @@ def disclosure_attack(view: AdversaryView, trace: RunTrace, horizon: int) -> Dis
     params = trace.config.noise
     total = math.fsum(recovered.tolist())
     estimate = float(broadcasts[0, j]) + total
-    bound = 0.5 * params.alpha * params.rho ** (horizon + 1)
+    chains = range(min(params.h, horizon + 1))
+    bound = math.fsum(_envelope(params, (horizon - c) // params.h) for c in chains)
     rounded = np.abs(np.concatenate([broadcasts[:, j], recovered, [total, estimate]]))
     updates = [math.ulp(_envelope(params, k // params.h)) for k in range(params.h, horizon + 1)]
     rounding = 0.5 * math.fsum([*np.spacing(rounded).tolist(), *updates])

@@ -615,6 +615,13 @@ def _repeats_across_a_chunk_boundary(trace):
     )
 
 
+def _shrinks_to_a_tail(trace, k):
+    """Round k has fewer nodes than round k - 1, and its x bytes are the
+    last bytes of round k - 1's, which do not repeat its first ones."""
+    x, before = trace.xs[k].tobytes(), trace.xs[k - 1].tobytes()
+    return len(x) < len(before) and before.endswith(x) and not before.startswith(x)
+
+
 # A 64-node run whose first node removal starts exactly at a chunk boundary
 # and whose second falls inside a chunk.
 _AT_BOUNDARY = CHUNK_ROWS // 64
@@ -726,6 +733,29 @@ assert _AT_BOUNDARY * 64 == CHUNK_ROWS
         dict(build=_extreme_values),
         # a chunk starts with a round that repeats the previous chunk's last
         dict(**_ACROSS_CHUNKS, expect=_repeats_across_a_chunk_boundary),
+        # past the floor, a mid-chunk removal of node 0: the next round's
+        # rows are the previous round's last rows, bit for bit, yet it has
+        # fewer nodes and must be formatted afresh
+        dict(
+            graph=generate("random_gnp", 8, seed=1, p=0.5),
+            x0=np.random.default_rng(1).uniform(-50.0, 50.0, 8),
+            noise=NoiseParams(seed=1),
+            events=(TopologyEvent(450, "remove_node", 0),),
+            **_PAST_THE_FLOOR,
+            expect=lambda t: _shrinks_to_a_tail(t, 450)
+            and _rows_before(t, 450) % CHUNK_ROWS != 0,
+        ),
+        # past the floor, an edge event keeps n and its round repeats the
+        # previous one bit for bit: a new segment whose x text may be copied
+        dict(
+            graph=generate("random_gnp", 8, seed=1, p=0.5),
+            x0=np.random.default_rng(1).uniform(-50.0, 50.0, 8),
+            noise=NoiseParams(seed=1),
+            events=(TopologyEvent(450, "add_edge", (0, 1)),),
+            **_PAST_THE_FLOOR,
+            expect=lambda t: t.node_ids[450] is not t.node_ids[449]
+            and t.xs[450].tobytes() == t.xs[449].tobytes(),
+        ),
     ],
 )
 def test_csv_writers_match_csv_writer_reference(tmp_path, kw):

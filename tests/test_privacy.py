@@ -275,6 +275,26 @@ def test_disclosure_error_stays_within_the_printed_bound():
                 assert error <= result.error_bound + result.rounding_bound, (n, target, horizon)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("h", [2, 3])
+def test_disclosure_error_bound_sums_the_chains_residuals(n, h):
+    """With h chains the estimate's error is the sum of every chain's latest
+    residual, and error_bound sums their envelopes: every horizon from 1 to
+    200 stays within it, plus rounding."""
+    g = generate("complete", n)
+    view = AdversaryView(g, 0, 1, knows_target_neighbors=True)
+    for seed in range(20):
+        x0 = np.random.default_rng(seed).uniform(0.0, 100.0, n)
+        params = NoiseParams(alpha=1.0, rho=0.9, h=h, seed=seed)
+        trace = _recorded_run(g, x0, params, max_iterations=201)
+        for horizon in range(1, 201):
+            result = disclosure_attack(view, trace, horizon)
+            inner = [(horizon - c) // h for c in range(min(h, horizon + 1))]
+            assert result.error_bound == pytest.approx(sum(0.5 * 0.9 ** (i + 1) for i in inner))
+            error = abs(result.estimate - x0[1])
+            assert error <= result.error_bound + result.rounding_bound, (seed, horizon)
+
+
 def _scalar_disclosure(graph, trace, target, horizon):
     """Reference: the estimate as a scalar chain, each round's prediction summed
     from 0.0 over the target's row support in ascending order."""
