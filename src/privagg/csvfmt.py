@@ -475,21 +475,15 @@ class Sheet:
 
 
 def int_text(values: Sequence[int]) -> np.ndarray:
-    """b"%d" of each integer 0 <= v < 2^64 in values, one row of text words
-    each, in workspace() memory: NUL-padded, with byte 0 of every row left
-    NUL for a separator and as many words as the largest value needs. The
-    table is written a digit place at a time, over all values at once."""
-    v = np.array(values, dtype=np.uint64).reshape(-1)
-    words = len(b"%d" % int(v.max(initial=0))) // 8 + 1
-    (table,) = workspace(((len(v), words), TEXT_WORD))
-    text = table.view(np.uint8).reshape(len(v), 8 * words)
-    count = np.ones(len(v), dtype=np.intp)  # each value's digits
-    for power in _P10[1:]:
-        count += v >= power
-    for place in range(int(count.max(initial=0))):
-        below = count - 1 - place  # the digits after this place's
-        digit = v // _P10[np.maximum(below, 0)] % _U(10) + _U(48)
-        text[:, place + 1] = np.where(below >= 0, digit, 0)
+    """b"%d" of each integer 0 <= v in values, one row of text words each,
+    in workspace() memory: NUL-padded, with byte 0 of every row left NUL
+    for a separator and as many words as the largest value needs."""
+    words = len(b"%d" % max(values, default=0)) // 8 + 1
+    (table,) = workspace(((len(values), words), TEXT_WORD))
+    data = table.view(np.uint8).reshape(-1).data
+    for i, v in enumerate(values):
+        text = b"%d" % v
+        data[8 * words * i + 1 : 8 * words * i + 1 + len(text)] = text
     return table
 
 

@@ -10,13 +10,17 @@ nodes' initial average.
 
 A run advances one block of rounds at a time. A block ends at the next
 event iteration, at max_rounds or after noise.STACK_VALUES values of
-state. Each of its rounds only adds theta to the state and calls the
-kernel; the bookkeeping runs once per block over the (rounds x n) stack
-of states: the envelope and finiteness guards, the check that every
+state, and holds no more rounds than the run has already run (one at
+least), so a run that stops early computes fewer than twice its rounds.
+Each of its rounds only adds theta to the state and calls the kernel;
+the bookkeeping runs once per block over the (rounds x n) stack of
+states: the envelope and finiteness guards, the check that every
 broadcast is finite, spread, error and the term_epsilon gap. The run
 stops where a round-by-round loop stops, at the first round at which a
 guard or a stopping rule fires, and the block's later rounds are
-discarded.
+discarded. The floating-point errors of the rounds up to the stop reach
+the caller's numpy error handling as a round-by-round loop's would (see
+run); those of the discarded rounds do not.
 """
 
 from __future__ import annotations
@@ -109,9 +113,9 @@ class RunTrace:
     whose original ids node_ids[k] holds (the rounds of one topology segment
     share one tuple). xs / thetas are populated only when record_trace is
     set; broadcasts exist for k < k_stop, and x_plus(k) is x(k) + theta(k),
-    formed by whoever reads it. xs[k] is a row of its block's states and
-    thetas[k] a row of the run's noise block; neither is written after
-    the round that made it. k_stop, consensus_value and
+    formed by whoever reads it. xs[k] and thetas[k] are rows of arrays
+    that hold a block's rounds, and only the rounds the trace keeps;
+    neither is written after the round that made it. k_stop, consensus_value and
     final_true_average are derived from spreads, x_final and the applied
     events. write_trace_csv and write_summary_csv hand these lists to
     privagg.csvfmt, which lays out and formats the CSV text.
@@ -180,7 +184,14 @@ def _kernel_operands(wm: WeightMatrix, matrix_form: bool) -> tuple[np.ndarray, n
 def run(config: RunConfig) -> RunTrace:
     """Execute one run to its stopping point and return the trace.
 
-    A disconnected graph raises ValueError (from ``metropolis``)."""
+    A disconnected graph raises ValueError (from ``metropolis``). A block's
+    arithmetic runs with the floating-point errors that numpy's error
+    handling (np.seterr) heeds noted by round instead of reported; once
+    the block's stop is known, the rounds up to it that raised one run
+    again under the caller's handling, so their warnings (or a raise)
+    come as from a round-by-round loop, though after the block's rounds
+    rather than between them. The kernel must give the same result for
+    the same operands."""
     g = config.graph
     kernel = get_backend().step
     matrix_form = config.update_form == "matrix"
@@ -220,95 +231,108 @@ def run(config: RunConfig) -> RunTrace:
             weights, cols = _kernel_operands(wm, matrix_form)
             ids = tuple(alive)
 
-        # The block: rounds k .. end - 1 broadcast, up to the next event,
-        # max_rounds or the value budget; at k == max_rounds it holds the
-        # last state alone. The trace keeps rows of its states x(k) ..
-        # x(end), and theta's are rows of the noise block.
+        # The block: rounds k .. end - 1 broadcast, as many as have run (one
+        # at least), up to the next event, max_rounds or the value budget;
+        # at k == max_rounds it holds the last state alone. A run that stops
+        # early so computes fewer than twice its rounds.
         n = g.n
-        end = min(max_rounds, k + max(1, STACK_VALUES // n))
+        end = min(max_rounds, k + max(1, min(k, STACK_VALUES // n)))
         if ei < len(events):
             end = min(end, events[ei].at_iteration)
         theta = block[k:end] if n == block.shape[1] else block[k:end, alive]
         states, plus = np.empty((end - k + 1, n)), np.empty((end - k, n))
         states[0] = x
         x = states[0]
-        # Past a failing round the block works on values the round loop never
-        # formed; its rounds are discarded, and their warnings with them.
-        with np.errstate(all="ignore"):
-            for x_plus, theta_k, x_next in zip(plus, theta, states[1:]):
+        # The errors the caller heeds are noted by round, not reported: past
+        # a stop the block works on values the round loop never forms.
+        faults: list[int] = []
+        j = 0
+        heed = {kind: "call" if how != "ignore" else how for kind, how in np.geterr().items()}
+        with np.errstate(**heed, call=lambda *_: faults.append(j)):
+            for j, (x_plus, theta_k, x_next) in enumerate(zip(plus, theta, states[1:])):
                 np.add(x, theta_k, out=x_plus)
                 x_next[:] = kernel(weights, cols, x_plus)
                 x = x_next
-            rows = max(end - k, 1)  # the states checked here: x(k) .. x(k + rows - 1)
-            stop, reason, spreads, errs = _block_checks(
-                states[:rows], plus, k, guard, reference, max_rounds,
-                config.term_epsilon if g.edges else 0.0, wm.cols,
+        rows = max(end - k, 1)  # the states checked here: x(k) .. x(k + rows - 1)
+        eps = config.term_epsilon if g.edges else 0.0
+        with np.errstate(all="ignore"):
+            r, cause, high, low = _first_stop(
+                states[:rows], plus, guard, k + rows - 1 == max_rounds, eps, wm.cols
             )
+        for j in sorted(set(faults)):  # again, under the caller's handling
+            if j < r or (j == r and cause == "broadcast"):
+                x_plus = states[j] + theta[j]
+                if j < r:
+                    kernel(weights, cols, x_plus)
+        kept = r if cause == "state" else min(r + 1, rows)  # the rounds recorded
+        # under the caller's handling too; a gap overflows only where the
+        # spread does, which reports it
+        spreads = (high[:kept] - low[:kept]).tolist()
+        errs = np.maximum(abs(high[:kept] - reference), abs(low[:kept] - reference)).tolist()
+        if cause == "state":
+            peak = max(abs(float(high[r])), abs(float(low[r])))
+            if not math.isfinite(peak):
+                raise EngineAbort(f"non-finite state at iteration {k + r}")
+            raise EngineAbort(f"state envelope exceeded at iteration {k + r}: {peak} > {guard}")
+        if cause == "broadcast":
+            raise EngineAbort(f"non-finite broadcast at iteration {k + r}")
         trace.spreads += spreads
         trace.errs += errs
-        trace.node_ids += [ids] * len(spreads)
+        trace.node_ids += [ids] * kept
         if config.record_trace:
-            trace.xs += list(states[: len(spreads)])
-            trace.thetas += list(theta[: stop - k])
-        if reason:
-            trace.reason = reason
-            trace.x_final = states[stop - k]
+            # Copies where rows would pin more than the trace keeps: the
+            # noise block, and the rounds a stop leaves in its block.
+            trace.xs += list(states[:kept].copy() if cause else states[:kept])
+            trace.thetas += list(theta[:r].copy())
+        if cause:
+            trace.reason = cause
+            trace.x_final = states[r].copy()
             return trace
         k = end
 
 
-def _block_checks(
+def _first_stop(
     states: np.ndarray,
     plus: np.ndarray,
-    k: int,
     guard: float,
-    reference: float,
-    max_rounds: int,
+    at_max: bool,
     term_epsilon: float,
     support: np.ndarray,
-) -> tuple[int, str, list[float], list[float]]:
-    """Check a block's rounds at once and return (stop, reason, spreads, errs).
+) -> tuple[int, str, np.ndarray, np.ndarray]:
+    """The first row r at which the round loop stops in a block, and why.
 
     Row r of states is x(k + r) and row r of plus its broadcast, if it had
-    one. Round by round, in this order: a state that is non-finite or past
-    the guard aborts; the state is recorded; term_epsilon (when > 0) and
-    then max_rounds stop the run; a non-finite broadcast aborts. The first
-    round at which any of these fires decides; reason is "" when none does
-    and stop is then the block's end. spreads and errs cover the rounds
-    recorded. max and min are exact and rounding is monotone, so a row's
-    max |x - reference| is that of its max or of its min.
+    one; at_max says the last row is x(max_rounds). Round by round, in
+    this order: a state that is non-finite or past the guard aborts
+    ("state"); the state is recorded; term_epsilon (when > 0) and then
+    max_rounds stop the run ("term_epsilon", "max_iterations"); a
+    non-finite broadcast aborts ("broadcast"). The cause is "" when none
+    fires, and r is then len(states). Also returns each row's max and min,
+    from which spread and error follow (max, min and rounding are
+    monotone, so a row's max |x - reference| is that of its max or of its
+    min).
     """
     rows = len(states)
     high, low = states.max(axis=1), states.min(axis=1)
     peak = np.maximum(np.abs(high), np.abs(low))
-    bad_state = ~np.isfinite(peak) | (peak > guard)
-    close = np.zeros(rows, dtype=bool)
+    causes = {
+        "state": ~np.isfinite(peak) | (peak > guard),
+        "term_epsilon": np.zeros(rows, dtype=bool),
+        "max_iterations": np.zeros(rows, dtype=bool),
+        "broadcast": np.zeros(rows, dtype=bool),
+    }
     if term_epsilon > 0.0:
         gap = np.zeros(rows)
         for c in support:  # slot by slot: each node against one neighbour
             np.maximum(gap, np.abs(states[:, c] - states).max(axis=1), out=gap)
-        close = gap <= term_epsilon
-    last = np.zeros(rows, dtype=bool)
-    last[-1] = k + rows - 1 == max_rounds
-    bad_plus = np.zeros(rows, dtype=bool)
-    bad_plus[: len(plus)] = ~np.isfinite(plus).all(axis=1)
-    fired = np.flatnonzero(bad_state | close | last | bad_plus)
-    r = int(fired[0]) if len(fired) else rows
-    if r < rows and bad_state[r]:
-        if not math.isfinite(peak[r]):
-            raise EngineAbort(f"non-finite state at iteration {k + r}")
-        raise EngineAbort(
-            f"state envelope exceeded at iteration {k + r}: {float(peak[r])} > {guard}"
-        )
-    kept = min(r + 1, rows)
-    high, low = high[:kept], low[:kept]
-    spreads = (high - low).tolist()
-    errs = np.maximum(np.abs(high - reference), np.abs(low - reference)).tolist()
-    if r == rows:
-        return k + rows, "", spreads, errs
-    if close[r] or last[r]:
-        return k + r, "term_epsilon" if close[r] else "max_iterations", spreads, errs
-    raise EngineAbort(f"non-finite broadcast at iteration {k + r}")
+        causes["term_epsilon"] = gap <= term_epsilon
+    causes["max_iterations"][-1] = at_max
+    causes["broadcast"][: len(plus)] = ~np.isfinite(plus).all(axis=1)
+    fired = np.flatnonzero(np.logical_or.reduce(list(causes.values())))
+    if not len(fired):
+        return rows, "", high, low
+    r = int(fired[0])
+    return r, next(c for c, hit in causes.items() if hit[r]), high, low
 
 
 def apply_run_event(

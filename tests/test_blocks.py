@@ -2,9 +2,10 @@
 once; round_reference.round_run is the round-by-round loop it must match.
 
 Every RunTrace field is compared bit for bit, and an abort must be the same
-EngineAbort at the same iteration, with no floating-point warning that the
-round loop does not give. The block budget is patched to one round, seven
-rounds (of the first segment's width) and the whole run.
+EngineAbort at the same iteration, with the floating-point warnings the
+round loop gives and no others. A block is as long as the rounds already
+run, up to the budget; the budget is patched to one round, seven rounds (of
+the first segment's width) and the whole run.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from privagg.topology import ConnectivityError, TopologyEvent, generate
 
 from round_reference import round_run
 
-# STACK_VALUES for a graph of n nodes: a block of one round, of seven
-# rounds while no node has been removed, and of the whole run.
+# STACK_VALUES for a graph of n nodes: blocks of one round, of seven
+# rounds at most while no node has been removed, and of no limit.
 BUDGETS = {"one": lambda n: 1, "seven": lambda n: 7 * n, "whole": lambda n: 2**40}
-EVENT_ITERATIONS = sorted({b + d for b in range(0, 36, 7) for d in (-1, 0, 1)} - {-1})
+# on and next to the block boundaries of each budget in a run without events
+BOUNDARIES = [*range(0, 36, 7), 2, 4, 8, 16, 32]
+EVENT_ITERATIONS = sorted({b + d for b in BOUNDARIES for d in (-1, 0, 1)} - {-1})
 
 
 def _bits(values) -> bytes:
@@ -69,7 +72,7 @@ def assert_same_outcome(cfg, budget: str = "whole") -> None:
         mp.setattr("privagg.engine.STACK_VALUES", BUDGETS[budget](cfg.graph.n))
         got, got_warnings = _outcome(run, cfg)
     want, want_warnings = _outcome(round_run, cfg)
-    assert got_warnings <= want_warnings
+    assert got_warnings == want_warnings
     if isinstance(want, str):
         assert got == want
     else:
@@ -156,6 +159,25 @@ def _faulty(at: int, value: float):
     return factory
 
 
+def _overflowing(at: int):
+    """A Backend whose kernel returns 1e308 * 10 from kernel call `at` on:
+    inf, with numpy's floating-point overflow error."""
+
+    def factory():
+        calls = []
+
+        def step(weights, cols, v):
+            out = backend.step(weights, cols, v)
+            if len(calls) >= at:
+                out = np.full_like(out, 1e308) * 10.0
+            calls.append(None)
+            return out
+
+        return backend.Backend("overflowing", step)
+
+    return factory
+
+
 _RING = dict(
     graph=generate("ring", 6),
     x0=np.linspace(-10.0, 10.0, 6),
@@ -220,3 +242,86 @@ def test_term_epsilon_stop_wins_over_a_later_fault_in_its_block(monkeypatch, val
     assert round_run(cfg).reason == "term_epsilon"
     assert_same_outcome(cfg)
     assert run(cfg).k_stop == stop
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("at", [0, 5, 6, 7, 13, 20])
+def test_kernel_overflow_warns_as_the_round_loop_does(monkeypatch, budget, at):
+    monkeypatch.setattr("privagg.engine.get_backend", _overflowing(at))
+    cfg = RunConfig(**_RING)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(EngineAbort, match=f"^non-finite state at iteration {at + 1}$"):
+            round_run(cfg)
+    assert_same_outcome(cfg, budget)
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("at", [0, 6, 13])
+def test_raising_floating_point_errors_raise_where_the_round_loop_does(monkeypatch, budget, at):
+    # np.seterr(all="raise") makes the overflow of round `at` raise, before
+    # the abort the next round would give
+    cfg = RunConfig(**_RING)
+    outcomes, caller = [], np.geterr()
+    for loop in (round_run, run):
+        monkeypatch.setattr("privagg.engine.get_backend", _overflowing(at))
+        monkeypatch.setattr("privagg.engine.STACK_VALUES", BUDGETS[budget](6))
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError) as raised:
+            loop(cfg)
+        outcomes.append(str(raised.value))
+        assert np.geterr() == caller
+    assert outcomes[0] == outcomes[1]
+
+
+def test_an_early_stop_computes_fewer_than_twice_its_rounds(monkeypatch):
+    calls = []
+
+    def counting():
+        def step(weights, cols, v):
+            calls.append(None)
+            return backend.step(weights, cols, v)
+
+        return backend.Backend("counting", step)
+
+    monkeypatch.setattr("privagg.engine.get_backend", counting)
+    cfg = RunConfig(**{**_RING, "term_epsilon": 0.5, "max_iterations": 1000})
+    trace = run(cfg)
+    assert trace.reason == "term_epsilon"
+    assert trace.k_stop <= len(calls) < 2 * max(trace.k_stop, 1)
+
+
+def test_a_stopped_run_keeps_no_rows_past_its_stop():
+    # the trace's rows are copies of the rounds it keeps: neither the noise
+    # block nor the rounds a stop discards stay behind them
+    cfg = RunConfig(**{**_RING, "term_epsilon": 0.5, "max_iterations": 1000})
+    trace = run(cfg)
+    assert trace.reason == "term_epsilon"
+    kept = 0
+    for rows in (trace.xs, trace.thetas):
+        bases = {id(row.base): row.base for row in rows if row.base is not None}
+        kept += sum(base.nbytes for base in bases.values())
+    # each block's states hold one row past its rounds: x(end), the next
+    # block's first
+    assert kept <= 2 * (len(trace.xs) + len(trace.thetas)) * 6 * 8
+    assert trace.x_final.base is None
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5])
+@pytest.mark.parametrize("x0", [[1.7e308, -1.7e308], [1.7e308, 0.0, -1.7e308]])
+def test_overflowing_spread_and_gap_warn_as_the_round_loop_does(x0, eps):
+    # finite states whose spread (and, between neighbours, gap) overflows;
+    # the round loop takes a spread from two numpy scalars, whose warning
+    # says "scalar subtract" where the block loop's says "subtract"
+    cfg = RunConfig(
+        graph=generate("path", len(x0)),
+        x0=x0,
+        noise=NoiseParams(seed=1),
+        scheme="gaussian_constant",
+        max_iterations=4,
+        term_epsilon=eps,
+    )
+    got, got_warnings = _outcome(run, cfg)
+    want, want_warnings = _outcome(round_run, cfg)
+    assert_same_trace(got, want)
+    assert math.isinf(want.spreads[0])
+    wording = lambda caught: {(c, m.replace("scalar ", "")) for c, m in caught}
+    assert wording(got_warnings) == wording(want_warnings) != set()
