@@ -228,8 +228,8 @@ def theta_block(scheme: str, params: NoiseParams, raw: np.ndarray) -> np.ndarray
     elif scheme == "gaussian_constant":
         raw *= math.sqrt(p.variance)
     elif scheme == "independent_decaying":
-        for k in range(len(raw)):
-            raw[k] *= 0.5 * p.alpha * p.rho**k * DRAW_MARGIN
+        scales = [0.5 * p.alpha * p.rho**k * DRAW_MARGIN for k in range(len(raw))]
+        raw *= np.array(scales).reshape((-1,) + (1,) * (raw.ndim - 1))
     else:
         deltas = [None] * p.h  # each chain's residual after its latest round
         for k in range(len(raw)):

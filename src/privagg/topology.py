@@ -1,8 +1,15 @@
 """Undirected logical-link graphs that consensus runs on.
 
-Nodes are dense ids 0..n-1, edges are unordered pairs without self-loops,
-and every public constructor guarantees a connected result (random kinds
-retry a bounded number of times and then fail loudly).
+Nodes are dense ids 0..n-1 and edges are unordered pairs without self-loops.
+``build_graph`` takes any edge set, connected or not. ``generate`` and
+``apply_event`` return only connected graphs: random kinds retry a bounded
+number of times and then fail loudly, and an event that would disconnect the
+graph is rejected.
+
+``Graph.connected`` searches a graph at most once and keeps the answer.
+``generate`` and ``apply_event`` set it on the graphs they return, and
+``apply_event`` checks an event on a connected graph locally, never by a
+search of the whole graph.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -37,6 +45,12 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def connected(self) -> bool:
+        """is_connected(self), searched at most once per Graph object; not a
+        field, so ==, hash and repr ignore it."""
+        return is_connected(self)
 
     def degree(self, i: int) -> int:
         return len(self.neighbors[i])
@@ -78,6 +92,21 @@ def is_connected(g: Graph) -> bool:
                 count += 1
                 queue.append(v)
     return count == g.n
+
+
+def _reaches(g: Graph, start: int, targets: set[int]) -> bool:
+    """True iff a traversal of g from start reaches every node in targets; it
+    stops as soon as it has."""
+    left = targets - {start}
+    seen = {start}
+    queue = deque([start])
+    while left and queue:
+        for v in g.neighbors[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                left.discard(v)
+                queue.append(v)
+    return not left
 
 
 def _ring_edges(n: int) -> list[tuple[int, int]]:
@@ -138,7 +167,7 @@ def generate(
                 keep = np.hypot(*(pos[i] - pos[i + 1 :]).T) <= radius
             edges += [(i, j) for j in (np.flatnonzero(keep) + i + 1).tolist()]
         g = build_graph(n, edges)
-        if is_connected(g):
+        if g.connected:
             return g
     raise ConnectivityError(
         f"no connected {kind} graph with n={n} after {CONNECT_RETRIES} draws; "
@@ -176,6 +205,13 @@ def apply_event(g: Graph, event: TopologyEvent) -> Graph:
     position, and every other neighbour tuple is shared with g. remove_node
     renumbers every later id, so it rebuilds the graph from the relabelled
     edges. Either way the result equals build_graph of the new edge set.
+
+    When g is connected the check is local, since every surviving node still
+    reaches an end node of the event: an added edge needs none, a removed
+    edge (a, b) a search from a that stops once it reaches b, and a removed
+    node a search from one former neighbour that stops once it reaches the
+    others. Otherwise the whole new graph is searched. The result's
+    ``connected`` is set either way.
     """
     if event.kind == "remove_node":
         node = event.payload
@@ -190,6 +226,7 @@ def apply_event(g: Graph, event: TopologyEvent) -> Graph:
             (remap[i], remap[j]) for i, j in g.edges if i != node and j != node
         ]
         new = build_graph(g.n - 1, edges)
+        ends = [u - (u > node) for u in g.neighbors[node]]  # renumbered
     else:
         i, j = event.payload  # type: ignore[misc]
         if not (0 <= i < g.n and 0 <= j < g.n):
@@ -214,11 +251,19 @@ def apply_event(g: Graph, event: TopologyEvent) -> Graph:
             nbrs[b] = nb[:ib] + (a,) + nb[ib:]
             edges = edges[:ie] + ((a, b),) + edges[ie:]
         new = Graph(g.n, edges, tuple(nbrs))
-    if not is_connected(new):
+        ends = [a, b]
+    if not g.connected:
+        connected = is_connected(new)
+    elif event.kind == "add_edge":
+        connected = True
+    else:
+        connected = _reaches(new, ends[0], set(ends[1:]))
+    if not connected:
         raise ConnectivityError(
             f"event {event.kind} {event.payload} at iteration {event.at_iteration} "
             "would disconnect the graph; rejected"
         )
+    new.__dict__["connected"] = True
     return new
 
 

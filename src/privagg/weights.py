@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .topology import Graph, is_connected
+from .topology import Graph
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ def metropolis(
 
     ``base=(old_g, old_wm)`` passes the weights of any earlier graph; the
     caller then vouches for g's connectivity (``topology.apply_event`` has
-    checked it), and no search runs here. Without a base it is checked. On
+    checked it). Without a base it reads ``g.connected``, which searches g
+    only if nothing has yet: ``generate`` and ``apply_event`` set it. On
     the same n nodes only the columns that can differ are rebuilt: those of
     the nodes whose neighbour tuple changed, and of their neighbours in g
     (w_ij follows d_i). Every other column is copied, and the slot rows are
@@ -56,7 +57,7 @@ def metropolis(
     removed) has no columns to keep, so every column is built. Either way
     the result equals ``metropolis(g)``.
     """
-    if base is None and not is_connected(g):
+    if base is None and not g.connected:
         raise ValueError("weights require a connected graph")
     n = g.n
     degree = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=n)

@@ -347,11 +347,12 @@ def test_node_ids_shared_within_a_segment():
     assert ids[4] == tuple(range(6)) and ids[5] == (0, 1, 2, 3, 5)
 
 
-def test_one_connectivity_search_per_applied_event(monkeypatch):
-    # configs/demo.cfg's graph with an edge event and two node removals: one
-    # search for the first weights, then one in apply_event per event; the
-    # weights of a later segment take the previous ones as base and search
-    # no more, across a node removal too
+def test_no_full_connectivity_search_per_applied_event(monkeypatch):
+    # configs/demo.cfg's graph with an edge event and two node removals:
+    # generate has marked it connected, so the first weights search no more;
+    # apply_event checks each event locally on a connected graph, and the
+    # weights of a later segment take the previous ones as base, across a
+    # node removal too. No full search runs.
     g = generate("random_gnp", 20, seed=7, p=0.3)
     events = (
         TopologyEvent(5, "add_edge", (0, 1)),
@@ -365,14 +366,13 @@ def test_one_connectivity_search_per_applied_event(monkeypatch):
         return is_connected(graph)
 
     monkeypatch.setattr("privagg.topology.is_connected", counted)
-    monkeypatch.setattr("privagg.weights.is_connected", counted)
     cfg = RunConfig(
         graph=g, x0=np.arange(20.0), noise=NoiseParams(seed=23), events=events,
         max_iterations=40, update_form="per_node",
     )
     trace = run(cfg)
     assert [e.n_after for e in trace.events_applied] == [20, 19, 18]
-    assert searched == [20, 20, 19, 18]
+    assert searched == []
 
 
 def test_zero_scheme_seeds_no_stream(monkeypatch):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privagg import topology
@@ -16,6 +16,7 @@ from privagg.topology import (
     generate,
     is_connected,
 )
+from privagg.weights import metropolis
 
 
 def test_path_structure():
@@ -245,6 +246,98 @@ def test_apply_event_matches_rebuild_reference(case):
         new = apply_event(g, event)
         assert new == want and hash(new) == hash(want)
         g = new
+
+
+_PATH_3 = build_graph(3, [(0, 1), (1, 2)])
+_BOWTIE = build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])  # cut vertex 2
+
+
+@st.composite
+def _connected_graph_and_events(draw):
+    """A connected graph with bridges and cut vertices, a random spanning tree
+    with at most n // 2 more edges, and a sequence of picks: a present edge
+    to remove (a bridge or not), an absent pair to add or a node to remove
+    (a cut vertex or not)."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=n // 2))
+    steps = draw(
+        st.lists(
+            st.tuples(st.sampled_from(EVENT_KINDS), st.integers(0, 2**16)),
+            min_size=1,
+            max_size=15,
+        )
+    )
+    return build_graph(n, edges), steps
+
+
+@settings(max_examples=300)
+@given(case=_connected_graph_and_events())
+@example(case=(_PATH_3, [("remove_edge", 0), ("remove_node", 1), ("remove_node", 0)]))
+@example(
+    case=(_BOWTIE, [("remove_node", 2), ("remove_edge", 3), ("remove_edge", 1), ("remove_edge", 5)])
+)
+def test_local_connectivity_checks_match_a_full_search(case):
+    # every event here meets a connected graph, so apply_event takes its
+    # local checks; they must give what the full-search reference gives
+    g, steps = case
+    assert g.connected
+    for at, (kind, pick) in enumerate(steps):
+        if kind == "remove_node":
+            payload = pick % g.n
+        else:
+            absent = [
+                (a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b)
+            ]
+            candidates = g.edges if kind == "remove_edge" else absent
+            if not candidates:
+                continue
+            payload = candidates[pick % len(candidates)][:: 1 if pick % 2 else -1]
+        event = TopologyEvent(at, kind, payload)
+        try:
+            want = _rebuild_apply_event(g, event)
+        except (ValueError, ConnectivityError) as exc:
+            with pytest.raises(type(exc)) as got:
+                apply_event(g, event)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            continue
+        new = apply_event(g, event)
+        assert new == want
+        assert new.__dict__["connected"] and is_connected(new)
+        g = new
+
+
+def test_events_on_a_connected_graph_run_no_full_search(monkeypatch):
+    searched = []
+
+    def counted(graph):
+        searched.append(graph)
+        return is_connected(graph)
+
+    monkeypatch.setattr("privagg.topology.is_connected", counted)
+    # a triangle 0-1-2 with a tail 2-3-4: (2, 3) is a bridge, 2 and 3 are cut vertices
+    start = build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+    assert start.connected and searched == [start]
+    g = apply_event(start, TopologyEvent(0, "remove_edge", (0, 1)))
+    g = apply_event(g, TopologyEvent(1, "add_edge", (1, 0)))
+    for kind, payload in (("remove_edge", (3, 2)), ("remove_node", 3), ("remove_node", 2)):
+        with pytest.raises(ConnectivityError):
+            apply_event(g, TopologyEvent(2, kind, payload))
+    g = apply_event(g, TopologyEvent(3, "remove_node", 4))
+    assert g.__dict__["connected"] and metropolis(g).n == 4
+    assert searched == [start]
+
+    # a graph not known to be connected is searched once, and so is each
+    # graph an event on it makes; no Graph object is searched twice
+    parts = build_graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(ConnectivityError):
+        apply_event(parts, TopologyEvent(0, "remove_edge", (0, 1)))
+    joined = apply_event(parts, TopologyEvent(0, "add_edge", (1, 2)))
+    apply_event(joined, TopologyEvent(1, "remove_node", 0))
+    assert not parts.connected and joined.connected
+    assert searched[1:] == [parts, build_graph(4, [(2, 3)]), joined]
+    assert searched[1] is parts and searched[3] is joined
 
 
 def test_edge_events_do_not_rebuild(monkeypatch):
