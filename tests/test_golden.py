@@ -39,6 +39,11 @@ VARIANTS = {
         ("run", "update_form"): "per_node",
         ("run", "events"): "5:add_edge:0-1, 5:remove_edge:1-4, 9:remove_node:17",
     },
+    # the dense form across two node removals
+    "matrix_removals": {
+        ("run", "update_form"): "matrix",
+        ("run", "events"): "9:remove_node:17, 30:remove_node:12",
+    },
     "truncated_h2": {
         ("noise", "distribution"): "truncated_gaussian",
         ("noise", "h"): "2",
