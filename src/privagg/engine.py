@@ -8,6 +8,11 @@ form or a per-node support form that agree bit-for-bit. Topology events
 their state mass with them and the error metric re-targets the surviving
 nodes' initial average.
 
+A node keeps its id and its state column for the whole run. A removed
+node's column is retired, with weight 1.0 on itself and theta 0.0, so no
+live node reads it; spread, error, the guards, the broadcast check, the
+trace rows and x_final read the live columns only.
+
 A run advances one block of rounds at a time. A block ends at the next
 event iteration, at max_rounds or after noise.STACK_VALUES values of
 state, and holds no more rounds than the run has already run (one at
@@ -26,8 +31,7 @@ run); those of the discarded rounds do not.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -85,6 +89,8 @@ class RunConfig:
                 f"x0 has length {x0.shape}, graph has {self.graph.n} nodes"
             )
         self.x0 = x0
+        if self.graph.retired:  # a run retires nodes only through its events
+            raise ValueError(f"graph has retired nodes {sorted(self.graph.retired)}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown noise scheme {self.scheme!r}")
         check_run_options(self.max_iterations, self.term_epsilon, self.update_form)
@@ -109,16 +115,19 @@ class RunTrace:
     """Per-iteration record of a run; each fact is stored once.
 
     spreads[k] is V(x(k)) = max - min; errs[k] is max_i |x_i(k) - reference|
-    where the reference is the mean initial state of the nodes alive at k,
-    whose original ids node_ids[k] holds (the rounds of one topology segment
-    share one tuple). xs / thetas are populated only when record_trace is
-    set; broadcasts exist for k < k_stop, and x_plus(k) is x(k) + theta(k),
-    formed by whoever reads it. xs[k] and thetas[k] are rows of arrays
-    that hold a block's rounds, and only the rounds the trace keeps;
-    neither is written after the round that made it. k_stop, consensus_value and
-    final_true_average are derived from spreads, x_final and the applied
-    events. write_trace_csv and write_summary_csv hand these lists to
-    privagg.csvfmt, which lays out and formats the CSV text.
+    where the reference is the mean initial state of the live nodes at k,
+    whose ids node_ids[k] holds (the rounds of one topology segment share
+    one tuple). A node's id is its index in the config's graph for the
+    whole run; a removed id is never reused. xs[k], thetas[k] and x_final
+    hold the live nodes' values in node_ids order. xs / thetas are
+    populated only when record_trace is set; broadcasts exist for k <
+    k_stop, and x_plus(k) is x(k) + theta(k), formed by whoever reads it.
+    xs[k] and thetas[k] are rows of arrays that hold a block's rounds, and
+    only the rounds the trace keeps; neither is written after the round
+    that made it. k_stop, consensus_value and final_true_average are
+    derived from spreads, x_final and the applied events. write_trace_csv
+    and write_summary_csv hand these lists to privagg.csvfmt, which lays
+    out and formats the CSV text.
     """
 
     config: RunConfig
@@ -196,16 +205,17 @@ def run(config: RunConfig) -> RunTrace:
     kernel = get_backend().step
     matrix_form = config.update_form == "matrix"
 
-    x0_full = np.array(config.x0, dtype=np.float64)
-    x = x0_full  # the latest state; a block's states are written once each
-    alive = list(range(g.n))
+    n = g.n
+    x0 = np.array(config.x0, dtype=np.float64)
+    x = x0  # the latest state; a block's states are written once each
+    live = slice(None)  # the live columns: all, until a node is retired
     wm = metropolis(g)
     weights, cols = _kernel_operands(wm, matrix_form)
-    reference = float(np.mean(x0_full))
+    reference = float(np.mean(x0))
     max_rounds = config.max_rounds
-    block = node_theta_block(config.scheme, config.noise, g.n, max_rounds)
+    block = node_theta_block(config.scheme, config.noise, n, max_rounds)
     guard = (
-        state_envelope(x0_full, config.noise) * (1.0 + TOL.envelope_slack)
+        state_envelope(x0, config.noise) * (1.0 + TOL.envelope_slack)
         if config.scheme in _ENVELOPE_SCHEMES
         else math.inf
     )
@@ -214,32 +224,34 @@ def run(config: RunConfig) -> RunTrace:
 
     ei = 0
     k = 0
-    ids = tuple(alive)  # one tuple per topology segment, shared by its rounds
+    ids = tuple(range(n))  # one tuple per topology segment, shared by its rounds
     while True:
         first, before = ei, g
         while ei < len(events) and events[ei].at_iteration == k:
-            g, alive, gone = apply_run_event(g, events[ei], alive)
-            if gone is not None:
-                x = np.delete(x, gone)
-                reference = float(np.mean(x0_full[alive]))
+            event = events[ei]
+            g = apply_event(g, event)
+            if event.kind == "remove_node":
+                if block.flags.writeable:  # the zero scheme's block is a read-only 0.0
+                    block[k:, event.payload] = 0.0  # a retired node adds no more noise
+                live = np.array([i for i in range(n) if i not in g.retired])
+                reference = float(np.mean(x0[live]))
             trace.events_applied.append(
-                AppliedEvent(k, events[ei].kind, events[ei].payload, g.n, reference)
+                AppliedEvent(k, event.kind, event.payload, n - len(g.retired), reference)
             )
             ei += 1
         if ei > first:  # the new segment's weights and ids, once per iteration
             wm = metropolis(g, base=(before, wm))  # apply_event checked connectivity
             weights, cols = _kernel_operands(wm, matrix_form)
-            ids = tuple(alive)
+            ids = tuple(np.arange(n)[live].tolist())
 
         # The block: rounds k .. end - 1 broadcast, as many as have run (one
         # at least), up to the next event, max_rounds or the value budget;
         # at k == max_rounds it holds the last state alone. A run that stops
         # early so computes fewer than twice its rounds.
-        n = g.n
         end = min(max_rounds, k + max(1, min(k, STACK_VALUES // n)))
         if ei < len(events):
             end = min(end, events[ei].at_iteration)
-        theta = block[k:end] if n == block.shape[1] else block[k:end, alive]
+        theta = block[k:end]
         states, plus = np.empty((end - k + 1, n)), np.empty((end - k, n))
         states[0] = x
         x = states[0]
@@ -254,10 +266,10 @@ def run(config: RunConfig) -> RunTrace:
                 x_next[:] = kernel(weights, cols, x_plus)
                 x = x_next
         rows = max(end - k, 1)  # the states checked here: x(k) .. x(k + rows - 1)
-        eps = config.term_epsilon if g.edges else 0.0
+        eps = config.term_epsilon if len(ids) > 1 else 0.0
         with np.errstate(all="ignore"):
             r, cause, high, low = _first_stop(
-                states[:rows], plus, guard, k + rows - 1 == max_rounds, eps, wm.cols
+                states[:rows], plus, live, guard, k + rows - 1 == max_rounds, eps, wm.cols
             )
         for j in sorted(set(faults)):  # again, under the caller's handling
             if j < r or (j == r and cause == "broadcast"):
@@ -282,11 +294,11 @@ def run(config: RunConfig) -> RunTrace:
         if config.record_trace:
             # Copies where rows would pin more than the trace keeps: the
             # noise block, and the rounds a stop leaves in its block.
-            trace.xs += list(states[:kept].copy() if cause else states[:kept])
-            trace.thetas += list(theta[:r].copy())
+            trace.xs += list(states[:kept, live].copy() if cause else states[:kept, live])
+            trace.thetas += list(theta[:r, live].copy())
         if cause:
             trace.reason = cause
-            trace.x_final = states[r].copy()
+            trace.x_final = states[r, live].copy()
             return trace
         k = end
 
@@ -294,6 +306,7 @@ def run(config: RunConfig) -> RunTrace:
 def _first_stop(
     states: np.ndarray,
     plus: np.ndarray,
+    live: slice | np.ndarray,
     guard: float,
     at_max: bool,
     term_epsilon: float,
@@ -302,7 +315,9 @@ def _first_stop(
     """The first row r at which the round loop stops in a block, and why.
 
     Row r of states is x(k + r) and row r of plus its broadcast, if it had
-    one; at_max says the last row is x(max_rounds). Round by round, in
+    one; at_max says the last row is x(max_rounds). The guards and the
+    broadcast check read the live columns; so does the gap, since a
+    retired column's support is itself alone. Round by round, in
     this order: a state that is non-finite or past the guard aborts
     ("state"); the state is recorded; term_epsilon (when > 0) and then
     max_rounds stop the run ("term_epsilon", "max_iterations"); a
@@ -313,7 +328,8 @@ def _first_stop(
     min).
     """
     rows = len(states)
-    high, low = states.max(axis=1), states.min(axis=1)
+    shown = states[:, live]  # a view until a node is retired
+    high, low = shown.max(axis=1), shown.min(axis=1)
     peak = np.maximum(np.abs(high), np.abs(low))
     causes = {
         "state": ~np.isfinite(peak) | (peak > guard),
@@ -327,43 +343,12 @@ def _first_stop(
             np.maximum(gap, np.abs(states[:, c] - states).max(axis=1), out=gap)
         causes["term_epsilon"] = gap <= term_epsilon
     causes["max_iterations"][-1] = at_max
-    causes["broadcast"][: len(plus)] = ~np.isfinite(plus).all(axis=1)
+    causes["broadcast"][: len(plus)] = ~np.isfinite(plus[:, live]).all(axis=1)
     fired = np.flatnonzero(np.logical_or.reduce(list(causes.values())))
     if not len(fired):
         return rows, "", high, low
     r = int(fired[0])
     return r, next(c for c, hit in causes.items() if hit[r]), high, low
-
-
-def apply_run_event(
-    g: Graph, event: TopologyEvent, alive: list[int]
-) -> tuple[Graph, list[int], int | None]:
-    """Translate an original-id event to current positions and apply it.
-
-    alive lists the original ids of g's nodes by position, ascending.
-    Returns the new graph, the surviving original ids and the position a
-    remove_node took out (None for edge events).
-    """
-    if event.kind == "remove_node":
-        orig = event.payload
-        assert isinstance(orig, int)
-        pos = _position(alive, orig)
-        if pos is None:
-            raise ValueError(f"remove_node: node {orig} is not present")
-        g2 = apply_event(g, replace(event, payload=pos))
-        return g2, alive[:pos] + alive[pos + 1 :], pos
-    i, j = event.payload  # type: ignore[misc]
-    pi, pj = _position(alive, i), _position(alive, j)
-    if pi is None or pj is None:
-        raise ValueError(f"{event.kind}: node in ({i},{j}) is not present")
-    g2 = apply_event(g, replace(event, payload=(pi, pj)))
-    return g2, alive, None
-
-
-def _position(alive: list[int], orig: int) -> int | None:
-    """The position of original id orig in the ascending alive list, if any."""
-    pos = bisect_left(alive, orig)
-    return pos if pos < len(alive) and alive[pos] == orig else None
 
 
 def aggregate(trace: RunTrace, kind: str) -> float:

@@ -21,7 +21,6 @@ from .engine import (
     RunConfig,
     RunTrace,
     aggregate,
-    apply_run_event,
     check_run_options,
     run,
 )
@@ -31,6 +30,7 @@ from .topology import (
     ConnectivityError,
     Graph,
     TopologyEvent,
+    apply_event,
     check_graph_params,
     generate,
 )
@@ -368,7 +368,7 @@ def repetition_inputs(
 
 def check_topology(config: ExperimentConfig) -> None:
     """Draw the graph and replay, in at_iteration order, every event a run
-    reaches by its round cap, through the engine's own id translation. A run
+    reaches by its round cap, through apply_event as the run does. A run
     that stops early on term_epsilon never meets its later events, but they
     are checked all the same. The error names the topology or the entry."""
     try:
@@ -379,12 +379,12 @@ def check_topology(config: ExperimentConfig) -> None:
     schedule = sorted(
         zip(run_config.events, config.run.events), key=lambda pair: pair[0].at_iteration
     )
-    g, alive = graph, list(range(graph.n))
+    g = graph
     for event, text in schedule:
         if event.at_iteration > run_config.max_rounds:
             break
         try:
-            g, alive, _ = apply_run_event(g, event, alive)
+            g = apply_event(g, event)
         except (ValueError, ConnectivityError) as exc:
             raise ConfigError(f"run.events entry {text!r}: {exc}") from None
 

@@ -1,10 +1,11 @@
 """Undirected logical-link graphs that consensus runs on.
 
-Nodes are dense ids 0..n-1 and edges are unordered pairs without self-loops.
-``build_graph`` takes any edge set, connected or not. ``generate`` and
-``apply_event`` return only connected graphs: random kinds retry a bounded
-number of times and then fail loudly, and an event that would disconnect the
-graph is rejected.
+Nodes are ids 0..n-1 and edges are unordered pairs without self-loops. A
+node keeps its id for good: ``remove_node`` retires it (``Graph.retired``)
+and renumbers no other. ``build_graph`` takes any edge set, connected or
+not. ``generate`` and ``apply_event`` return only graphs whose live nodes
+are connected: random kinds retry a bounded number of times and then fail
+loudly, and an event that would disconnect the graph is rejected.
 
 ``Graph.connected`` searches a graph at most once and keeps the answer.
 ``generate`` and ``apply_event`` set it on the graphs they return, and
@@ -38,13 +39,18 @@ class ConnectivityError(RuntimeError):
 class Graph:
     """Immutable undirected graph; safe to share across concurrent runs.
 
-    edges holds (i, j) pairs with i < j, sorted; neighbors[i] is the sorted
-    tuple N_i derived from them.
+    neighbors[i] is the sorted tuple N_i; a retired node's is (). n counts
+    every id, retired ones too.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...]
+    retired: frozenset[int] = frozenset()
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (i, j) with i < j, sorted; derived from neighbors, not a field."""
+        return tuple((i, j) for i, nbrs in enumerate(self.neighbors) for j in nbrs if j > i)
 
     @cached_property
     def connected(self) -> bool:
@@ -71,18 +77,22 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge ({i},{j}) references a node outside 0..{n - 1}")
         norm.add((i, j) if i < j else (j, i))
+    edges = tuple(sorted(norm))
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    for i, j in sorted(norm):
+    for i, j in edges:
         nbrs[i].append(j)
         nbrs[j].append(i)
-    return Graph(n, tuple(sorted(norm)), tuple(tuple(sorted(b)) for b in nbrs))
+    g = Graph(n, tuple(tuple(sorted(b)) for b in nbrs))
+    g.__dict__["edges"] = edges  # the pairs are sorted already
+    return g
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff one traversal from node 0 reaches every node."""
+    """True iff one traversal from the lowest live node reaches every live node."""
+    start = next(i for i in range(g.n) if i not in g.retired)
     seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
+    seen[start] = True
+    queue = deque([start])
     count = 1
     while queue:
         u = queue.popleft()
@@ -91,7 +101,7 @@ def is_connected(g: Graph) -> bool:
                 seen[v] = True
                 count += 1
                 queue.append(v)
-    return count == g.n
+    return count == g.n - len(g.retired)
 
 
 def _reaches(g: Graph, start: int, targets: set[int]) -> bool:
@@ -198,13 +208,13 @@ class TopologyEvent:
 
 def apply_event(g: Graph, event: TopologyEvent) -> Graph:
     """Apply one event, returning a new Graph; rejects changes that would
-    disconnect the surviving graph.
+    disconnect the surviving graph, and events that name a retired node.
 
-    An edge event edits g in place of a rebuild: the two end nodes' neighbour
-    tuples and the edge tuple get the pair inserted or cut at its sorted
-    position, and every other neighbour tuple is shared with g. remove_node
-    renumbers every later id, so it rebuilds the graph from the relabelled
-    edges. Either way the result equals build_graph of the new edge set.
+    The event edits g in place of a rebuild: an edge event inserts or cuts
+    the pair in its two end nodes' neighbour tuples, and remove_node retires
+    the node, cutting it from each former neighbour's tuple. Every other
+    neighbour tuple is shared with g. The result's neighbour tuples equal
+    those of build_graph of the new edge set.
 
     When g is connected the check is local, since every surviving node still
     reaches an end node of the event: an added edge needs none, a removed
@@ -213,45 +223,46 @@ def apply_event(g: Graph, event: TopologyEvent) -> Graph:
     others. Otherwise the whole new graph is searched. The result's
     ``connected`` is set either way.
     """
+    nbrs = list(g.neighbors)
+    retired = g.retired
     if event.kind == "remove_node":
         node = event.payload
         assert isinstance(node, int)
         if not (0 <= node < g.n):
             raise ValueError(f"remove_node: node {node} not in graph")
-        if g.n == 1:
+        if node in retired:
+            raise ValueError(f"remove_node: node {node} is not present")
+        if g.n - len(retired) == 1:
             raise ConnectivityError("remove_node: cannot remove the last node")
-        keep = [i for i in range(g.n) if i != node]
-        remap = {old: new for new, old in enumerate(keep)}
-        edges = [
-            (remap[i], remap[j]) for i, j in g.edges if i != node and j != node
-        ]
-        new = build_graph(g.n - 1, edges)
-        ends = [u - (u > node) for u in g.neighbors[node]]  # renumbered
+        ends = g.neighbors[node]
+        for u in ends:
+            nbrs[u] = tuple(v for v in nbrs[u] if v != node)
+        nbrs[node] = ()
+        retired = retired | {node}
     else:
         i, j = event.payload  # type: ignore[misc]
         if not (0 <= i < g.n and 0 <= j < g.n):
             raise ValueError(f"{event.kind}: edge ({i},{j}) references a missing node")
+        if i in retired or j in retired:
+            raise ValueError(f"{event.kind}: node in ({i},{j}) is not present")
         if i == j:
             raise ValueError(f"{event.kind}: self-loop ({i},{j}) not allowed")
         a, b = (i, j) if i < j else (j, i)
-        na, nb, edges = g.neighbors[a], g.neighbors[b], g.edges
-        ia, ib, ie = bisect_left(na, b), bisect_left(nb, a), bisect_left(edges, (a, b))
+        na, nb = g.neighbors[a], g.neighbors[b]
+        ia, ib = bisect_left(na, b), bisect_left(nb, a)
         present = b in na
-        nbrs = list(g.neighbors)
         if event.kind == "remove_edge":
             if not present:
                 raise ValueError(f"remove_edge: ({a},{b}) is not an edge")
             nbrs[a] = na[:ia] + na[ia + 1 :]
             nbrs[b] = nb[:ib] + nb[ib + 1 :]
-            edges = edges[:ie] + edges[ie + 1 :]
         else:
             if present:
                 raise ValueError(f"add_edge: ({a},{b}) already present")
             nbrs[a] = na[:ia] + (b,) + na[ia:]
             nbrs[b] = nb[:ib] + (a,) + nb[ib:]
-            edges = edges[:ie] + ((a, b),) + edges[ie:]
-        new = Graph(g.n, edges, tuple(nbrs))
-        ends = [a, b]
+        ends = (a, b)
+    new = Graph(g.n, tuple(nbrs), retired)
     if not g.connected:
         connected = is_connected(new)
     elif event.kind == "add_edge":

@@ -6,9 +6,10 @@ symmetric doubly-stochastic matrix on any connected graph.
 
 Column i of the layout depends only on N_i and the degrees of i and its
 neighbours, so one builder fills the columns of any node set from the
-graph's neighbour tuples: every column for a new graph or after a node
-removal, and after edge events only those of the nodes whose tuple changed
-and of their neighbours, the rest copied from the previous segment's layout.
+graph's neighbour tuples: every column for a new graph, and after topology
+events only those of the nodes whose tuple changed and of their
+neighbours, the rest copied from the previous segment's layout. A retired
+node has no neighbours, so its column is itself with weight 1.0.
 """
 
 from __future__ import annotations
@@ -46,16 +47,15 @@ def metropolis(
 ) -> WeightMatrix:
     """Build the Metropolis weights of a connected graph.
 
-    ``base=(old_g, old_wm)`` passes the weights of any earlier graph; the
-    caller then vouches for g's connectivity (``topology.apply_event`` has
-    checked it). Without a base it reads ``g.connected``, which searches g
-    only if nothing has yet: ``generate`` and ``apply_event`` set it. On
-    the same n nodes only the columns that can differ are rebuilt: those of
-    the nodes whose neighbour tuple changed, and of their neighbours in g
-    (w_ij follows d_i). Every other column is copied, and the slot rows are
-    grown or trimmed to g's max degree + 1. A base on another n (a node was
-    removed) has no columns to keep, so every column is built. Either way
-    the result equals ``metropolis(g)``.
+    ``base=(old_g, old_wm)`` passes the weights of an earlier graph on the
+    same n ids, as ``topology.apply_event`` makes them; the caller then
+    vouches for g's connectivity (``apply_event`` has checked it). Without
+    a base it reads ``g.connected``, which searches g only if nothing has
+    yet: ``generate`` and ``apply_event`` set it. With a base only the
+    columns that can differ are rebuilt: those of the nodes whose neighbour
+    tuple changed, and of their neighbours in g (w_ij follows d_i). Every
+    other column is copied, and the slot rows are grown or trimmed to g's
+    max degree + 1. The result equals ``metropolis(g)``.
     """
     if base is None and not g.connected:
         raise ValueError("weights require a connected graph")
@@ -64,7 +64,7 @@ def metropolis(
     slots = int(degree.max()) + 1
     cols = np.empty((slots, n), dtype=np.intp)
     weights = np.empty((slots, n))
-    if base is None or base[0].n != n:
+    if base is None:
         nodes = np.arange(n)
     else:
         old_g, old = base

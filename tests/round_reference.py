@@ -5,16 +5,47 @@ checks its broadcast before the next kernel call, so nothing past the
 stopping round is ever computed. The kernel, the noise block and the
 weights are looked up on privagg.engine at call time, so a test that
 substitutes one of them there substitutes it for both loops.
+
+Where engine.run retires a removed node's column, this loop renumbers:
+the graph is rebuilt on the survivors, and the state and the noise hold
+their columns only. So the two agree bit for bit only if retiring a
+column leaves every live node's sums as renumbering does.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from privagg import engine
 from privagg.tolerances import TOL
+from privagg.topology import Graph, TopologyEvent, build_graph
+
+
+def renumbered_event(
+    g: Graph, event: TopologyEvent, alive: list[int]
+) -> tuple[Graph, list[int], int | None]:
+    """Apply an event on original ids, one that engine.run accepts, to a
+    graph that renumbers its nodes.
+
+    alive lists the original ids of g's nodes by position, ascending. A
+    remove_node rebuilds the graph from the relabelled edges of the others;
+    an edge event goes to engine.apply_event at the ends' positions.
+    Returns the new graph, the surviving original ids and the position a
+    remove_node took out (None for edge events).
+    """
+    if event.kind == "remove_node":
+        gone = alive.index(event.payload)
+        remap = {old: new for new, old in enumerate(i for i in range(g.n) if i != gone)}
+        new = build_graph(
+            g.n - 1, [(remap[i], remap[j]) for i, j in g.edges if gone not in (i, j)]
+        )
+        return new, alive[:gone] + alive[gone + 1 :], gone
+    i, j = event.payload
+    moved = replace(event, payload=(alive.index(i), alive.index(j)))
+    return engine.apply_event(g, moved), alive, None
 
 
 def round_run(config: engine.RunConfig) -> engine.RunTrace:
@@ -46,7 +77,7 @@ def round_run(config: engine.RunConfig) -> engine.RunTrace:
     while True:
         first, before = ei, g
         while ei < len(events) and events[ei].at_iteration == k:
-            g, alive, gone = engine.apply_run_event(g, events[ei], alive)
+            g, alive, gone = renumbered_event(g, events[ei], alive)
             if gone is not None:
                 x = np.delete(x, gone)
                 alive_arr = np.delete(alive_arr, gone)
@@ -55,8 +86,8 @@ def round_run(config: engine.RunConfig) -> engine.RunTrace:
                 engine.AppliedEvent(k, events[ei].kind, events[ei].payload, g.n, reference)
             )
             ei += 1
-        if ei > first:
-            wm = engine.metropolis(g, base=(before, wm))
+        if ei > first:  # a base on the same nodes, else every column afresh
+            wm = engine.metropolis(g, base=(before, wm) if g.n == before.n else None)
             weights, cols = engine._kernel_operands(wm, matrix_form)
             ids = tuple(alive)
 

@@ -19,14 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privagg import backend
-from privagg.engine import EngineAbort, RunConfig, apply_run_event, run
+from privagg.engine import EngineAbort, RunConfig, run
 from privagg.noise import DISTRIBUTIONS, SCHEMES, NoiseParams, node_theta_block
-from privagg.topology import ConnectivityError, TopologyEvent, generate
+from privagg.topology import ConnectivityError, TopologyEvent, apply_event, generate
 
 from round_reference import round_run
 
 # STACK_VALUES for a graph of n nodes: blocks of one round, of seven
-# rounds at most while no node has been removed, and of no limit.
+# rounds at most, and of no limit.
 BUDGETS = {"one": lambda n: 1, "seven": lambda n: 7 * n, "whole": lambda n: 2**40}
 # on and next to the block boundaries of each budget in a run without events
 BOUNDARIES = [*range(0, 36, 7), 2, 4, 8, 16, 32]
@@ -90,24 +90,25 @@ def _configs(draw):
     g = generate(kind, n, seed=seed, p=0.6) if kind == "random_gnp" else generate(kind, n)
     kinds = st.sampled_from(["add_edge", "remove_edge", "remove_node"])
     drawn = draw(st.lists(st.tuples(st.sampled_from(EVENT_ITERATIONS), kinds), max_size=6))
-    graph, alive, events = g, list(range(n)), []
+    graph, events = g, []
     for at, kind in sorted(drawn, key=lambda e: e[0]):
         pick = draw(st.integers(0, 2**16))
+        live = [i for i in range(n) if i not in graph.retired]
         if kind == "remove_node":
-            payload = alive[pick % len(alive)]
+            payload = live[pick % len(live)]
         else:
             pairs = [
-                (alive[a], alive[b])
-                for a in range(graph.n)
-                for b in range(a + 1, graph.n)
-                if graph.has_edge(a, b) == (kind == "remove_edge")
+                (a, b)
+                for a in live
+                for b in live
+                if a < b and graph.has_edge(a, b) == (kind == "remove_edge")
             ]
             if not pairs:
                 continue
             payload = pairs[pick % len(pairs)]
         event = TopologyEvent(at, kind, payload)
         try:
-            graph, alive, _ = apply_run_event(graph, event, alive)
+            graph = apply_event(graph, event)
         except (ValueError, ConnectivityError):
             continue
         events.append(event)

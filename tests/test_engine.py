@@ -13,7 +13,6 @@ from privagg.engine import (
     RunConfig,
     RunTrace,
     aggregate,
-    apply_run_event,
     decay_envelope,
     run,
     state_envelope,
@@ -23,6 +22,7 @@ from privagg.tolerances import TOL
 from privagg.topology import (
     ConnectivityError,
     TopologyEvent,
+    apply_event,
     build_graph,
     generate,
     is_connected,
@@ -229,31 +229,32 @@ def test_remove_node_retargets_reference():
 def _connected_schedules(draw):
     """A connected random graph and an event schedule that keeps it connected:
     node removals at iteration 0, before any mixing, then edge additions and
-    removals up to iteration 20. Each drawn event is kept only if the
-    engine's own translation accepts it, in the order the engine applies it."""
+    removals up to iteration 20. Each drawn event is kept only if
+    apply_event accepts it, in the order the engine applies it."""
     n = draw(st.integers(min_value=3, max_value=8))
     g = generate("random_gnp", n, seed=draw(st.integers(0, 2**16)), p=0.6)
-    graph, alive, events = g, list(range(n)), []
+    graph, events = g, []
     removals = [(0, "remove_node")] * draw(st.integers(0, n - 2))
     edge_kinds = st.sampled_from(["add_edge", "remove_edge"])
     edge_events = sorted(draw(st.lists(st.tuples(st.integers(0, 20), edge_kinds), max_size=12)))
     for at, kind in removals + edge_events:
         pick = draw(st.integers(0, 2**16))
+        live = [i for i in range(n) if i not in g.retired]
         if kind == "remove_node":
-            payload = alive[pick % len(alive)]
+            payload = live[pick % len(live)]
         else:
             pairs = [
-                (alive[a], alive[b])
-                for a in range(g.n)
-                for b in range(a + 1, g.n)
-                if g.has_edge(a, b) == (kind == "remove_edge")
+                (a, b)
+                for a in live
+                for b in live
+                if a < b and g.has_edge(a, b) == (kind == "remove_edge")
             ]
             if not pairs:
                 continue
             payload = pairs[pick % len(pairs)]
         event = TopologyEvent(at, kind, payload)
         try:
-            g, alive, _ = apply_run_event(g, event, alive)
+            g = apply_event(g, event)
         except (ValueError, ConnectivityError):
             continue
         events.append(event)
@@ -302,12 +303,12 @@ def _churn(g, seed, iterations):
                 continue
             remove = TopologyEvent(at, "remove_edge", (a, b))
             try:
-                g = apply_run_event(g, remove, list(range(g.n)))[0]
+                g = apply_event(g, remove)
                 break
             except ConnectivityError:
                 continue
         add = TopologyEvent(at, "add_edge", (a, int(rng.choice(missing))))
-        g = apply_run_event(g, add, list(range(g.n)))[0]
+        g = apply_event(g, add)
         events += [remove, add]
     return tuple(events)
 
@@ -846,5 +847,7 @@ def test_runconfig_validation():
         RunConfig(graph=g, x0=[1.0, 2.0, 3.0], max_iterations=0)
     with pytest.raises(ValueError):
         RunConfig(graph=g, x0=[1.0, 2.0, 3.0], term_epsilon=-1.0)
+    with pytest.raises(ValueError, match=r"^graph has retired nodes \[2\]$"):
+        RunConfig(graph=apply_event(g, TopologyEvent(0, "remove_node", 2)), x0=[1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         run(_zero_cfg(build_graph(4, [(0, 1), (2, 3)]), [1.0] * 4))

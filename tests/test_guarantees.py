@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from noise_reference import SCHEME_CLASSES
 
-from privagg.engine import UPDATE_FORMS, apply_run_event, run, state_envelope
+from privagg.engine import UPDATE_FORMS, run, state_envelope
 from privagg.harness import (
     build_config,
     experiment_from_manifest,
@@ -37,7 +37,7 @@ from privagg.harness import (
     run_experiment,
 )
 from privagg.noise import DISTRIBUTIONS, SCHEMES
-from privagg.topology import GRAPH_KINDS, ConnectivityError, TopologyEvent
+from privagg.topology import GRAPH_KINDS, ConnectivityError, TopologyEvent, apply_event
 
 _EPS = np.finfo(np.float64).eps
 
@@ -46,8 +46,8 @@ _EPS = np.finfo(np.float64).eps
 def _configs(draw):
     """A config dict with one repetition and a schedule the run accepts: node
     removals at iteration 0, before any mixing (a later removal takes its
-    mass with it), and edge events up to the round cap, each kept only if the
-    engine's translation applies it in the engine's order."""
+    mass with it), and edge events up to the round cap, each kept only if
+    apply_event applies it in the engine's order."""
     n = draw(st.integers(2, 16))
     kind = draw(st.sampled_from(GRAPH_KINDS))
     topology = {"kind": kind, "n": n, "seed": draw(st.integers(0, 2**16))}
@@ -77,25 +77,26 @@ def _configs(draw):
     drawn = [(0, "remove_node")] * draw(st.integers(0, n - 2))
     edge_kinds = st.sampled_from(["add_edge", "remove_edge"])
     drawn += sorted(draw(st.lists(st.tuples(st.integers(0, rounds), edge_kinds), max_size=6)))
-    alive, events = list(range(n)), []
+    events = []
     for at, event_kind in drawn:
         pick = draw(st.integers(0, 2**16))
+        live = [i for i in range(n) if i not in g.retired]
         if event_kind == "remove_node":
-            payload = alive[pick % len(alive)]
+            payload = live[pick % len(live)]
             text = f"{at}:remove_node:{payload}"
         else:
             pairs = [
-                (alive[a], alive[b])
-                for a in range(g.n)
-                for b in range(a + 1, g.n)
-                if g.has_edge(a, b) == (event_kind == "remove_edge")
+                (a, b)
+                for a in live
+                for b in live
+                if a < b and g.has_edge(a, b) == (event_kind == "remove_edge")
             ]
             if not pairs:
                 continue
             payload = pairs[pick % len(pairs)]
             text = f"{at}:{event_kind}:{payload[0]}-{payload[1]}"
         try:
-            g, alive, _ = apply_run_event(g, TopologyEvent(at, event_kind, payload), alive)
+            g = apply_event(g, TopologyEvent(at, event_kind, payload))
         except (ValueError, ConnectivityError):
             continue
         events.append(text)
@@ -122,18 +123,21 @@ def _bits(a):
 
 def _check_round_updates(trace, graph):
     """x(k+1) = sum over j ascending from 0.0 of w_ij x+_j(k), where x+(k) =
-    x(k) + theta(k), with the weights of the graph the round ran on."""
+    x(k) + theta(k), with the weights of the graph the round ran on; i and
+    j run over its live nodes, the nodes a trace row holds."""
     events = sorted(trace.config.events, key=lambda e: e.at_iteration)
-    g, alive, ei, columns = graph, list(range(graph.n)), 0, None
+    g, ei, columns = graph, 0, None
     for k in range(trace.k_stop):
         first = ei
         while ei < len(events) and events[ei].at_iteration == k:
-            g, alive, _ = apply_run_event(g, events[ei], alive)
+            g = apply_event(g, events[ei])
             ei += 1
         if columns is None or ei > first:
-            columns = _metropolis_columns(g)
+            live = [i for i in range(g.n) if i not in g.retired]
+            every = _metropolis_columns(g)
+            columns = [every[j][live] for j in live]
         x_plus = trace.xs[k] + trace.thetas[k]
-        acc = np.zeros(g.n)
+        acc = np.zeros(len(columns))
         for j, column in enumerate(columns):
             acc = acc + column * x_plus[j]
         assert _bits(trace.xs[k + 1]) == _bits(acc), k

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -142,8 +144,8 @@ def test_apply_event_add_edge():
 def test_apply_event_remove_node():
     g = generate("ring", 4)
     out = apply_event(g, TopologyEvent(1, "remove_node", 2))
-    assert out.n == 3
-    assert out.edges == ((0, 1), (0, 2))  # survivors 0,1,3 relabeled 0,1,2
+    assert out.n == 4 and out.retired == {2} and out.neighbors[2] == ()
+    assert out.edges == ((0, 1), (0, 3))  # survivors 0,1,3 keep their ids
     with pytest.raises(ConnectivityError):
         apply_event(generate("path", 3), TopologyEvent(0, "remove_node", 1))
 
@@ -163,23 +165,25 @@ def test_apply_event_contract_errors():
 
 
 def _rebuild_apply_event(g, event):
-    """Reference: apply_event with the whole graph rebuilt from the new edge set."""
+    """Reference: apply_event with the whole graph rebuilt from the new edge
+    set; a removed node joins the retired set."""
+    retired = g.retired
     if event.kind == "remove_node":
         node = event.payload
         if not (0 <= node < g.n):
             raise ValueError(f"remove_node: node {node} not in graph")
-        if g.n == 1:
+        if node in retired:
+            raise ValueError(f"remove_node: node {node} is not present")
+        if g.n - len(retired) == 1:
             raise ConnectivityError("remove_node: cannot remove the last node")
-        keep = [i for i in range(g.n) if i != node]
-        remap = {old: new for new, old in enumerate(keep)}
-        edges = [
-            (remap[i], remap[j]) for i, j in g.edges if i != node and j != node
-        ]
-        new = build_graph(g.n - 1, edges)
+        new = build_graph(g.n, [e for e in g.edges if node not in e])
+        retired = retired | {node}
     else:
         i, j = event.payload
         if not (0 <= i < g.n and 0 <= j < g.n):
             raise ValueError(f"{event.kind}: edge ({i},{j}) references a missing node")
+        if i in retired or j in retired:
+            raise ValueError(f"{event.kind}: node in ({i},{j}) is not present")
         if i == j:
             raise ValueError(f"{event.kind}: self-loop ({i},{j}) not allowed")
         a, b = (i, j) if i < j else (j, i)
@@ -192,6 +196,7 @@ def _rebuild_apply_event(g, event):
             if present:
                 raise ValueError(f"add_edge: ({a},{b}) already present")
             new = build_graph(g.n, list(g.edges) + [(a, b)])
+    new = replace(new, retired=retired)
     if not is_connected(new):
         raise ConnectivityError(
             f"event {event.kind} {event.payload} at iteration {event.at_iteration} "
@@ -225,9 +230,8 @@ def _graph_and_events(draw):
 def test_apply_event_matches_rebuild_reference(case):
     g, steps = case
     for at, (kind, i, j, pick) in enumerate(steps):
-        absent = [
-            (a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b)
-        ]
+        live = [a for a in range(g.n) if a not in g.retired]
+        absent = [(a, b) for a in live for b in live if a < b and not g.has_edge(a, b)]
         candidates = g.edges if kind == "remove_edge" else absent
         if kind == "remove_node":
             payload = i
@@ -284,12 +288,11 @@ def test_local_connectivity_checks_match_a_full_search(case):
     g, steps = case
     assert g.connected
     for at, (kind, pick) in enumerate(steps):
+        live = [a for a in range(g.n) if a not in g.retired]
         if kind == "remove_node":
-            payload = pick % g.n
+            payload = live[pick % len(live)]
         else:
-            absent = [
-                (a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b)
-            ]
+            absent = [(a, b) for a in live for b in live if a < b and not g.has_edge(a, b)]
             candidates = g.edges if kind == "remove_edge" else absent
             if not candidates:
                 continue
@@ -325,7 +328,7 @@ def test_events_on_a_connected_graph_run_no_full_search(monkeypatch):
         with pytest.raises(ConnectivityError):
             apply_event(g, TopologyEvent(2, kind, payload))
     g = apply_event(g, TopologyEvent(3, "remove_node", 4))
-    assert g.__dict__["connected"] and metropolis(g).n == 4
+    assert g.__dict__["connected"] and metropolis(g).n == 5
     assert searched == [start]
 
     # a graph not known to be connected is searched once, and so is each
@@ -351,6 +354,29 @@ def test_edge_events_do_not_rebuild(monkeypatch):
     assert isinstance(g, Graph)
     assert g.edges == ((0, 5), (1, 2), (1, 4), (2, 3), (3, 4), (4, 5))
     assert g.neighbors[1] == (2, 4) and g.neighbors[0] == (5,)
+
+
+def test_node_removal_retires_the_node_and_shares_the_other_tuples(monkeypatch):
+    def no_rebuild(n, edges):
+        raise AssertionError("a node removal must not rebuild the graph")
+
+    g = generate("random_geometric", 30, seed=3, radius=0.4)
+    monkeypatch.setattr(topology, "build_graph", no_rebuild)
+    removed = 0
+    for node in range(g.n):
+        try:
+            out = apply_event(g, TopologyEvent(0, "remove_node", node))
+        except ConnectivityError:  # node is a cut vertex
+            continue
+        removed += 1
+        former = set(g.neighbors[node])
+        assert out.n == g.n and out.retired == {node} and out.neighbors[node] == ()
+        assert out.edges == tuple(e for e in g.edges if node not in e)
+        for i in set(range(g.n)) - former - {node}:
+            assert out.neighbors[i] is g.neighbors[i], i
+        for i in former:
+            assert out.neighbors[i] == tuple(j for j in g.neighbors[i] if j != node)
+    assert removed > g.n // 2
 
 
 def test_privacy_precondition():

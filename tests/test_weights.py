@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from privagg import weights
 from privagg.topology import (
     ConnectivityError,
     TopologyEvent,
@@ -266,9 +267,10 @@ def test_column_edit_grows_and_trims_slot_rows():
 
 
 def test_node_removal_base_gives_the_fresh_build(monkeypatch):
-    # a base on other nodes keeps no column: every column is built, and the
-    # search that a base waives (apply_event has checked) does not run, even
-    # on a copy of the graph that has not kept apply_event's answer
+    # a removal retires the node on the same ids: a base rebuilds only the
+    # columns of the node and its former neighbours and of their neighbours,
+    # and the search that a base waives (apply_event has checked) does not
+    # run, even on a copy of the graph that has not kept apply_event's answer
     cases = []
     for g in (generate("ring", 5), generate("random_geometric", 30, seed=3, radius=0.4)):
         for node in range(g.n):
@@ -276,12 +278,24 @@ def test_node_removal_base_gives_the_fresh_build(monkeypatch):
                 smaller = apply_event(g, TopologyEvent(0, "remove_node", node))
             except ConnectivityError:  # node is a cut vertex
                 continue
-            cases.append((g, metropolis(g), smaller))
-    fresh = [metropolis(smaller) for _, _, smaller in cases]
+            former = set(g.neighbors[node])
+            rebuilt = {node} | former | set().union(*(smaller.neighbors[u] for u in former))
+            cases.append((g, metropolis(g), smaller, sorted(rebuilt)))
+    fresh = [metropolis(smaller) for _, _, smaller, _ in cases]
 
     def refuse(g):
         raise AssertionError("connectivity searched with a base")
 
+    filled, fill = [], weights._fill_columns
+
+    def recorded(g, nodes, *rest):
+        filled.append(nodes.tolist())
+        fill(g, nodes, *rest)
+
     monkeypatch.setattr("privagg.topology.is_connected", refuse)
-    for (g, wm, smaller), want in zip(cases, fresh):
+    monkeypatch.setattr(weights, "_fill_columns", recorded)
+    for (g, wm, smaller, rebuilt), want in zip(cases, fresh):
+        filled.clear()
         _assert_same_layout(metropolis(replace(smaller), base=(g, wm)), want)
+        assert filled == [rebuilt]
+    assert any(len(rebuilt) < g.n for g, _, _, rebuilt in cases)
