@@ -33,7 +33,8 @@ TABLE = Path(__file__).resolve().parent / "golden_digests.json"
 DEMO = ROOT / "configs" / "demo.cfg"
 DISCLOSURE_DEMO = ROOT / "configs" / "disclosure_demo.cfg"
 
-# demo.cfg variants, one repetition each: (section, key) -> value
+# demo.cfg variants, one repetition each: (section, key) -> value, where
+# None drops the key
 VARIANTS = {
     "per_node_events": {
         ("run", "update_form"): "per_node",
@@ -43,6 +44,16 @@ VARIANTS = {
     "matrix_removals": {
         ("run", "update_form"): "matrix",
         ("run", "events"): "9:remove_node:17, 30:remove_node:12",
+    },
+    # a 400-node geometric graph: a support layout of 29 slots, where the
+    # demo graph's has 10
+    "per_node_geometric": {
+        ("run", "update_form"): "per_node",
+        ("topology", "kind"): "random_geometric",
+        ("topology", "p"): None,
+        ("topology", "n"): "400",
+        ("topology", "radius"): "0.12",
+        ("run", "max_iterations"): "150",
     },
     "truncated_h2": {
         ("noise", "distribution"): "truncated_gaussian",
@@ -67,7 +78,10 @@ def _variant(name: str, workdir: Path) -> Path:
     data = _load_ini(DEMO)
     data["experiment"]["repetitions"] = "1"
     for (section, key), value in VARIANTS[name].items():
-        data[section][key] = value
+        if value is None:
+            del data[section][key]
+        else:
+            data[section][key] = value
     path = workdir / f"{name}.json"
     path.write_text(json.dumps(data))
     return path
