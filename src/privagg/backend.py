@@ -7,33 +7,39 @@ produces that chain's result bit for bit, sign of zero included; the
 scalar loops in the tests are the reference it is checked against.
 
 ``step`` takes W slot-major: term s of row i is ``weights[s, i] *
-v[cols[s, i]]``. It forms every product in one multiply into a C-ordered
-(slots × n) block and sums it over the slot axis with ``np.add.reduce``.
-NumPy sums pairwise only along the fast memory axis of the block; along
-the slot axis of a C-ordered block it adds one whole slot row at a time,
-in slot order, which is the mandated chain. ``order="C"`` pins that
-layout: a product left in F order (as ``W.T`` without a copy would give)
-puts the slot axis in fast memory, and the reduce then sums it pairwise
-and misses the chain. The per-node form passes the support layout
-of ``privagg.weights.WeightMatrix`` (row i's support ascending, padded
-with weight 0.0); the matrix form passes ``W`` itself, which is ``W.T``
-because Metropolis weights are symmetric bit for bit, with
-``cols = arange(n)[:, None]``, so slot s of every row is column s.
+v[cols[s, i]]``. It gathers the states with ``take`` into a C-ordered
+(slots × n) block of its own, multiplies the weights into that block in
+place, and sums it over the slot axis with ``np.add.reduce``. NumPy sums
+pairwise only along the fast memory axis of the block; along the slot axis
+of a C-ordered block it adds one whole slot row at a time, in slot order,
+which is the mandated chain. The block's C order is what matters: a
+product left in F order (as ``W.T`` without a copy would give) puts the
+slot axis in fast memory, and the reduce then sums it pairwise and misses
+the chain. The per-node form passes the support layout of
+``privagg.weights.WeightMatrix`` (row i's support ascending, padded with
+weight 0.0), whose gather already has the product's shape; the matrix form
+passes ``W`` itself, which is ``W.T`` because Metropolis weights are
+symmetric bit for bit, with ``cols = arange(n)[:, None]``, so slot s of
+every row is column s. Its (n × 1) gather broadcasts against ``W`` into a
+new product, pinned to C order. The block is allocated per call: ``take``
+into a preallocated ``out=`` block goes through a buffer in its default
+``mode="raise"`` and measured slower.
 
 A leading batch axis of ``v`` holds independent lanes (attack trials), each
 summed in the same slot order, so it matches its single-lane call bit for bit.
-A one-row layout breaks this: each lane's sum is then a single output, which
-NumPy's reduce adds pairwise from eight slots on. No run meets it (one node
-has one slot); a caller that wants one row passes the layout and slices.
+A one-row layout (a single column) leaves each lane's sum a single output,
+which the reduce would add pairwise from eight slots on; ``step`` sums that
+block with ``np.add.accumulate`` along the slots instead, which adds them in
+order.
 
 Adding +0.0 to a running sum leaves it unchanged unless it is -0.0, so
 zero weights, wherever they sit, do not alter any total. The chain starts
 from ``acc = 0.0`` and therefore never ends at -0.0. NumPy 2.4's reduce
 starts from add's identity +0.0 as well, but a reduce that starts from
 the first product (as ``np.add.accumulate`` does) ends at -0.0 on an
-all-zero row with a -0.0 product. The trailing ``+ 0.0``, added in place,
-maps -0.0 to +0.0 and leaves every other value alone, so the sign of zero
-matches either way.
+all-zero row with a -0.0 product. The trailing ``+ 0.0`` maps -0.0 to
++0.0 and leaves every other value alone, so the sign of zero matches
+either way.
 """
 
 from __future__ import annotations
@@ -45,7 +51,14 @@ import numpy as np
 
 def step(weights, cols, v):
     """W v as a new array, aliasing neither argument; see the module docstring."""
-    out = np.add.reduce(np.multiply(weights, v[..., cols], order="C"), axis=-2)
+    terms = v.take(cols, axis=-1)
+    if terms.shape[-2:] == weights.shape:
+        np.multiply(weights, terms, out=terms)
+    else:
+        terms = np.multiply(weights, terms, order="C")
+    if terms.shape[-1] == 1:
+        return np.add.accumulate(terms, axis=-2)[..., -1, :] + 0.0
+    out = np.add.reduce(terms, axis=-2)
     out += 0.0
     return out
 

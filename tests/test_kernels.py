@@ -31,7 +31,7 @@ def _loop_step(weights, cols, v):
     wl = weights.tolist()
     cl = np.broadcast_to(cols, weights.shape).tolist()
     res = []
-    for i in range(len(vl)):
+    for i in range(weights.shape[1]):
         acc = 0.0
         for s in range(len(wl)):
             acc = acc + wl[s][i] * vl[cl[s][i]]
@@ -147,6 +147,38 @@ def test_kernel_pins_c_order_for_f_ordered_weights():
         unpinned = np.add.reduce(weights * v[cols], axis=-2) + 0.0
         unpinned_misses += not _bit_equal(unpinned, loop)
     assert unpinned_misses > 0
+    # F-ordered support-layout weights: the product written over the
+    # C-ordered gather keeps the gather's order, with or without lanes
+    weights = np.asfortranarray(wm.weights)
+    assert weights.flags.f_contiguous and not weights.flags.c_contiguous
+    for _ in range(20):
+        _assert_matches_loop(weights, wm.cols, rng.uniform(-100.0, 100.0, 50))
+    lanes = rng.uniform(-100.0, 100.0, (7, 50))
+    for lane, row in zip(lanes, step(weights, wm.cols, lanes)):
+        assert _bit_equal(row, _loop_step(wm.weights, wm.cols, lane))
+
+
+def test_one_row_layout_sums_in_slot_order():
+    # a single column leaves each lane's sum a single output, which a reduce
+    # over the slots would add pairwise from eight slots on
+    rng = np.random.default_rng(67)
+    wm = metropolis(generate("complete", 12))
+    misses = 0
+    for column in range(12):
+        weights, cols = wm.weights[:, column : column + 1], wm.cols[:, column : column + 1]
+        v = rng.uniform(-100.0, 100.0, (40, 12))
+        v[rng.random(v.shape) < 0.05] = -0.0
+        got = step(weights, cols, v)
+        assert got.shape == (40, 1)
+        for lane, row in zip(v, got):
+            want = _loop_step(weights, cols, lane)
+            assert _bit_equal(step(weights, cols, lane), want)
+            assert _bit_equal(row, want)
+            pairwise = np.add.reduce(weights * lane[cols], axis=-2) + 0.0
+            misses += not _bit_equal(pairwise, want)
+    assert misses > 0
+    # an all-zero column of -0.0 products sums to +0.0, as the chain does
+    assert _bit_equal(step(weights, cols, np.full(12, -0.0)), np.array([0.0]))
 
 
 def test_numpy_kernels_match_loop_reference():

@@ -192,6 +192,18 @@ def test_truncated_gaussian_draws_are_the_rejection_fills_in_stream_order():
         assert np.array_equal(np.sort(fill), np.sort(kept))
 
 
+def test_uniform_draws_are_two_u_minus_one_from_random():
+    # premise of raw_draws and theta_block: 2u - 1 for u from Generator.random
+    # is uniform(-1, 1)'s value bit for bit, one uint64 per value; a numpy that
+    # changes how uniform computes or consumes fails here
+    for count in (1, 7, 220, 5000):
+        g1, g2 = seeded_stream(61, count), seeded_stream(61, count)
+        u = raw_draws("zero_sum", NoiseParams(), g1, count)
+        want = g2.uniform(-1.0, 1.0, count)
+        assert np.array_equal((2.0 * u - 1.0).view(np.uint64), want.view(np.uint64))
+        assert g1.bit_generator.state == g2.bit_generator.state
+
+
 def test_bank_unknown_scheme():
     with pytest.raises(ValueError, match="unknown noise scheme 'bursty'"):
         node_theta_block("bursty", NoiseParams(seed=0), 3, 10)
