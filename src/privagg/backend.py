@@ -25,8 +25,12 @@ new product, pinned to C order. The block is allocated per call: ``take``
 into a preallocated ``out=`` block goes through a buffer in its default
 ``mode="raise"`` and measured slower.
 
-A leading batch axis of ``v`` holds independent lanes (attack trials), each
-summed in the same slot order, so it matches its single-lane call bit for bit.
+A leading batch axis of ``v`` holds independent lanes (``disclosure_attack``'s
+rounds), each summed in the same slot order, so it matches its single-lane
+call bit for bit. Attack trials take no lane axis: b trials are one state of
+b·n values on the disjoint union of b copies of the layout
+(``privagg.weights.disjoint_union``), whose gather is one (slots × b·n)
+block with the same chain in every column.
 A one-row layout (a single column) leaves each lane's sum a single output,
 which the reduce would add pairwise from eight slots on; ``step`` sums that
 block with ``np.add.accumulate`` along the slots instead, which adds them in

@@ -27,8 +27,9 @@ PCG64(SeedSequence(seed, spawn_key=(i,))), and attack trial t reads
 SeedSequence(seed).spawn(...)[t], which is the same stream for key t.
 seeded_streams seeds all of a run's or an attack's streams in one batch: it
 runs the SeedSequence hash over an array of keys and the PCG64 seeding
-(O'Neill, "PCG", HMC-CS-2014-0905) over Python ints, and sets each state, so
-its generators equal numpy's bit for bit at a fraction of the cost.
+(O'Neill, "PCG", HMC-CS-2014-0905) over arrays of 128-bit values as uint64
+halves, and sets each state, so its generators equal numpy's bit for bit at
+a fraction of the cost.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def seeded_stream(seed: int, *key: int) -> np.random.Generator:
 
 
 # numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64 multiplier.
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32, _MASK64 = 2**32 - 1, 2**64 - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -103,12 +104,14 @@ _XSHIFT = 16
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _pcg64_seed_words(seed: int, count: int) -> list[list[int]]:
-    """SeedSequence(seed, spawn_key=(i,)).generate_state(4, uint64) for every
-    i < count, as four lists of Python ints (one per state word).
+def _pcg64_states(seed: int, count: int) -> list[list[int]]:
+    """The PCG64 state and increment of PCG64(SeedSequence(seed, spawn_key=(i,)))
+    for every i < count, as four lists of Python ints: the state's high and
+    low uint64 halves, then the increment's.
 
     Mirrors numpy's mix_entropy and generate_state over a uint32 array of the
-    keys; uint32 arrays wrap silently where numpy scalars would warn.
+    keys, then PCG64's seeding over uint64 arrays of halves; integer arrays
+    wrap silently where numpy scalars would warn.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -145,7 +148,32 @@ def _pcg64_seed_words(seed: int, count: int) -> list[list[int]]:
         hash_const = (hash_const * _MULT_B) & _MASK32
         value = value * hash_const
         state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-    return [((state[2 * j + 1] << 32) | state[2 * j]).tolist() for j in range(4)]
+    seed_hi, seed_lo, seq_hi, seq_lo = [(state[2 * j + 1] << 32) | state[2 * j] for j in range(4)]
+    # PCG64's seeding mod 2**128 on (hi, lo) uint64 halves: inc = 2*seq + 1,
+    # state = (inc + seed) * _PCG64_MULT + inc
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    hi, lo = _add128(inc_hi, inc_lo, seed_hi, seed_lo)
+    hi, lo = _mul128(hi, lo, _PCG64_MULT >> 64, _PCG64_MULT & _MASK64)
+    hi, lo = _add128(hi, lo, inc_hi, inc_lo)
+    return [hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()]
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(a + b) mod 2**128 on uint64 halves."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _mul128(a_hi, a_lo, b_hi: int, b_lo: int):
+    """(a * b) mod 2**128 on uint64 halves, b a constant: a_lo * b_lo in full
+    from 32-bit limbs, the cross products mod 2**64 into the high half."""
+    a0, a1 = a_lo & _MASK32, a_lo >> 32
+    b0, b1 = b_lo & _MASK32, b_lo >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    lo = (p00 & _MASK32) | (mid << 32)
+    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return hi + a_hi * b_lo + a_lo * b_hi, lo
 
 
 def seeded_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
@@ -158,12 +186,10 @@ def seeded_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
     """
     gen = np.random.Generator(np.random.PCG64())
     bit_generator = gen.bit_generator
-    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*_pcg64_seed_words(seed, count)):
-        inc = ((((seq_hi << 64) | seq_lo) << 1) | 1) & _MASK128
-        state = ((inc + ((seed_hi << 64) | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+    for state_hi, state_lo, inc_hi, inc_lo in zip(*_pcg64_states(seed, count)):
         bit_generator.state = {
             "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
+            "state": {"state": (state_hi << 64) | state_lo, "inc": (inc_hi << 64) | inc_lo},
             "has_uint32": 0,
             "uinteger": 0,
         }
@@ -229,10 +255,11 @@ def theta_block(scheme: str, params: NoiseParams, raw: np.ndarray) -> np.ndarray
     raw is a (rounds x *lanes) block from raw_draws, whose uniform draws u
     become 2u - 1 here first; row k becomes the noise every lane adds to its
     round-k broadcast, and the lanes may have any shape. A run's block has
-    one lane per node (node_theta_block); a block of attack trials stacks
-    (trials x nodes) lanes, each trial laying one generator's draws out
-    row-major over its nodes; the naive attack's round 0 is one row of
-    (trials,) lanes. This is the only code that turns raw draws into theta.
+    one lane per node (node_theta_block); a block of attack trials has
+    trials*nodes lanes, trial t's nodes at t*n .. t*n + n - 1, each trial
+    laying one generator's draws out row-major over its nodes; the naive
+    attack's round 0 is one row of (trials,) lanes. This is the only code
+    that turns raw draws into theta.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown noise scheme {scheme!r}")

@@ -4,10 +4,10 @@ sigma_analytic gives the analytic ceiling on the probability that a
 neighbor estimates a node's initial value within +/- epsilon (the maximum
 probability mass of the round-0 noise over any window of width 2*epsilon).
 The attacks measure it empirically: a one-shot estimate from the round-0
-broadcast, a trained constant-offset estimate from a later round (its seeded
-trials advance in blocks, as lanes of one state), and the exact
-reconstruction available to an observer who sees the target's whole
-neighborhood.
+broadcast, a trained constant-offset estimate from a later round (a block
+of its seeded trials advances as one state on the disjoint union of copies
+of the graph), and the exact reconstruction available to an observer who
+sees the target's whole neighborhood.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .engine import RunTrace
 from .noise import (
     TRUNC_SIGMAS,
     NoiseParams,
+    _draws_uniform,
     _envelope,
     raw_draws,
     seeded_stream,
@@ -31,7 +32,7 @@ from .noise import (
     theta_block,
 )
 from .topology import Graph, check_privacy_precondition
-from .weights import WeightMatrix, metropolis
+from .weights import WeightMatrix, disjoint_union, metropolis
 
 PRIOR = (-50.0, 50.0)  # the attacks' initial values are uniform on it, |x| >> alpha*rho
 BLOCK_VALUES = 2**14  # drawn values (and kernel products) per block of attack trials
@@ -173,28 +174,43 @@ def _trial_broadcasts(
     """Fresh runs, one per trial: the arrays x_target(0) and target broadcast at `rounds`.
 
     Trial t draws from stream t of seeded_streams(seed, count) first x0, then
-    the noise, row-major so that node i takes draw k*n + i at round k. A block
-    of trials advances as one (trials x n) state, one theta row and one kernel
-    call per round; it holds at most BLOCK_VALUES draws and kernel products
-    (one trial at least).
+    the noise, row-major so that node i takes draw k*n + i at round k. Each
+    stream fills one row of a (trials x (rounds + 2)*n) block, and x0 maps
+    the row's first n values u to PRIOR[0] + width*u, numpy's uniform(*PRIOR).
+    A block of b trials advances as one flat state of b*n values on the
+    disjoint union of b copies of the graph, trial t at ids t*n .. t*n + n - 1:
+    one theta row and one kernel call per round. A block holds at most
+    BLOCK_VALUES draws and kernel products (one trial at least); the short
+    last block runs on the first b*n columns of the union.
     """
     n = wm.n
     kernel = get_backend().step
-    size = max(1, BLOCK_VALUES // (max(rounds + 1, len(wm.cols)) * n))
+    size = min(count, max(1, BLOCK_VALUES // (max(rounds + 1, len(wm.cols)) * n)))
+    union = disjoint_union(wm, size)
+    uniform = _draws_uniform(scheme, params)
+    low, width = PRIOR[0], PRIOR[1] - PRIOR[0]
     streams = seeded_streams(seed, count)
     x0_target, broadcast = np.empty(count), np.empty(count)
     for start in range(0, count, size):
         block = slice(start, min(start + size, count))
-        x = np.empty((block.stop - start, n))
-        raw = np.empty((rounds + 1, *x.shape))
-        for t, rng in enumerate(itertools.islice(streams, len(x))):
-            x[t] = rng.uniform(*PRIOR, n)
-            raw[:, t] = raw_draws(scheme, params, rng, (rounds + 1) * n).reshape(-1, n)
+        draws = np.empty((block.stop - start, (rounds + 2) * n))
+        for row, rng in zip(draws, itertools.islice(streams, len(draws))):
+            if uniform:  # raw_draws would be random(), so one call draws x0 and noise
+                rng.random(out=row)
+            else:
+                rng.random(out=row[:n])
+                row[n:] = raw_draws(scheme, params, rng, (rounds + 1) * n)
+        x = draws[:, :n] * width
+        x += low
         x0_target[block] = x[:, target]
-        theta = theta_block(scheme, params, raw)
+        x = x.reshape(-1)
+        raw = draws[:, n:].reshape(len(draws), rounds + 1, n).swapaxes(0, 1)
+        theta = theta_block(scheme, params, raw.reshape(rounds + 1, len(x)))
+        weights, cols = union.weights[:, : len(x)], union.cols[:, : len(x)]
         for k in range(rounds):
-            x = kernel(wm.weights, wm.cols, x + theta[k])
-        broadcast[block] = (x + theta[rounds])[:, target]
+            theta[k] += x
+            x = kernel(weights, cols, theta[k])
+        broadcast[block] = x[target::n] + theta[rounds, target::n]
     return x0_target, broadcast
 
 

@@ -9,7 +9,7 @@ from privagg.engine import UPDATE_FORMS, RunConfig, _kernel_operands, run
 from privagg.noise import NoiseParams
 from privagg.privacy import AdversaryView, later_round_attack
 from privagg.topology import TopologyEvent, build_graph, generate
-from privagg.weights import WeightMatrix, metropolis
+from privagg.weights import WeightMatrix, disjoint_union, metropolis
 
 
 def _loop_dense_step(w, v):
@@ -119,7 +119,7 @@ def test_kernel_matches_loop_reference_on_large_layouts():
 
 
 def test_kernel_matches_loop_reference_on_an_attack_block():
-    # 68 lanes of a 20-node layout, the size of one block of attack trials
+    # 68 lanes of a 20-node layout, as disclosure_attack passes its rounds
     rng = np.random.default_rng(47)
     wm = metropolis(generate("random_gnp", 20, seed=3, p=0.5))
     lanes = rng.uniform(-100.0, 100.0, (68, 20))
@@ -129,6 +129,31 @@ def test_kernel_matches_loop_reference_on_an_attack_block():
         got = step(weights, cols, lanes)
         for lane, row in zip(lanes, got):
             assert _bit_equal(row, _loop_step(weights, cols, lane))
+
+
+def test_disjoint_union_equals_single_lane_calls():
+    # a flat state of b*n values through the union of b copies of a layout
+    # gives, copy by copy, the single-lane call's bits, sign of zero
+    # included; a short block reads the first b*n columns of a larger union
+    rng = np.random.default_rng(71)
+    graphs = [generate("random_gnp", 20, seed=3, p=0.5), build_graph(1, [])]
+    for g in graphs:
+        wm, n = metropolis(g), g.n
+        whole = disjoint_union(wm, 74)
+        assert whole.n == 74 * n and whole.cols.shape == (len(wm.cols), 74 * n)
+        for b, union in ((1, disjoint_union(wm, 1)), (2, disjoint_union(wm, 2)),
+                         (74, whole), (37, whole)):
+            weights, cols = union.weights[:, : b * n], union.cols[:, : b * n]
+            states = rng.uniform(-100.0, 100.0, (b, n))
+            states[rng.random(states.shape) < 0.05] = 0.0
+            states[rng.random(states.shape) < 0.05] = -0.0
+            states[-1] = -0.0  # a copy whose every product is -0.0
+            got = step(weights, cols, states.reshape(-1)).reshape(b, n)
+            for state, row in zip(states, got):
+                want = step(wm.weights, wm.cols, state)
+                assert _bit_equal(row, want), (n, b)
+                assert _bit_equal(row, _loop_step(wm.weights, wm.cols, state))
+            assert not np.signbit(got[-1]).any()
 
 
 def test_kernel_pins_c_order_for_f_ordered_weights():

@@ -204,6 +204,19 @@ def test_uniform_draws_are_two_u_minus_one_from_random():
         assert g1.bit_generator.state == g2.bit_generator.state
 
 
+def test_prior_draws_are_low_plus_width_u_from_random():
+    # premise of the attack trials' x0: u*100.0 + (-50.0) for u from
+    # Generator.random is uniform(-50.0, 50.0)'s value bit for bit, one uint64
+    # per value. Unlike 2u - 1 it rounds twice, so it holds only while numpy
+    # computes low + range*u without fused multiply-add
+    for count in (1, 20, 5000):
+        g1, g2 = seeded_stream(67, count), seeded_stream(67, count)
+        got = g1.random(count) * 100.0 + (-50.0)
+        want = g2.uniform(-50.0, 50.0, count)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert g1.bit_generator.state == g2.bit_generator.state
+
+
 def test_bank_unknown_scheme():
     with pytest.raises(ValueError, match="unknown noise scheme 'bursty'"):
         node_theta_block("bursty", NoiseParams(seed=0), 3, 10)
