@@ -31,10 +31,10 @@ call bit for bit. Attack trials take no lane axis: b trials are one state of
 b·n values on the disjoint union of b copies of the layout
 (``privagg.weights.disjoint_union``), whose gather is one (slots × b·n)
 block with the same chain in every column.
-A one-row layout (a single column) leaves each lane's sum a single output,
-which the reduce would add pairwise from eight slots on; ``step`` sums that
-block with ``np.add.accumulate`` along the slots instead, which adds them in
-order.
+A one-row layout (a single column, as ``disclosure_attack``'s target row)
+leaves each lane's sum a single output, which the reduce would add pairwise
+from eight slots on; ``step`` sums that block with ``np.add.accumulate``
+along the slots instead, which adds them in order.
 
 Adding +0.0 to a running sum leaves it unchanged unless it is -0.0, so
 zero weights, wherever they sit, do not alter any total. The chain starts

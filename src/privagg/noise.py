@@ -16,11 +16,12 @@ With h >= 2 the rounds are split round-robin into h independent chains;
 each chain runs its own telescoping residual with the envelope indexed by
 its inner counter, so the zero-sum and decay conditions hold per chain.
 
-theta is data, not a process: theta_block overwrites a block of raw draws,
-which raw_draws reads from a generator in draw order, with every round's
-theta, and the round loops index its rows. It is the one place every scheme
-is computed, with no exception: runs (through node_theta_block), later-round
-attack trials and the naive attack's round 0 alike.
+theta is data, not a process: theta_block overwrites a block of raw draws
+with every round's theta, and the round loops index its rows. stream_rows
+fills each row of the block from one generator, with raw_draws after any
+leading uniforms. They are the one place every scheme is drawn and computed,
+with no exception: runs (through node_theta_block), later-round attack trials
+and the naive attack's round 0 alike.
 
 Streams: node i of a run reads stream (seed, i), numpy's
 PCG64(SeedSequence(seed, spawn_key=(i,))), and attack trial t reads
@@ -34,9 +35,8 @@ a fraction of the cost.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +46,7 @@ DRAW_MARGIN = 1.0 - 2.0**-20
 SCHEMES = ("zero_sum", "independent_decaying", "gaussian_constant", "zero")
 DISTRIBUTIONS = ("uniform", "truncated_gaussian")
 
-# Drawn values (1 MiB) node_theta_block holds beside its block: it stacks
+# Drawn values (1 MiB) node_theta_block holds beside its block: it draws
 # the node columns into the block this many values at a time (one column at
 # least). engine.run advances a block of rounds of this many state values
 # (one round at least).
@@ -181,8 +181,7 @@ def seeded_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
 
     These are also the streams of SeedSequence(seed).spawn(count). Every
     item is the same Generator, re-seeded: draw from it before taking the
-    next, and take a block with itertools.islice (zip with a range takes one
-    stream too many).
+    next. stream_rows takes a block of them and leaves the rest to the next.
     """
     gen = np.random.Generator(np.random.PCG64())
     bit_generator = gen.bit_generator
@@ -244,7 +243,32 @@ def _draws_uniform(scheme: str, params: NoiseParams) -> bool:
     )
 
 
-def _envelope(params: NoiseParams, inner: int) -> float:
+def stream_rows(
+    scheme: str,
+    params: NoiseParams,
+    gens: Iterable[np.random.Generator],
+    out: np.ndarray,
+    lead: int = 0,
+) -> np.ndarray:
+    """Fill row r of out from the r-th generator of gens, and return out.
+
+    Row r takes its generator's first `lead` values as Generator.random's u
+    on [0, 1), then raw_draws of scheme; a uniform scheme's raw draws are
+    random's u too, so its row is one random call. Exactly len(out)
+    generators are taken from gens, so the next block of a seeded_streams
+    iterator starts where this one stopped. The rows must be C-contiguous.
+    """
+    uniform = _draws_uniform(scheme, params)
+    for row, gen in zip(out, gens):  # out first: zip takes no generator past the last row
+        if uniform:
+            gen.random(out=row)
+        else:
+            gen.random(out=row[:lead])
+            row[lead:] = raw_draws(scheme, params, gen, len(row) - lead)
+    return out
+
+
+def envelope(params: NoiseParams, inner: int) -> float:
     """Residual envelope (alpha/2)*rho**(inner+1) for a chain's inner index."""
     return 0.5 * params.alpha * params.rho ** (inner + 1)
 
@@ -278,14 +302,14 @@ def theta_block(scheme: str, params: NoiseParams, raw: np.ndarray) -> np.ndarray
         deltas = [None] * p.h  # each chain's residual after its latest round
         for k in range(len(raw)):
             chain, inner = k % p.h, k // p.h
-            draw = raw[k] * (_envelope(p, inner) * DRAW_MARGIN)
+            draw = raw[k] * (envelope(p, inner) * DRAW_MARGIN)
             if inner == 0:
                 raw[k] = deltas[chain] = draw
                 continue
             delta = deltas[chain]
             theta = draw - delta
             new = delta + theta
-            bad = np.abs(new) > _envelope(p, inner)
+            bad = np.abs(new) > envelope(p, inner)
             if bad.any():  # float guard; fires once an ulp of delta outgrows the margin
                 theta = np.where(bad, -delta, theta)
                 new = delta + theta
@@ -297,25 +321,19 @@ def theta_block(scheme: str, params: NoiseParams, raw: np.ndarray) -> np.ndarray
 def node_theta_block(scheme: str, params: NoiseParams, n: int, rounds: int) -> np.ndarray:
     """A run's (rounds x n) theta: column i reads node i's own stream (params.seed, i).
 
-    The nodes' columns are drawn a group of STACK_VALUES values at a time and
-    stacked into their slice of one (rounds x n) block, so at most one group
-    exists beside the block. The block is allocated after the first group is
-    drawn, in the order np.column_stack allocates: writing one column at a
-    time into a block allocated first moved glibc's heap so that repeated
-    50-node, 2500-round runs that write their trace CSV peaked 9 MiB higher
-    in most processes. The zero scheme draws nothing, so its streams are
-    never seeded, and its block is a read-only broadcast of one 0.0.
+    stream_rows draws the nodes a group of STACK_VALUES values at a time into
+    one reused (group x rounds) buffer, whose transpose is copied into the
+    group's columns of the block, so at most one group exists beside the
+    block. The zero scheme draws nothing, so its streams are never seeded,
+    and its block is a read-only broadcast of one 0.0.
     """
     if scheme == "zero":
         return np.broadcast_to(0.0, (rounds, n))
     size = max(1, STACK_VALUES // max(rounds, 1))
     streams = seeded_streams(params.seed, n)
-    raw = None
+    raw = np.empty((rounds, n))
+    group = np.empty((min(size, n), rounds))
     for start in range(0, n, size):
-        group = [
-            raw_draws(scheme, params, gen, rounds) for gen in itertools.islice(streams, size)
-        ]
-        if raw is None:
-            raw = np.empty((len(group[0]), n))
-        np.stack(group, axis=1, out=raw[:, start : start + len(group)])
+        rows = stream_rows(scheme, params, streams, group[: n - start])
+        raw[:, start : start + len(rows)] = rows.T
     return theta_block(scheme, params, raw)

@@ -12,7 +12,6 @@ sees the target's whole neighborhood.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,11 +23,10 @@ from .engine import RunTrace
 from .noise import (
     TRUNC_SIGMAS,
     NoiseParams,
-    _draws_uniform,
-    _envelope,
-    raw_draws,
+    envelope,
     seeded_stream,
     seeded_streams,
+    stream_rows,
     theta_block,
 )
 from .topology import Graph, check_privacy_precondition
@@ -154,10 +152,10 @@ def _naive_rate(
     rng: np.random.Generator,
 ) -> float:
     """Fraction of trials whose round-0 broadcast lies within epsilon of x0;
-    the trials are the lanes of one round-0 row of zero_sum theta."""
-    x0 = rng.uniform(*PRIOR, trials)
-    raw = raw_draws("zero_sum", params, rng, trials)[None]
-    theta = theta_block("zero_sum", params, raw)[0]
+    rng draws x0 as _trial_broadcasts does, then one row of zero_sum theta."""
+    draws = stream_rows("zero_sum", params, [rng], np.empty((1, 2 * trials)), lead=trials)
+    x0 = draws[0, :trials] * (PRIOR[1] - PRIOR[0]) + PRIOR[0]
+    theta = theta_block("zero_sum", params, draws[:, trials:])[0]
     estimate = x0 + theta  # the round-0 broadcast
     return float(np.mean(np.abs(estimate - x0) <= epsilon))
 
@@ -187,21 +185,13 @@ def _trial_broadcasts(
     kernel = get_backend().step
     size = min(count, max(1, BLOCK_VALUES // (max(rounds + 1, len(wm.cols)) * n)))
     union = disjoint_union(wm, size)
-    uniform = _draws_uniform(scheme, params)
-    low, width = PRIOR[0], PRIOR[1] - PRIOR[0]
     streams = seeded_streams(seed, count)
     x0_target, broadcast = np.empty(count), np.empty(count)
     for start in range(0, count, size):
         block = slice(start, min(start + size, count))
         draws = np.empty((block.stop - start, (rounds + 2) * n))
-        for row, rng in zip(draws, itertools.islice(streams, len(draws))):
-            if uniform:  # raw_draws would be random(), so one call draws x0 and noise
-                rng.random(out=row)
-            else:
-                rng.random(out=row[:n])
-                row[n:] = raw_draws(scheme, params, rng, (rounds + 1) * n)
-        x = draws[:, :n] * width
-        x += low
+        stream_rows(scheme, params, streams, draws, lead=n)
+        x = draws[:, :n] * (PRIOR[1] - PRIOR[0]) + PRIOR[0]
         x0_target[block] = x[:, target]
         x = x.reshape(-1)
         raw = draws[:, n:].reshape(len(draws), rounds + 1, n).swapaxes(0, 1)
@@ -306,22 +296,22 @@ def disclosure_attack(view: AdversaryView, trace: RunTrace, horizon: int) -> Dis
         raise ValueError(
             f"horizon must be in [1, {len(trace.thetas) - 1}] for this trace"
         )
-    if g.n != len(trace.node_ids[0]):
+    if g != trace.config.graph:
         raise ValueError("view graph does not match the trace")
 
     wm = metropolis(g)
     broadcasts = np.array(trace.xs[: horizon + 1]) + np.array(trace.thetas[: horizon + 1])
-    # W x+(k-1), k = 1..horizon, the rounds as lanes; row j reads only N_j and j.
-    # The whole layout: step would sum a one-row layout pairwise (see backend).
-    predicted = get_backend().step(wm.weights, wm.cols, broadcasts[:-1])
-    recovered = broadcasts[1:, j] - predicted[:, j]
+    # row j of W x+(k-1), k = 1..horizon, the rounds as lanes: j's column of the layout
+    column = slice(j, j + 1)
+    predicted = get_backend().step(wm.weights[:, column], wm.cols[:, column], broadcasts[:-1])
+    recovered = broadcasts[1:, j] - predicted[:, 0]
     params = trace.config.noise
     total = math.fsum(recovered.tolist())
     estimate = float(broadcasts[0, j]) + total
     chains = range(min(params.h, horizon + 1))
-    bound = math.fsum(_envelope(params, (horizon - c) // params.h) for c in chains)
+    bound = math.fsum(envelope(params, (horizon - c) // params.h) for c in chains)
     rounded = np.abs(np.concatenate([broadcasts[:, j], recovered, [total, estimate]]))
-    updates = [math.ulp(_envelope(params, k // params.h)) for k in range(params.h, horizon + 1)]
+    updates = [math.ulp(envelope(params, k // params.h)) for k in range(params.h, horizon + 1)]
     rounding = 0.5 * math.fsum([*np.spacing(rounded).tolist(), *updates])
     return DisclosureResult(estimate, bound, horizon, rounding)
 

@@ -89,19 +89,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def is_connected(g: Graph) -> bool:
     """True iff one traversal from the lowest live node reaches every live node."""
-    start = next(i for i in range(g.n) if i not in g.retired)
-    seen = [False] * g.n
-    seen[start] = True
-    queue = deque([start])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == g.n - len(g.retired)
+    live = set(range(g.n)) - g.retired
+    return _reaches(g, min(live), live)
 
 
 def _reaches(g: Graph, start: int, targets: set[int]) -> bool:

@@ -1,0 +1,59 @@
+"""Layering rules of the privagg package, checked on its source with ast.
+
+No module imports a _-prefixed name of another privagg module, and only
+privagg.noise constructs numpy's generators and seed sequences: it is the one
+module that turns a seed into draws.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "privagg"
+SEEDING = {"Generator", "PCG64", "SeedSequence", "default_rng"}
+
+
+def _modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = []
+    for name, tree in _modules():
+        modules = set()  # names bound to privagg modules: `from . import noise`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "privagg"
+            ):
+                for alias in node.names:
+                    if _is_private(alias.name):
+                        found.append(f"{name}:{node.lineno} imports {alias.name}")
+                    if node.module in (None, "privagg"):
+                        modules.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and _is_private(node.attr)
+            ):
+                found.append(f"{name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    assert not found
+
+
+def test_only_noise_constructs_generators():
+    found = []
+    for name, tree in _modules():
+        if name == "noise.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in SEEDING:
+                    found.append(f"{name}:{node.lineno} calls {called}")
+    assert not found

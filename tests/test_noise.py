@@ -17,6 +17,7 @@ from noise_reference import (
 )
 from privagg import noise
 from privagg.noise import (
+    DISTRIBUTIONS,
     DRAW_MARGIN,
     SCHEMES,
     NoiseParams,
@@ -25,6 +26,7 @@ from privagg.noise import (
     raw_draws,
     seeded_stream,
     seeded_streams,
+    stream_rows,
     theta_block,
 )
 
@@ -308,6 +310,28 @@ def test_seeded_streams_are_numpys_streams(seed):
         next(seeded_streams(-1, 1))
 
 
+@pytest.mark.parametrize("lead", [0, 3])
+@pytest.mark.parametrize("scheme,distribution", SCHEME_DISTRIBUTIONS)
+def test_stream_rows_draws_lead_uniforms_then_raw_draws(scheme, distribution, lead):
+    params = NoiseParams(distribution=distribution)
+    out = np.full((4, lead + 40), np.nan)
+    assert stream_rows(scheme, params, seeded_streams(14, 4), out, lead) is out
+    for r, row in enumerate(out):
+        gen = seeded_stream(14, r)
+        want = np.concatenate([gen.random(lead), raw_draws(scheme, params, gen, 40)])
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), r
+
+
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+def test_stream_rows_takes_one_stream_per_row(distribution):
+    # the iterator's next item is the stream after the last row, never one past it
+    params = NoiseParams(distribution=distribution)
+    for rows in (0, 1, 3):
+        streams = seeded_streams(15, 5)
+        stream_rows("zero_sum", params, streams, np.empty((rows, 6)), lead=2)
+        assert np.array_equal(next(streams).random(4), seeded_stream(15, rows).random(4)), rows
+
+
 @pytest.mark.parametrize("scheme", ["zero_sum", "zero"])
 def test_for_nodes_stacks_every_group_of_columns(scheme):
     # groups of 4 columns, the last one short; lane i is node i's own stream
@@ -360,6 +384,20 @@ def test_zero_node_block_holds_no_rounds_by_nodes_memory():
         tracemalloc.stop()
     assert block.shape == (4000, 2000) and not block.any()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+def test_node_block_holds_one_group_beside_the_block(distribution):
+    # one group of STACK_VALUES values (1 MiB) is drawn beside the 6.1 MiB
+    # block; a transposed copy of the whole block would add 6.1 MiB more
+    params = NoiseParams(distribution=distribution, seed=1)
+    tracemalloc.start()
+    try:
+        block = node_theta_block("zero_sum", params, 2000, 400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block.nbytes + 4 * 2**20
 
 
 def test_derive_seed_is_stable():

@@ -383,6 +383,20 @@ def test_disclosure_refusals():
         disclosure_attack(view4, moved, 5)
 
 
+def test_disclosure_refuses_a_trace_of_another_graph_of_the_same_size():
+    # complete(5)'s weights would read ring(5)'s broadcasts as a wrong estimate
+    x0 = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
+    trace = _recorded_run(generate("ring", 5), x0, NoiseParams(seed=4), max_iterations=60)
+    view = AdversaryView(generate("complete", 5), 0, 1, knows_target_neighbors=True)
+    with pytest.raises(ValueError, match="view graph does not match the trace"):
+        disclosure_attack(view, trace, 40)
+    # an equal graph built apart is the trace's graph
+    complete = _recorded_run(generate("complete", 5), x0, NoiseParams(seed=4), max_iterations=60)
+    apart = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    result = disclosure_attack(AdversaryView(apart, 0, 1, knows_target_neighbors=True), complete, 40)
+    assert abs(result.estimate - 20.0) <= result.error_bound + result.rounding_bound
+
+
 def test_privacy_sweep_closed_form_rows(tmp_path):
     params = NoiseParams(alpha=1.0, rho=0.5, seed=3)
     reports = privacy_sweep(params, [0.01, 0.05, 0.1, 0.25], trials=4000, seed=9)
