@@ -18,7 +18,7 @@ from .harness import (
     repetition_inputs,
     run_experiment,
 )
-from .noise import derive_seed
+from .noise import TELESCOPING_SCHEMES, derive_seed
 from .privacy import (
     AdversaryView,
     PrivacyQuery,
@@ -141,7 +141,7 @@ def cmd_attack(args) -> int:
         view = AdversaryView(graph, args.observer, target, knows_target_neighbors=True)
         if config.run.events:
             raise ConfigError("disclosure attack requires a config without events")
-        if config.scheme not in ("zero_sum", "zero"):
+        if config.scheme not in TELESCOPING_SCHEMES:
             raise ConfigError(
                 "disclosure attack requires the zero_sum (or zero) noise scheme"
             )
@@ -167,7 +167,8 @@ def cmd_attack(args) -> int:
     if args.kind == "naive":
         _require_zero_sum(config, "the naive attack")
     view = AdversaryView(graph, args.observer, target)
-    query = PrivacyQuery(args.epsilon, params)
+    if params.seed < 0:  # build_config checks the seed only where a run uses it
+        raise ConfigError(f"noise.seed must be >= 0, got {params.seed}")
     seed = derive_seed(params.seed, 9002)
     if args.kind == "naive":
         rate = naive_attack(view, params, args.epsilon, args.trials, seed=seed)
@@ -178,7 +179,7 @@ def cmd_attack(args) -> int:
         )
     # sigma_analytic is the ceiling of the zero_sum round-0 law only
     if config.scheme == "zero_sum":
-        ceiling = f"sigma_analytic {sigma_analytic(query):.6f}"
+        ceiling = f"sigma_analytic {sigma_analytic(PrivacyQuery(args.epsilon, params)):.6f}"
     else:
         ceiling = f"no analytic ceiling applies to scheme {config.scheme!r}"
     print(f"{args.kind} attack: success rate {rate:.6f} over {args.trials} trials ({ceiling})")

@@ -9,9 +9,9 @@ their state mass with them and the error metric re-targets the surviving
 nodes' initial average.
 
 A node keeps its id and its state column for the whole run. A removed
-node's column is retired, with weight 1.0 on itself and theta 0.0, so no
-live node reads it; spread, error, the guards, the broadcast check, the
-trace rows and x_final read the live columns only.
+node's column is retired, with weight 1.0 on itself and 0.0 in every live
+row, and its theta is left as drawn; spread, error, the guards, the
+broadcast check, the trace rows and x_final read the live columns only.
 
 A run advances one block of rounds at a time. A block ends at the next
 event iteration, at max_rounds or after noise.STACK_VALUES values of
@@ -39,7 +39,7 @@ import numpy as np
 
 from .backend import get_backend
 from .csvfmt import write_summary, write_trace
-from .noise import SCHEMES, STACK_VALUES, NoiseParams, node_theta_block
+from .noise import ENVELOPE_SCHEMES, STACK_VALUES, NoiseParams, check_scheme, node_theta_block
 from .tolerances import TOL
 from .topology import Graph, TopologyEvent, apply_event
 from .topology import is_connected  # noqa: F401  perfbench/tracer.py wraps engine.is_connected
@@ -47,9 +47,6 @@ from .weights import WeightMatrix, metropolis
 
 UPDATE_FORMS = ("matrix", "per_node")
 AGGREGATE_KINDS = ("sum", "average")
-
-# Schemes whose noise is bounded by alpha*rho^k, so the state envelope holds.
-_ENVELOPE_SCHEMES = ("zero_sum", "independent_decaying", "zero")
 
 
 class EngineAbort(RuntimeError):
@@ -91,8 +88,7 @@ class RunConfig:
         self.x0 = x0
         if self.graph.retired:  # a run retires nodes only through its events
             raise ValueError(f"graph has retired nodes {sorted(self.graph.retired)}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown noise scheme {self.scheme!r}")
+        check_scheme(self.scheme)
         check_run_options(self.max_iterations, self.term_epsilon, self.update_form)
         self.events = tuple(self.events)
 
@@ -216,7 +212,7 @@ def run(config: RunConfig) -> RunTrace:
     block = node_theta_block(config.scheme, config.noise, n, max_rounds)
     guard = (
         state_envelope(x0, config.noise) * (1.0 + TOL.envelope_slack)
-        if config.scheme in _ENVELOPE_SCHEMES
+        if config.scheme in ENVELOPE_SCHEMES
         else math.inf
     )
     events = sorted(config.events, key=lambda e: e.at_iteration)
@@ -231,8 +227,6 @@ def run(config: RunConfig) -> RunTrace:
             event = events[ei]
             g = apply_event(g, event)
             if event.kind == "remove_node":
-                if block.flags.writeable:  # the zero scheme's block is a read-only 0.0
-                    block[k:, event.payload] = 0.0  # a retired node adds no more noise
                 live = np.array([i for i in range(n) if i not in g.retired])
                 reference = float(np.mean(x0[live]))
             trace.events_applied.append(

@@ -75,6 +75,8 @@ class X0Spec:
                 raise ValueError(f"{key} is required for {self.mode} x0")
         if self.mode == "uniform" and not self.low < self.high:
             raise ValueError("low must be < x0.high")
+        if self.mode == "uniform" and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -246,6 +248,8 @@ def build_config(data: dict, origin: Path | None = None) -> ExperimentConfig:
         raise ConfigError(f"noise.scheme must be one of {SCHEMES}, got {scheme!r}")
     if scheme != "zero" and "seed" not in noise_raw:
         raise ConfigError(f"noise.seed is required for scheme {scheme!r}")
+    if scheme != "zero" and noise_raw["seed"] < 0:
+        raise ConfigError(f"noise.seed must be >= 0, got {noise_raw['seed']}")
     noise = _build("noise", NoiseParams, noise_raw)
 
     run_spec = _build("run", RunSpec, sections["run"])

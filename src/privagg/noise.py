@@ -16,12 +16,12 @@ With h >= 2 the rounds are split round-robin into h independent chains;
 each chain runs its own telescoping residual with the envelope indexed by
 its inner counter, so the zero-sum and decay conditions hold per chain.
 
-theta is data, not a process: theta_block overwrites a block of raw draws
-with every round's theta, and the round loops index its rows. stream_rows
-fills each row of the block from one generator, with raw_draws after any
-leading uniforms. They are the one place every scheme is drawn and computed,
-with no exception: runs (through node_theta_block), later-round attack trials
-and the naive attack's round 0 alike.
+theta is data, not a process: stream_rows draws each row of a block from
+one generator and theta_block overwrites the block with every round's
+theta; the round loops only read its rows. They are the one place every
+scheme is drawn and computed: runs (node_theta_block), later-round attack
+trials and the naive attack's round 0 alike. Each calls check_scheme first;
+ENVELOPE_SCHEMES and TELESCOPING_SCHEMES name the schemes' properties.
 
 Streams: node i of a run reads stream (seed, i), numpy's
 PCG64(SeedSequence(seed, spawn_key=(i,))), and attack trial t reads
@@ -44,6 +44,10 @@ import numpy as np
 DRAW_MARGIN = 1.0 - 2.0**-20
 
 SCHEMES = ("zero_sum", "independent_decaying", "gaussian_constant", "zero")
+# Schemes whose noise is bounded by alpha*rho^k, so the state envelope holds.
+ENVELOPE_SCHEMES = ("zero_sum", "independent_decaying", "zero")
+# Schemes whose theta sums telescope, so a full neighbourhood reconstructs x0.
+TELESCOPING_SCHEMES = ("zero_sum", "zero")
 DISTRIBUTIONS = ("uniform", "truncated_gaussian")
 
 # Drawn values (1 MiB) node_theta_block holds beside its block: it draws
@@ -195,49 +199,20 @@ def seeded_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
         yield gen
 
 
+def check_scheme(scheme: str) -> None:
+    """Reject a scheme that is not one of SCHEMES, before anything is drawn."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown noise scheme {scheme!r}")
+
+
 def derive_seed(seed: int, *key: int) -> int:
     """Deterministic child seed for (seed, key); keeps all entropy explicit."""
     ss = np.random.SeedSequence(seed, spawn_key=tuple(key))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def raw_draws(
-    scheme: str, params: NoiseParams, gen: np.random.Generator, count: int
-) -> np.ndarray:
-    """The raw values `count` noise draws of `scheme` take from gen, in draw order.
-
-    zero_sum takes its distribution's values, independent_decaying uniforms,
-    gaussian_constant standard normals; zero draws nothing and gives `count`
-    zeros.
-    A uniform draw is left as Generator.random's u on [0, 1); theta_block
-    maps a whole block to 2u - 1 in place. That is uniform(-1.0, 1.0)'s value
-    bit for bit and its use of the generator: numpy computes -1 + 2u from the
-    same u, and 2u - 1 is exact, with or without fused multiply-add.
-    random(count) takes half of uniform(-1.0, 1.0, count)'s time, and the
-    map costs two numpy calls per block instead of two per stream.
-    The truncated gaussian keeps the normals with |z| <= TRUNC_SIGMAS in the
-    order drawn, scaled to [-1, 1]; numpy fills normal arrays element by
-    element, so this accepts exactly the draws a per-draw rejection loop
-    accepts.
-    """
-    if scheme == "zero":
-        return np.zeros(count)
-    if scheme == "gaussian_constant":
-        return gen.standard_normal(count)
-    if _draws_uniform(scheme, params):
-        return gen.random(count)
-    kept, have = [np.empty(0)], 0
-    while have < count:
-        need = count - have
-        z = gen.standard_normal(need + need // 16 + 16)  # ~4.6% are rejected
-        z = z[np.abs(z) <= TRUNC_SIGMAS]
-        kept.append(z)
-        have += z.size
-    return np.concatenate(kept)[:count] / TRUNC_SIGMAS
-
-
 def _draws_uniform(scheme: str, params: NoiseParams) -> bool:
-    """Whether raw_draws gives scheme u on [0, 1), which theta_block maps to 2u - 1."""
+    """Whether stream_rows gives scheme u on [0, 1), which theta_block maps to 2u - 1."""
     return scheme == "independent_decaying" or (
         scheme == "zero_sum" and params.distribution == "uniform"
     )
@@ -253,18 +228,40 @@ def stream_rows(
     """Fill row r of out from the r-th generator of gens, and return out.
 
     Row r takes its generator's first `lead` values as Generator.random's u
-    on [0, 1), then raw_draws of scheme; a uniform scheme's raw draws are
-    random's u too, so its row is one random call. Exactly len(out)
-    generators are taken from gens, so the next block of a seeded_streams
-    iterator starts where this one stopped. The rows must be C-contiguous.
+    on [0, 1), then the scheme's draws in draw order: zero_sum its
+    distribution's values, independent_decaying uniforms, gaussian_constant
+    standard normals, zero none (zeros). A uniform draw stays random's u, so
+    a uniform scheme's row is one random call, and theta_block maps the
+    block to 2u - 1 in place: uniform(-1.0, 1.0)'s value and generator use
+    bit for bit, since numpy computes -1 + 2u from the same u and 2u - 1 is
+    exact, with or without fused multiply-add; random takes half of
+    uniform's time. The truncated gaussian keeps the normals with |z| <=
+    TRUNC_SIGMAS in the order drawn, scaled to [-1, 1]; numpy fills normal
+    arrays element by element, so this accepts exactly the draws a per-draw
+    rejection loop accepts. Exactly len(out) generators are taken from gens,
+    so the next block of a seeded_streams iterator starts where this one
+    stopped. The rows must be C-contiguous.
     """
+    check_scheme(scheme)
     uniform = _draws_uniform(scheme, params)
     for row, gen in zip(out, gens):  # out first: zip takes no generator past the last row
         if uniform:
             gen.random(out=row)
+            continue
+        gen.random(out=row[:lead])
+        draws = row[lead:]
+        if scheme == "zero":
+            draws[:] = 0.0
+        elif scheme == "gaussian_constant":
+            gen.standard_normal(out=draws)
         else:
-            gen.random(out=row[:lead])
-            row[lead:] = raw_draws(scheme, params, gen, len(row) - lead)
+            have = 0
+            while (need := len(draws) - have) > 0:
+                z = gen.standard_normal(need + need // 16 + 16)  # ~4.6% are rejected
+                z = z[np.abs(z) <= TRUNC_SIGMAS][:need]
+                draws[have : have + len(z)] = z
+                have += len(z)
+            draws /= TRUNC_SIGMAS
     return out
 
 
@@ -276,7 +273,7 @@ def envelope(params: NoiseParams, inner: int) -> float:
 def theta_block(scheme: str, params: NoiseParams, raw: np.ndarray) -> np.ndarray:
     """Write theta over raw, round by round, and return raw.
 
-    raw is a (rounds x *lanes) block from raw_draws, whose uniform draws u
+    raw is a (rounds x *lanes) block from stream_rows, whose uniform draws u
     become 2u - 1 here first; row k becomes the noise every lane adds to its
     round-k broadcast, and the lanes may have any shape. A run's block has
     one lane per node (node_theta_block); a block of attack trials has
@@ -285,8 +282,7 @@ def theta_block(scheme: str, params: NoiseParams, raw: np.ndarray) -> np.ndarray
     attack's round 0 is one row of (trials,) lanes. This is the only code
     that turns raw draws into theta.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown noise scheme {scheme!r}")
+    check_scheme(scheme)
     p = params
     if _draws_uniform(scheme, p):
         raw *= 2.0
@@ -327,6 +323,7 @@ def node_theta_block(scheme: str, params: NoiseParams, n: int, rounds: int) -> n
     block. The zero scheme draws nothing, so its streams are never seeded,
     and its block is a read-only broadcast of one 0.0.
     """
+    check_scheme(scheme)
     if scheme == "zero":
         return np.broadcast_to(0.0, (rounds, n))
     size = max(1, STACK_VALUES // max(rounds, 1))

@@ -21,6 +21,7 @@ import numpy as np
 from .backend import get_backend
 from .engine import RunTrace
 from .noise import (
+    TELESCOPING_SCHEMES,
     TRUNC_SIGMAS,
     NoiseParams,
     envelope,
@@ -138,6 +139,7 @@ def naive_attack(
 
     Returns the fraction of independent trials with |x_hat - x_j(0)| <= epsilon.
     """
+    PrivacyQuery(epsilon, params)  # rejects epsilon <= 0 before any draw
     if view.knows_target_neighbors:
         raise ValueError("naive attack models an observer without N_j knowledge")
     if trials < 1:
@@ -228,6 +230,7 @@ def later_round_attack(
     sampling error. All runs are one batched call over the seed's
     train_trials + trials children; the first train_trials train the offset.
     """
+    PrivacyQuery(epsilon, params)  # rejects epsilon <= 0 before any draw
     if view.knows_target_neighbors:
         raise ValueError("use disclosure_attack for a full-neighborhood observer")
     if round_k < 0:
@@ -288,7 +291,7 @@ def disclosure_attack(view: AdversaryView, trace: RunTrace, horizon: int) -> Dis
         )
     if trace.events_applied:
         raise ValueError("disclosure attack requires a static-topology trace")
-    if trace.config.scheme not in ("zero_sum", "zero"):
+    if trace.config.scheme not in TELESCOPING_SCHEMES:
         raise ValueError("reconstruction assumes telescoping (or zero) noise")
     if not trace.xs:
         raise ValueError("trace must be recorded with record_trace=True")

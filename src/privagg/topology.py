@@ -126,6 +126,8 @@ def check_graph_params(
         raise ValueError("n must be >= 1")
     if kind in ("random_gnp", "random_geometric") and seed is None:
         raise ValueError(f"seed is required for kind {kind!r}")
+    if kind in ("random_gnp", "random_geometric") and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if kind == "random_gnp" and (p is None or not 0.0 <= p <= 1.0):
         raise ValueError("p in [0, 1] is required for random_gnp")
     if kind == "random_geometric" and (radius is None or not radius > 0.0):

@@ -20,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from privagg import engine
+from privagg.noise import ENVELOPE_SCHEMES
 from privagg.tolerances import TOL
 from privagg.topology import Graph, TopologyEvent, build_graph
 
@@ -64,7 +65,7 @@ def round_run(config: engine.RunConfig) -> engine.RunTrace:
     block = engine.node_theta_block(config.scheme, config.noise, g.n, max_rounds)
     guard = (
         engine.state_envelope(x0_full, config.noise) * (1.0 + TOL.envelope_slack)
-        if config.scheme in engine._ENVELOPE_SCHEMES
+        if config.scheme in ENVELOPE_SCHEMES
         else math.inf
     )
     events = sorted(config.events, key=lambda e: e.at_iteration)

@@ -69,6 +69,10 @@ BASE = {
         ("noise.distribution", {"noise": {"distribution": "bogus"}}),
         ("run.update_form", {"run": {"update_form": "bogus"}}),
         ("run.max_iterations", {"run": {"max_iterations": "0"}}),
+        # a negative seed, where numpy would say only "expected non-negative integer"
+        ("topology.seed", {"topology": {"kind": "random_gnp", "seed": "-3", "p": "0.9"}}),
+        ("x0.seed", {"x0": {"seed": "-4"}}),
+        ("noise.seed", {"noise": {"seed": "-5"}}),
     ],
 )
 def test_validate_names_the_bad_field(tmp_path, capsys, field, overrides):
@@ -82,6 +86,17 @@ def test_validate_names_the_bad_field(tmp_path, capsys, field, overrides):
     assert main(["run", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith(f"error: {field} ") for line in err)
+
+
+def test_the_zero_schemes_noise_seed_is_checked_where_it_is_used(tmp_path, capsys):
+    # a zero-scheme run draws no noise, so it runs with any noise seed; the
+    # later-round attack seeds its trials from it
+    cfg = _cfg(tmp_path, GOOD.replace("zero_sum", "zero").replace("seed = 3", "seed = -5"))
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["attack", cfg, "--kind", "later", "--epsilon", "0.1"]) == 1
+    assert capsys.readouterr().err == "error: noise.seed must be >= 0, got -5\n"
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from privagg.csvfmt import CHUNK_ROWS, Formatter
+from privagg import engine
 from privagg.engine import (
     UPDATE_FORMS,
     EngineAbort,
@@ -384,6 +385,44 @@ def test_zero_scheme_seeds_no_stream(monkeypatch):
     trace = run(_zero_cfg(generate("ring", 6), np.arange(6.0), max_iterations=12))
     assert trace.k_stop == 12
     assert all(not theta.any() for theta in trace.thetas)
+
+
+@pytest.mark.parametrize("term_epsilon", [0.0, 1e-3])
+@pytest.mark.parametrize("update_form", UPDATE_FORMS)
+@pytest.mark.parametrize("scheme", ["zero_sum", "zero"])
+def test_nothing_reads_a_retired_columns_theta(monkeypatch, scheme, update_form, term_epsilon):
+    # from its removal on, a retired node's theta column holds finite +-1e6:
+    # no output of the run may change, bit for bit
+    g = generate("random_gnp", 20, seed=7, p=0.3)
+    events = (
+        TopologyEvent(5, "add_edge", (0, 1)),
+        TopologyEvent(9, "remove_node", 17),
+        TopologyEvent(30, "remove_node", 12),
+    )
+    cfg = RunConfig(
+        graph=g, x0=np.arange(20.0), noise=NoiseParams(seed=23), scheme=scheme,
+        events=events, max_iterations=300, term_epsilon=term_epsilon, update_form=update_form,
+    )
+    plain = run(cfg)
+    block_of = engine.node_theta_block
+
+    def loud(*args):
+        block = np.array(block_of(*args))  # writable, the zero scheme's block too
+        for e in events:
+            if e.kind == "remove_node":
+                block[e.at_iteration :, e.payload] = 1e6 * (-1.0) ** np.arange(
+                    len(block) - e.at_iteration
+                )
+        return block
+
+    monkeypatch.setattr(engine, "node_theta_block", loud)
+    loudly = run(cfg)
+    assert len(plain.events_applied) == 3
+    assert (loudly.reason, loudly.node_ids) == (plain.reason, plain.node_ids)
+    for name in ("xs", "thetas", "spreads", "errs"):
+        got, want = np.hstack(getattr(loudly, name)), np.hstack(getattr(plain, name))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+    assert np.array_equal(loudly.x_final.view(np.uint64), plain.x_final.view(np.uint64))
 
 
 def test_disconnecting_event_rejected():

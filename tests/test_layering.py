@@ -2,11 +2,14 @@
 
 No module imports a _-prefixed name of another privagg module, and only
 privagg.noise constructs numpy's generators and seed sequences: it is the one
-module that turns a seed into draws.
+module that turns a seed into draws. It is also the one module that lists
+noise schemes: the others read its named sets.
 """
 
 import ast
 from pathlib import Path
+
+from privagg.noise import SCHEMES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "privagg"
 SEEDING = {"Generator", "PCG64", "SeedSequence", "default_rng"}
@@ -56,4 +59,22 @@ def test_only_noise_constructs_generators():
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if called in SEEDING:
                     found.append(f"{name}:{node.lineno} calls {called}")
+    assert not found
+
+
+def test_only_noise_lists_schemes():
+    # a tuple, list or set literal of two or more scheme names is a scheme set
+    found = []
+    for name, tree in _modules():
+        if name == "noise.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                listed = [
+                    elt.value
+                    for elt in node.elts
+                    if isinstance(elt, ast.Constant) and elt.value in SCHEMES
+                ]
+                if len(listed) >= 2:
+                    found.append(f"{name}:{node.lineno} lists {listed}")
     assert not found

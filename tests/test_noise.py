@@ -16,6 +16,7 @@ from noise_reference import (
     ZeroSumNoise,
 )
 from privagg import noise
+from privagg.engine import RunConfig
 from privagg.noise import (
     DISTRIBUTIONS,
     DRAW_MARGIN,
@@ -23,12 +24,13 @@ from privagg.noise import (
     NoiseParams,
     derive_seed,
     node_theta_block,
-    raw_draws,
     seeded_stream,
     seeded_streams,
     stream_rows,
     theta_block,
 )
+from privagg.privacy import AdversaryView, later_round_attack
+from privagg.topology import generate
 
 
 def test_params_validation():
@@ -49,6 +51,11 @@ def test_params_validation():
 def test_rho_zero_degenerates_to_silence():
     proc = ZeroSumNoise(NoiseParams(alpha=1.0, rho=0.0, seed=1), node=0)
     assert all(proc.sample(k) == 0.0 for k in range(10))
+
+
+def raw_draws(scheme, params, gen, count):
+    """The raw values count draws of scheme take from gen: a one-row stream_rows block."""
+    return stream_rows(scheme, params, [gen], np.empty((1, count)))[0]
 
 
 def _round0(params, rng, count):
@@ -195,7 +202,7 @@ def test_truncated_gaussian_draws_are_the_rejection_fills_in_stream_order():
 
 
 def test_uniform_draws_are_two_u_minus_one_from_random():
-    # premise of raw_draws and theta_block: 2u - 1 for u from Generator.random
+    # premise of stream_rows and theta_block: 2u - 1 for u from Generator.random
     # is uniform(-1, 1)'s value bit for bit, one uint64 per value; a numpy that
     # changes how uniform computes or consumes fails here
     for count in (1, 7, 220, 5000):
@@ -220,10 +227,21 @@ def test_prior_draws_are_low_plus_width_u_from_random():
 
 
 def test_bank_unknown_scheme():
-    with pytest.raises(ValueError, match="unknown noise scheme 'bursty'"):
-        node_theta_block("bursty", NoiseParams(seed=0), 3, 10)
-    with pytest.raises(ValueError, match="unknown noise scheme 'bursty'"):
-        theta_block("bursty", NoiseParams(seed=0), np.zeros((10, 3)))
+    # every entry point fails before any stream is seeded
+    g = generate("ring", 5)
+    calls = [
+        lambda: stream_rows("bursty", NoiseParams(), seeded_streams(0, 2), np.empty((2, 3))),
+        lambda: node_theta_block("bursty", NoiseParams(), 2000, 400),
+        lambda: theta_block("bursty", NoiseParams(), np.zeros((4, 3))),
+        lambda: RunConfig(g, np.zeros(5), scheme="bursty"),
+        lambda: later_round_attack(AdversaryView(g, 0, 1), NoiseParams(), 2, 0.1, 10,
+                                   scheme="bursty"),
+    ]
+    with mock.patch.object(noise, "_pcg64_states", wraps=noise._pcg64_states) as states:
+        for call in calls:
+            with pytest.raises(ValueError, match="unknown noise scheme 'bursty'"):
+                call()
+    assert not states.called
 
 
 def test_numpy_block_draws_match_scalar_draws():
@@ -313,12 +331,24 @@ def test_seeded_streams_are_numpys_streams(seed):
 @pytest.mark.parametrize("lead", [0, 3])
 @pytest.mark.parametrize("scheme,distribution", SCHEME_DISTRIBUTIONS)
 def test_stream_rows_draws_lead_uniforms_then_raw_draws(scheme, distribution, lead):
+    # the expected row from numpy's own calls: u from random, then the scheme's
+    # draws (random's u, standard normals, zeros or the per-draw rejection)
     params = NoiseParams(distribution=distribution)
     out = np.full((4, lead + 40), np.nan)
     assert stream_rows(scheme, params, seeded_streams(14, 4), out, lead) is out
     for r, row in enumerate(out):
         gen = seeded_stream(14, r)
-        want = np.concatenate([gen.random(lead), raw_draws(scheme, params, gen, 40)])
+        want = [gen.random(lead)]
+        if scheme == "independent_decaying" or (scheme, distribution) == ("zero_sum", "uniform"):
+            want.append(gen.random(40))
+        elif scheme == "gaussian_constant":
+            want.append(gen.standard_normal(40))
+        elif scheme == "zero":
+            want.append(np.zeros(40))
+        else:
+            stream = RawStream(gen)
+            want.append([stream.next_unit("truncated_gaussian") for _ in range(40)])
+        want = np.concatenate(want)
         assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), r
 
 

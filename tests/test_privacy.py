@@ -142,6 +142,19 @@ def test_naive_attack_rejects_full_knowledge_view():
                      NoiseParams(seed=0), 0.1, 10)
 
 
+@pytest.mark.parametrize("epsilon", [-0.1, 0.0, math.nan])
+def test_attacks_reject_a_nonpositive_epsilon_before_any_draw(monkeypatch, epsilon):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a noise stream was drawn")
+
+    monkeypatch.setattr(privacy, "stream_rows", refuse)
+    view = AdversaryView(generate("ring", 5), 0, 1)
+    with pytest.raises(ValueError, match="epsilon must be > 0"):
+        naive_attack(view, NoiseParams(seed=0), epsilon, 10)
+    with pytest.raises(ValueError, match="epsilon must be > 0"):
+        later_round_attack(view, NoiseParams(seed=0), 2, epsilon, 10)
+
+
 def test_later_round_attack_bounded_by_sigma():
     g = generate("ring", 5)
     view = AdversaryView(g, 0, 1)
