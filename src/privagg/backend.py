@@ -7,15 +7,15 @@ produces that chain's result bit for bit, sign of zero included; the
 scalar loops in the tests are the reference it is checked against.
 
 ``step`` takes W slot-major: term s of row i is ``weights[s, i] *
-v[cols[s, i]]``. It gathers the states with ``take`` into a C-ordered
-(slots × n) block of its own, multiplies the weights into that block in
-place, and sums it over the slot axis with ``np.add.reduce``. NumPy sums
-pairwise only along the fast memory axis of the block; along the slot axis
-of a C-ordered block it adds one whole slot row at a time, in slot order,
-which is the mandated chain. The block's C order is what matters: a
-product left in F order (as ``W.T`` without a copy would give) puts the
-slot axis in fast memory, and the reduce then sums it pairwise and misses
-the chain. The per-node form passes the support layout of
+v[cols[s, i]]``. It gathers the states with ``v.take(cols, axis=0)`` into
+a C-ordered (slots × n) block of its own, multiplies the weights into that
+block in place, and sums it over the slot axis with ``np.add.reduce``.
+NumPy sums pairwise only along the fast memory axis of the block; along
+the slot axis of a C-ordered block it adds one whole slot row at a time,
+in slot order, which is the mandated chain. The block's C order is what
+matters: a product left in F order (as ``W.T`` without a copy would give)
+puts the slot axis in fast memory, and the reduce then sums it pairwise
+and misses the chain. The per-node form passes the support layout of
 ``privagg.weights.WeightMatrix`` (row i's support ascending, padded with
 weight 0.0), whose gather already has the product's shape; the matrix form
 passes ``W`` itself, which is ``W.T`` because Metropolis weights are
@@ -25,16 +25,19 @@ new product, pinned to C order. The block is allocated per call: ``take``
 into a preallocated ``out=`` block goes through a buffer in its default
 ``mode="raise"`` and measured slower.
 
-A leading batch axis of ``v`` holds independent lanes (``disclosure_attack``'s
-rounds), each summed in the same slot order, so it matches its single-lane
-call bit for bit. Attack trials take no lane axis: b trials are one state of
-b·n values on the disjoint union of b copies of the layout
-(``privagg.weights.disjoint_union``), whose gather is one (slots × b·n)
-block with the same chain in every column.
-A one-row layout (a single column, as ``disclosure_attack``'s target row)
-leaves each lane's sum a single output, which the reduce would add pairwise
-from eight slots on; ``step`` sums that block with ``np.add.accumulate``
-along the slots instead, which adds them in order.
+Lanes are trailing: a state of shape (n, *lanes) holds independent states
+of one graph (attack trials, or ``disclosure_attack``'s rounds). Its gather
+copies whole rows of lanes into a (slots × n × *lanes) block, the weights
+broadcast over the lanes, and the reduce over the slot axis still adds one
+slot row at a time, so every lane matches its single-lane call bit for
+bit. A caller that advances the same lanes many times may pass the weights
+already repeated over the lanes, (slots × n × *lanes): the product is then
+one flat loop instead of one short loop per weight. Engine runs pass a 1-D
+state. A block with a single output value (a one-column layout, as
+``disclosure_attack``'s target row, with one lane) has its slots in fast
+memory, and the reduce would add them pairwise from eight slots on;
+``step`` sums that block with ``np.add.accumulate`` along the slots
+instead, which adds them in order.
 
 Adding +0.0 to a running sum leaves it unchanged unless it is -0.0, so
 zero weights, wherever they sit, do not alter any total. The chain starts
@@ -55,14 +58,16 @@ import numpy as np
 
 def step(weights, cols, v):
     """W v as a new array, aliasing neither argument; see the module docstring."""
-    terms = v.take(cols, axis=-1)
-    if terms.shape[-2:] == weights.shape:
+    terms = v.take(cols, axis=0)
+    if weights.ndim < terms.ndim:  # trailing lanes: every weight broadcasts over them
+        weights = weights.reshape(weights.shape + (1,) * (terms.ndim - weights.ndim))
+    if terms.shape[:2] == weights.shape[:2]:
         np.multiply(weights, terms, out=terms)
     else:
         terms = np.multiply(weights, terms, order="C")
-    if terms.shape[-1] == 1:
-        return np.add.accumulate(terms, axis=-2)[..., -1, :] + 0.0
-    out = np.add.reduce(terms, axis=-2)
+    if terms.size == len(terms):  # a single output value
+        return np.add.accumulate(terms, axis=0)[-1] + 0.0
+    out = np.add.reduce(terms, axis=0)
     out += 0.0
     return out
 

@@ -273,14 +273,14 @@ def envelope(params: NoiseParams, inner: int) -> float:
 def theta_block(scheme: str, params: NoiseParams, raw: np.ndarray) -> np.ndarray:
     """Write theta over raw, round by round, and return raw.
 
-    raw is a (rounds x *lanes) block from stream_rows, whose uniform draws u
-    become 2u - 1 here first; row k becomes the noise every lane adds to its
-    round-k broadcast, and the lanes may have any shape. A run's block has
-    one lane per node (node_theta_block); a block of attack trials has
-    trials*nodes lanes, trial t's nodes at t*n .. t*n + n - 1, each trial
-    laying one generator's draws out row-major over its nodes; the naive
-    attack's round 0 is one row of (trials,) lanes. This is the only code
-    that turns raw draws into theta.
+    raw is a (rounds x *lanes) block of stream_rows' draws, whose uniform
+    draws u become 2u - 1 here first; row k becomes the noise every lane
+    adds to its round-k broadcast, and the lanes may have any shape. A run's
+    block has one lane per node (node_theta_block); a block of attack trials
+    has (nodes x trials) lanes, the kernel's state shape, each trial's
+    row-major draws transposed into its column; the naive attack's round 0
+    is one row of (trials,) lanes. This is the only code that turns raw
+    draws into theta.
     """
     check_scheme(scheme)
     p = params

@@ -5,9 +5,9 @@ neighbor estimates a node's initial value within +/- epsilon (the maximum
 probability mass of the round-0 noise over any window of width 2*epsilon).
 The attacks measure it empirically: a one-shot estimate from the round-0
 broadcast, a trained constant-offset estimate from a later round (a block
-of its seeded trials advances as one state on the disjoint union of copies
-of the graph), and the exact reconstruction available to an observer who
-sees the target's whole neighborhood.
+of its seeded trials advances as one (n x trials) state, the trials as the
+kernel's trailing lanes), and the exact reconstruction available to an
+observer who sees the target's whole neighborhood.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from .noise import (
     theta_block,
 )
 from .topology import Graph, check_privacy_precondition
-from .weights import WeightMatrix, disjoint_union, metropolis
+from .weights import WeightMatrix, metropolis
 
 PRIOR = (-50.0, 50.0)  # the attacks' initial values are uniform on it, |x| >> alpha*rho
-BLOCK_VALUES = 2**14  # drawn values (and kernel products) per block of attack trials
+BLOCK_VALUES = 2**14  # drawn values (or kernel products) per block of attack trials
 
 
 @dataclass(frozen=True)
@@ -177,32 +177,40 @@ def _trial_broadcasts(
     the noise, row-major so that node i takes draw k*n + i at round k. Each
     stream fills one row of a (trials x (rounds + 2)*n) block, and x0 maps
     the row's first n values u to PRIOR[0] + width*u, numpy's uniform(*PRIOR).
-    A block of b trials advances as one flat state of b*n values on the
-    disjoint union of b copies of the graph, trial t at ids t*n .. t*n + n - 1:
-    one theta row and one kernel call per round. A block holds at most
-    BLOCK_VALUES draws and kernel products (one trial at least); the short
-    last block runs on the first b*n columns of the union.
+    A block of b trials is transposed once, so that the trials are trailing
+    lanes: x is an (n x b) state, theta a (rounds + 1, n, b) block, and each
+    round is one theta row and one kernel call, whose gather copies whole
+    rows of b values and whose weights come repeated over the lanes once per
+    block. The last round is computed on the target's layout column only.
+    A block holds at most BLOCK_VALUES values, one trial at least: per trial
+    its (rounds + 2)*n draws, or its slots*n kernel products if there are
+    more.
     """
     n = wm.n
     kernel = get_backend().step
-    size = min(count, max(1, BLOCK_VALUES // (max(rounds + 1, len(wm.cols)) * n)))
-    union = disjoint_union(wm, size)
+    per_trial = max(rounds + 2, len(wm.cols)) * n
+    size = min(count, max(1, BLOCK_VALUES // per_trial))
+    column = slice(target, target + 1)
     streams = seeded_streams(seed, count)
     x0_target, broadcast = np.empty(count), np.empty(count)
     for start in range(0, count, size):
         block = slice(start, min(start + size, count))
-        draws = np.empty((block.stop - start, (rounds + 2) * n))
+        b = block.stop - start
+        draws = np.empty((b, (rounds + 2) * n))
         stream_rows(scheme, params, streams, draws, lead=n)
-        x = draws[:, :n] * (PRIOR[1] - PRIOR[0]) + PRIOR[0]
-        x0_target[block] = x[:, target]
-        x = x.reshape(-1)
-        raw = draws[:, n:].reshape(len(draws), rounds + 1, n).swapaxes(0, 1)
-        theta = theta_block(scheme, params, raw.reshape(rounds + 1, len(x)))
-        weights, cols = union.weights[:, : len(x)], union.cols[:, : len(x)]
+        lanes = np.ascontiguousarray(draws.T).reshape(rounds + 2, n, b)
+        del draws  # freed before the kernel's blocks are allocated: a lower peak RSS
+        x = lanes[0] * (PRIOR[1] - PRIOR[0]) + PRIOR[0]
+        x0_target[block] = x_target = x[target]
+        theta = theta_block(scheme, params, lanes[1:])
+        weights = np.repeat(wm.weights[:, :, np.newaxis], b, axis=2)
         for k in range(rounds):
             theta[k] += x
-            x = kernel(weights, cols, theta[k])
-        broadcast[block] = x[target::n] + theta[rounds, target::n]
+            if k + 1 < rounds:
+                x = kernel(weights, wm.cols, theta[k])
+            else:  # the broadcast reads only the target's row
+                x_target = kernel(wm.weights[:, column], wm.cols[:, column], theta[k])[0]
+        broadcast[block] = x_target + theta[rounds, target]
     return x0_target, broadcast
 
 
@@ -304,10 +312,10 @@ def disclosure_attack(view: AdversaryView, trace: RunTrace, horizon: int) -> Dis
 
     wm = metropolis(g)
     broadcasts = np.array(trace.xs[: horizon + 1]) + np.array(trace.thetas[: horizon + 1])
-    # row j of W x+(k-1), k = 1..horizon, the rounds as lanes: j's column of the layout
+    # row j of W x+(k-1), k = 1..horizon, the rounds as trailing lanes: j's column of the layout
     column = slice(j, j + 1)
-    predicted = get_backend().step(wm.weights[:, column], wm.cols[:, column], broadcasts[:-1])
-    recovered = broadcasts[1:, j] - predicted[:, 0]
+    predicted = get_backend().step(wm.weights[:, column], wm.cols[:, column], broadcasts[:-1].T)
+    recovered = broadcasts[1:, j] - predicted[0]
     params = trace.config.noise
     total = math.fsum(recovered.tolist())
     estimate = float(broadcasts[0, j]) + total

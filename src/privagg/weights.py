@@ -10,9 +10,6 @@ graph's neighbour tuples: every column for a new graph, and after topology
 events only those of the nodes whose tuple changed and of their
 neighbours, the rest copied from the previous segment's layout. A retired
 node has no neighbours, so its column is itself with weight 1.0.
-
-disjoint_union lays b copies of a layout side by side, indices offset, so
-that b independent states of one graph advance as one (the attack trials).
 """
 
 from __future__ import annotations
@@ -112,25 +109,6 @@ def _fill_columns(
     # diagonal slot and the padding leave every partial sum unchanged
     diagonal = np.bincount(owner_at[~above], minlength=len(nodes))  # neighbours below i
     weights[diagonal, nodes] = 1.0 - np.add.accumulate(weights[:, nodes], axis=0)[-1]
-
-
-def disjoint_union(wm: WeightMatrix, copies: int) -> WeightMatrix:
-    """The layout of ``copies`` disjoint copies of wm's graph on copies × n ids.
-
-    Node i of copy t is id t·n + i: column t·n + i is column i of wm with
-    every index offset by t·n, so the columns of copy t read only copy t's
-    ids, and the first b·n columns are the union of b copies. A state of
-    b·n values then advances b independent states of the graph in one
-    kernel call, each output the same slot-order chain as on wm.
-    """
-    n = wm.n
-    offsets = np.repeat(np.arange(0, copies * n, n), n)
-    cols = np.tile(wm.cols, copies)
-    cols += offsets
-    weights = np.tile(wm.weights, copies)
-    cols.setflags(write=False)
-    weights.setflags(write=False)
-    return WeightMatrix(copies * n, cols, weights)
 
 
 def contraction_factor(wm: WeightMatrix) -> float:

@@ -9,7 +9,7 @@ from privagg.engine import UPDATE_FORMS, RunConfig, _kernel_operands, run
 from privagg.noise import NoiseParams
 from privagg.privacy import AdversaryView, later_round_attack
 from privagg.topology import TopologyEvent, build_graph, generate
-from privagg.weights import WeightMatrix, disjoint_union, metropolis
+from privagg.weights import WeightMatrix, metropolis
 
 
 def _loop_dense_step(w, v):
@@ -82,21 +82,23 @@ def test_accumulate_is_sequential():
 
 def test_reduce_over_slots_is_sequential():
     # premise of the kernel: reduce over the slot axis of a C-ordered block
-    # adds one slot row at a time, in slot order, with or without lanes; the
-    # trailing + 0.0 makes the sign of zero that of the chain from acc = 0.0
+    # adds one slot row at a time, in slot order, with or without trailing
+    # lanes, whenever the block has more than one output value; the trailing
+    # + 0.0 makes the sign of zero that of the chain from acc = 0.0
     rng = np.random.default_rng(41)
-    for shape in ((37, 200), (5, 8193), (9, 68, 20), (68, 9, 20)):
+    shapes = ((37, 200), (5, 8193), (9, 20, 68), (68, 20, 9), (12, 2), (12, 1, 2), (12, 20, 1))
+    for shape in shapes:
         block = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-8, 9, shape)
         block[rng.random(shape) < 0.1] = 0.0
         block[rng.random(shape) < 0.1] = -0.0
-        block[..., :3] = -0.0  # all-zero rows
+        block[:, :1] = -0.0  # all-zero rows
         expected = []
-        for row in np.moveaxis(block, -2, -1).reshape(-1, shape[-2]).tolist():
+        for row in np.moveaxis(block, 0, -1).reshape(-1, shape[0]).tolist():
             acc = 0.0
             for value in row:
                 acc = acc + value
             expected.append(acc)
-        got = np.add.reduce(block, axis=-2) + 0.0
+        got = np.add.reduce(block, axis=0) + 0.0
         assert _bit_equal(got.reshape(-1), np.array(expected)), shape
 
 
@@ -119,41 +121,63 @@ def test_kernel_matches_loop_reference_on_large_layouts():
 
 
 def test_kernel_matches_loop_reference_on_an_attack_block():
-    # 68 lanes of a 20-node layout, as disclosure_attack passes its rounds
+    # 68 trailing lanes of a 20-node layout, as disclosure_attack passes its rounds
     rng = np.random.default_rng(47)
     wm = metropolis(generate("random_gnp", 20, seed=3, p=0.5))
-    lanes = rng.uniform(-100.0, 100.0, (68, 20))
+    lanes = rng.uniform(-100.0, 100.0, (20, 68))
     lanes[rng.random(lanes.shape) < 0.05] = -0.0
     for matrix_form in (True, False):
         weights, cols = _kernel_operands(wm, matrix_form)
         got = step(weights, cols, lanes)
-        for lane, row in zip(lanes, got):
-            assert _bit_equal(row, _loop_step(weights, cols, lane))
+        assert got.shape == (20, 68)
+        for lane, column in zip(lanes.T, got.T):
+            assert _bit_equal(column, _loop_step(weights, cols, lane))
 
 
-def test_disjoint_union_equals_single_lane_calls():
-    # a flat state of b*n values through the union of b copies of a layout
-    # gives, copy by copy, the single-lane call's bits, sign of zero
-    # included; a short block reads the first b*n columns of a larger union
+def _assert_lanes_match_single_calls(weights, cols, states, repeated=None):
+    """Each lane (column) of step on the (n x b) states, with the weights as
+    given and, if passed, repeated over the lanes, equals its single-lane
+    call and the loop reference, sign of zero included."""
+    got = step(weights, cols, states)
+    assert got.shape == (weights.shape[1], states.shape[1])
+    if repeated is not None:
+        assert _bit_equal(step(repeated, cols, states), got)
+    for lane, column in zip(states.T, got.T):
+        want = _loop_step(weights, cols, lane)
+        assert _bit_equal(step(weights, cols, lane), want)
+        assert _bit_equal(column, want)
+    return got
+
+
+def test_trailing_lanes_equal_single_lane_calls():
+    # b states of one graph as an (n x b) state give, lane by lane, the
+    # single-lane call's bits and the loop's, in both forms and with the
+    # weights broadcast over the lanes or repeated over them
     rng = np.random.default_rng(71)
     graphs = [generate("random_gnp", 20, seed=3, p=0.5), build_graph(1, [])]
     for g in graphs:
         wm, n = metropolis(g), g.n
-        whole = disjoint_union(wm, 74)
-        assert whole.n == 74 * n and whole.cols.shape == (len(wm.cols), 74 * n)
-        for b, union in ((1, disjoint_union(wm, 1)), (2, disjoint_union(wm, 2)),
-                         (74, whole), (37, whole)):
-            weights, cols = union.weights[:, : b * n], union.cols[:, : b * n]
-            states = rng.uniform(-100.0, 100.0, (b, n))
+        for b in (1, 2, 37, 74):
+            states = rng.uniform(-100.0, 100.0, (n, b))
             states[rng.random(states.shape) < 0.05] = 0.0
             states[rng.random(states.shape) < 0.05] = -0.0
-            states[-1] = -0.0  # a copy whose every product is -0.0
-            got = step(weights, cols, states.reshape(-1)).reshape(b, n)
-            for state, row in zip(states, got):
-                want = step(wm.weights, wm.cols, state)
-                assert _bit_equal(row, want), (n, b)
-                assert _bit_equal(row, _loop_step(wm.weights, wm.cols, state))
-            assert not np.signbit(got[-1]).any()
+            states[:, -1] = -0.0  # a lane whose every product is -0.0
+            for matrix_form in (True, False):
+                weights, cols = _kernel_operands(wm, matrix_form)
+                repeated = np.repeat(weights[:, :, np.newaxis], b, axis=2)
+                got = _assert_lanes_match_single_calls(weights, cols, states, repeated)
+                assert not np.signbit(got[:, -1]).any(), (n, b, matrix_form)
+    # a one-column layout with more than 8 slots and one lane: a single
+    # output value, whose slots a reduce would add pairwise
+    wm = metropolis(generate("complete", 12))
+    for column in range(12):
+        weights, cols = wm.weights[:, column : column + 1], wm.cols[:, column : column + 1]
+        for b in (1, 2):
+            states = rng.uniform(-100.0, 100.0, (12, b))
+            repeated = np.repeat(weights[:, :, np.newaxis], b, axis=2)
+            _assert_lanes_match_single_calls(weights, cols, states, repeated)
+        negative = np.full((12, 1), -0.0)
+        assert _bit_equal(step(weights, cols, negative), np.array([[0.0]]))
 
 
 def test_kernel_pins_c_order_for_f_ordered_weights():
@@ -178,9 +202,9 @@ def test_kernel_pins_c_order_for_f_ordered_weights():
     assert weights.flags.f_contiguous and not weights.flags.c_contiguous
     for _ in range(20):
         _assert_matches_loop(weights, wm.cols, rng.uniform(-100.0, 100.0, 50))
-    lanes = rng.uniform(-100.0, 100.0, (7, 50))
-    for lane, row in zip(lanes, step(weights, wm.cols, lanes)):
-        assert _bit_equal(row, _loop_step(wm.weights, wm.cols, lane))
+    lanes = rng.uniform(-100.0, 100.0, (50, 7))
+    for lane, column in zip(lanes.T, step(weights, wm.cols, lanes).T):
+        assert _bit_equal(column, _loop_step(wm.weights, wm.cols, lane))
 
 
 def test_one_row_layout_sums_in_slot_order():
@@ -191,14 +215,14 @@ def test_one_row_layout_sums_in_slot_order():
     misses = 0
     for column in range(12):
         weights, cols = wm.weights[:, column : column + 1], wm.cols[:, column : column + 1]
-        v = rng.uniform(-100.0, 100.0, (40, 12))
+        v = rng.uniform(-100.0, 100.0, (12, 40))
         v[rng.random(v.shape) < 0.05] = -0.0
         got = step(weights, cols, v)
-        assert got.shape == (40, 1)
-        for lane, row in zip(v, got):
+        assert got.shape == (1, 40)
+        for lane, column in zip(v.T, got.T):
             want = _loop_step(weights, cols, lane)
             assert _bit_equal(step(weights, cols, lane), want)
-            assert _bit_equal(row, want)
+            assert _bit_equal(column, want)
             pairwise = np.add.reduce(weights * lane[cols], axis=-2) + 0.0
             misses += not _bit_equal(pairwise, want)
     assert misses > 0
@@ -229,22 +253,22 @@ def test_batched_state_matches_single_lane_calls():
     single = metropolis(build_graph(1, []))
     cases += [(single, np.array([-0.0])), (single, np.array([2.5]))]
     for wm, v in cases:
-        lanes = np.stack([v, np.full(wm.n, -0.0), rng.uniform(-5.0, 5.0, wm.n), -v])
+        lanes = np.stack([v, np.full(wm.n, -0.0), rng.uniform(-5.0, 5.0, wm.n), -v], axis=1)
         for matrix_form in (True, False):
             weights, cols = _kernel_operands(wm, matrix_form)
             got = step(weights, cols, lanes)
-            for lane, row in zip(lanes, got):
-                assert _bit_equal(row, step(weights, cols, lane))
+            for lane, column in zip(lanes.T, got.T):
+                assert _bit_equal(column, step(weights, cols, lane))
 
 
 def test_step_returns_a_new_array():
     # W v comes back in an array of its own: the engine keeps x and x_plus of
     # every round in its trace, so the result may alias neither operand
     wm = metropolis(generate("random_gnp", 12, seed=2, p=0.5))
-    v = np.random.default_rng(59).uniform(-5.0, 5.0, (3, 12))
+    v = np.random.default_rng(59).uniform(-5.0, 5.0, (12, 3))
     for matrix_form in (True, False):
         weights, cols = _kernel_operands(wm, matrix_form)
-        for operand in (v[0], v):  # one lane, then lanes
+        for operand in (v[:, 0], v):  # one lane, then trailing lanes
             before = operand.copy()
             got = step(weights, cols, operand)
             assert got.shape == operand.shape and got.flags.owndata

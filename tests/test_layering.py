@@ -3,7 +3,8 @@
 No module imports a _-prefixed name of another privagg module, and only
 privagg.noise constructs numpy's generators and seed sequences: it is the one
 module that turns a seed into draws. It is also the one module that lists
-noise schemes: the others read its named sets.
+noise schemes: the others read its named sets. Only privagg.backend calls
+np.add.reduce, so every round loop sums through one kernel, backend.step.
 """
 
 import ast
@@ -77,4 +78,21 @@ def test_only_noise_lists_schemes():
                 ]
                 if len(listed) >= 2:
                     found.append(f"{name}:{node.lineno} lists {listed}")
+    assert not found
+
+
+def test_only_backend_calls_add_reduce():
+    # a round loop that sums its own products would step outside the
+    # kernel's mandated chain; it calls backend.step instead
+    found = []
+    for name, tree in _modules():
+        if name == "backend.py":
+            continue
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "reduce"
+                and "add" in (getattr(node.value, "attr", None), getattr(node.value, "id", None))
+            ):
+                found.append(f"{name}:{node.lineno} reads add.reduce")
     assert not found

@@ -220,7 +220,7 @@ def test_trial_broadcasts_match_scalar_reference(
     target = data.draw(st.integers(0, n - 1))
     seeds = np.random.SeedSequence(graph_seed).spawn(trials)
     # "uneven" splits the trials into blocks of trials // 2 + 1 and the rest
-    per_trial = max(rounds + 1, len(wm.cols)) * n
+    per_trial = max(rounds + 2, len(wm.cols)) * n
     values = {"default": privacy.BLOCK_VALUES, "one": 1, "uneven": (trials // 2 + 1) * per_trial}
     with mock.patch.object(privacy, "BLOCK_VALUES", values[budget]):
         x0, broadcast = _trial_broadcasts(wm, params, scheme, rounds, graph_seed, trials, target)
