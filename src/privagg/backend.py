@@ -7,23 +7,20 @@ produces that chain's result bit for bit, sign of zero included; the
 scalar loops in the tests are the reference it is checked against.
 
 ``step`` takes W slot-major: term s of row i is ``weights[s, i] *
-v[cols[s, i]]``. It gathers the states with ``v.take(cols, axis=0)`` into
-a C-ordered (slots × n) block of its own, multiplies the weights into that
-block in place, and sums it over the slot axis with ``np.add.reduce``.
-NumPy sums pairwise only along the fast memory axis of the block; along
-the slot axis of a C-ordered block it adds one whole slot row at a time,
-in slot order, which is the mandated chain. The block's C order is what
-matters: a product left in F order (as ``W.T`` without a copy would give)
-puts the slot axis in fast memory, and the reduce then sums it pairwise
-and misses the chain. The per-node form passes the support layout of
-``privagg.weights.WeightMatrix`` (row i's support ascending, padded with
-weight 0.0), whose gather already has the product's shape; the matrix form
-passes ``W`` itself, which is ``W.T`` because Metropolis weights are
-symmetric bit for bit, with ``cols = arange(n)[:, None]``, so slot s of
-every row is column s. Its (n × 1) gather broadcasts against ``W`` into a
-new product, pinned to C order. The block is allocated per call: ``take``
-into a preallocated ``out=`` block goes through a buffer in its default
-``mode="raise"`` and measured slower.
+v[cols[s, i]]``, and ``cols`` has the weights' (slots × n) shape. It
+gathers the states with ``v.take(cols, axis=0)`` into a C-ordered block of
+its own, multiplies the weights into that block in place, and sums it over
+the slot axis with ``np.add.reduce``. NumPy sums pairwise only along the
+fast memory axis of the block; along the slot axis of a C-ordered block it
+adds one whole slot row at a time, in slot order, which is the mandated
+chain. The product is written over the C-ordered gather, so the weights'
+own memory order cannot change it. The per-node form passes the support
+layout of ``privagg.weights.WeightMatrix`` (row i's support ascending,
+padded with weight 0.0); the matrix form passes ``W`` itself, which is
+``W.T`` because Metropolis weights are symmetric bit for bit, with the
+(n × n) table ``cols[s, i] = s``, so slot s of every row is column s. The
+block is allocated per call: ``take`` into a preallocated ``out=`` block
+goes through a buffer in its default ``mode="raise"`` and measured slower.
 
 Lanes are trailing: a state of shape (n, *lanes) holds independent states
 of one graph (attack trials, or ``disclosure_attack``'s rounds). Its gather
@@ -61,10 +58,7 @@ def step(weights, cols, v):
     terms = v.take(cols, axis=0)
     if weights.ndim < terms.ndim:  # trailing lanes: every weight broadcasts over them
         weights = weights.reshape(weights.shape + (1,) * (terms.ndim - weights.ndim))
-    if terms.shape[:2] == weights.shape[:2]:
-        np.multiply(weights, terms, out=terms)
-    else:
-        terms = np.multiply(weights, terms, order="C")
+    np.multiply(weights, terms, out=terms)
     if terms.size == len(terms):  # a single output value
         return np.add.accumulate(terms, axis=0)[-1] + 0.0
     out = np.add.reduce(terms, axis=0)

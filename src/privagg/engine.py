@@ -177,12 +177,12 @@ def state_envelope(x0: Sequence[float] | np.ndarray, params: NoiseParams) -> flo
 
 
 def _kernel_operands(wm: WeightMatrix, matrix_form: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The (weights, cols) the round kernel takes: the dense layout for the
-    matrix form, the support layout for the per-node form. The kernel takes
-    W slot-major, as W.T; Metropolis W is symmetric bit for bit, so W
-    itself is that layout."""
+    """The (weights, cols) the round kernel takes, once per topology segment:
+    the support layout for the per-node form; for the matrix form W itself,
+    which is W slot-major (W.T) since Metropolis W is symmetric bit for bit,
+    with the C-ordered (n x n) index table cols[s, i] = s."""
     if matrix_form:
-        return wm.w, np.arange(wm.n)[:, None]
+        return wm.w, np.repeat(np.arange(wm.n)[:, None], wm.n, axis=1)
     return wm.weights, wm.cols
 
 

@@ -16,12 +16,12 @@ With h >= 2 the rounds are split round-robin into h independent chains;
 each chain runs its own telescoping residual with the envelope indexed by
 its inner counter, so the zero-sum and decay conditions hold per chain.
 
-theta is data, not a process: stream_rows draws each row of a block from
-one generator and theta_block overwrites the block with every round's
-theta; the round loops only read its rows. They are the one place every
-scheme is drawn and computed: runs (node_theta_block), later-round attack
-trials and the naive attack's round 0 alike. Each calls check_scheme first;
-ENVELOPE_SCHEMES and TELESCOPING_SCHEMES name the schemes' properties.
+theta is data, not a process: stream_lanes draws a block whose column t is
+generator t's row of stream_rows, and theta_block overwrites it with every
+round's theta; the round loops only read its rows. They are the one place
+every scheme is drawn and computed: runs, later-round attack trials and the
+naive attack's round 0 alike. stream_rows and theta_block call check_scheme
+first; ENVELOPE_SCHEMES and TELESCOPING_SCHEMES name the schemes' properties.
 
 Streams: node i of a run reads stream (seed, i), numpy's
 PCG64(SeedSequence(seed, spawn_key=(i,))), and attack trial t reads
@@ -50,10 +50,9 @@ ENVELOPE_SCHEMES = ("zero_sum", "independent_decaying", "zero")
 TELESCOPING_SCHEMES = ("zero_sum", "zero")
 DISTRIBUTIONS = ("uniform", "truncated_gaussian")
 
-# Drawn values (1 MiB) node_theta_block holds beside its block: it draws
-# the node columns into the block this many values at a time (one column at
-# least). engine.run advances a block of rounds of this many state values
-# (one round at least).
+# Drawn values (1 MiB) stream_lanes holds beside its block, one row at least.
+# engine.run advances a block of rounds of this many state values (one round
+# at least).
 STACK_VALUES = 2**17
 
 # Truncation point (in standard deviations) of the truncated-gaussian draw;
@@ -185,7 +184,7 @@ def seeded_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
 
     These are also the streams of SeedSequence(seed).spawn(count). Every
     item is the same Generator, re-seeded: draw from it before taking the
-    next. stream_rows takes a block of them and leaves the rest to the next.
+    next. stream_lanes takes count of them and leaves the rest to the next.
     """
     gen = np.random.Generator(np.random.PCG64())
     bit_generator = gen.bit_generator
@@ -225,7 +224,8 @@ def stream_rows(
     out: np.ndarray,
     lead: int = 0,
 ) -> np.ndarray:
-    """Fill row r of out from the r-th generator of gens, and return out.
+    """Fill row r of out from the r-th generator of gens, and return out;
+    stream_lanes lays the rows out as its block's columns.
 
     Row r takes its generator's first `lead` values as Generator.random's u
     on [0, 1), then the scheme's draws in draw order: zero_sum its
@@ -239,8 +239,8 @@ def stream_rows(
     TRUNC_SIGMAS in the order drawn, scaled to [-1, 1]; numpy fills normal
     arrays element by element, so this accepts exactly the draws a per-draw
     rejection loop accepts. Exactly len(out) generators are taken from gens,
-    so the next block of a seeded_streams iterator starts where this one
-    stopped. The rows must be C-contiguous.
+    so stream_lanes' next group of rows starts where this one stopped. The
+    rows must be C-contiguous.
     """
     check_scheme(scheme)
     uniform = _draws_uniform(scheme, params)
@@ -273,14 +273,12 @@ def envelope(params: NoiseParams, inner: int) -> float:
 def theta_block(scheme: str, params: NoiseParams, raw: np.ndarray) -> np.ndarray:
     """Write theta over raw, round by round, and return raw.
 
-    raw is a (rounds x *lanes) block of stream_rows' draws, whose uniform
+    raw is a (rounds x *lanes) block of stream_lanes' draws, whose uniform
     draws u become 2u - 1 here first; row k becomes the noise every lane
-    adds to its round-k broadcast, and the lanes may have any shape. A run's
-    block has one lane per node (node_theta_block); a block of attack trials
-    has (nodes x trials) lanes, the kernel's state shape, each trial's
-    row-major draws transposed into its column; the naive attack's round 0
-    is one row of (trials,) lanes. This is the only code that turns raw
-    draws into theta.
+    adds to its round-k broadcast, and the lanes may have any shape: one per
+    node in a run's block (node_theta_block), (nodes x trials) in a block of
+    attack trials, the kernel's state shape, and (trials,) in the naive
+    attack's one row. This is the only code that turns raw draws into theta.
     """
     check_scheme(scheme)
     p = params
@@ -314,23 +312,34 @@ def theta_block(scheme: str, params: NoiseParams, raw: np.ndarray) -> np.ndarray
     return raw
 
 
+def stream_lanes(
+    scheme: str,
+    params: NoiseParams,
+    gens: Iterable[np.random.Generator],
+    count: int,
+    length: int,
+    lead: int = 0,
+) -> np.ndarray:
+    """The (length x count) block whose column t is stream_rows' row from the
+    t-th generator of gens; exactly count generators are taken. The rows are
+    drawn STACK_VALUES values at a time (one row at least) into one reused
+    buffer, so at most one group of rows exists beside the block."""
+    size = max(1, STACK_VALUES // max(length, 1))
+    group = np.empty((min(size, count), length))
+    lanes = np.empty((length, count))
+    for start in range(0, count, size):
+        rows = stream_rows(scheme, params, gens, group[: count - start], lead)
+        lanes[:, start : start + len(rows)] = rows.T
+    return lanes
+
+
 def node_theta_block(scheme: str, params: NoiseParams, n: int, rounds: int) -> np.ndarray:
     """A run's (rounds x n) theta: column i reads node i's own stream (params.seed, i).
 
-    stream_rows draws the nodes a group of STACK_VALUES values at a time into
-    one reused (group x rounds) buffer, whose transpose is copied into the
-    group's columns of the block, so at most one group exists beside the
-    block. The zero scheme draws nothing, so its streams are never seeded,
-    and its block is a read-only broadcast of one 0.0.
+    The zero scheme draws nothing, so its streams are never seeded, and its
+    block is a read-only broadcast of one 0.0.
     """
-    check_scheme(scheme)
     if scheme == "zero":
         return np.broadcast_to(0.0, (rounds, n))
-    size = max(1, STACK_VALUES // max(rounds, 1))
-    streams = seeded_streams(params.seed, n)
-    raw = np.empty((rounds, n))
-    group = np.empty((min(size, n), rounds))
-    for start in range(0, n, size):
-        rows = stream_rows(scheme, params, streams, group[: n - start])
-        raw[:, start : start + len(rows)] = rows.T
+    raw = stream_lanes(scheme, params, seeded_streams(params.seed, n), n, rounds)
     return theta_block(scheme, params, raw)

@@ -27,7 +27,7 @@ from .noise import (
     envelope,
     seeded_stream,
     seeded_streams,
-    stream_rows,
+    stream_lanes,
     theta_block,
 )
 from .topology import Graph, check_privacy_precondition
@@ -155,9 +155,9 @@ def _naive_rate(
 ) -> float:
     """Fraction of trials whose round-0 broadcast lies within epsilon of x0;
     rng draws x0 as _trial_broadcasts does, then one row of zero_sum theta."""
-    draws = stream_rows("zero_sum", params, [rng], np.empty((1, 2 * trials)), lead=trials)
-    x0 = draws[0, :trials] * (PRIOR[1] - PRIOR[0]) + PRIOR[0]
-    theta = theta_block("zero_sum", params, draws[:, trials:])[0]
+    draws = stream_lanes("zero_sum", params, [rng], 1, 2 * trials, lead=trials)[:, 0]
+    x0 = draws[:trials] * (PRIOR[1] - PRIOR[0]) + PRIOR[0]
+    theta = theta_block("zero_sum", params, draws[np.newaxis, trials:])[0]
     estimate = x0 + theta  # the round-0 broadcast
     return float(np.mean(np.abs(estimate - x0) <= epsilon))
 
@@ -174,17 +174,15 @@ def _trial_broadcasts(
     """Fresh runs, one per trial: the arrays x_target(0) and target broadcast at `rounds`.
 
     Trial t draws from stream t of seeded_streams(seed, count) first x0, then
-    the noise, row-major so that node i takes draw k*n + i at round k. Each
-    stream fills one row of a (trials x (rounds + 2)*n) block, and x0 maps
-    the row's first n values u to PRIOR[0] + width*u, numpy's uniform(*PRIOR).
-    A block of b trials is transposed once, so that the trials are trailing
-    lanes: x is an (n x b) state, theta a (rounds + 1, n, b) block, and each
-    round is one theta row and one kernel call, whose gather copies whole
-    rows of b values and whose weights come repeated over the lanes once per
-    block. The last round is computed on the target's layout column only.
-    A block holds at most BLOCK_VALUES values, one trial at least: per trial
-    its (rounds + 2)*n draws, or its slots*n kernel products if there are
-    more.
+    the noise, row-major so that node i takes draw k*n + i at round k. A block
+    of b trials is stream_lanes' block of b columns, seen as (rounds + 2, n, b)
+    lanes: the (n x b) state x0, whose values u map to PRIOR[0] + width*u,
+    numpy's uniform(*PRIOR), then theta. Each round is one theta row and one
+    kernel call, whose gather copies whole rows of b values and whose weights
+    come repeated over the lanes once per block. The last round is computed
+    on the target's layout column only. A block holds at most BLOCK_VALUES
+    values, one trial at least: per trial its (rounds + 2)*n draws, or its
+    slots*n kernel products if there are more.
     """
     n = wm.n
     kernel = get_backend().step
@@ -196,10 +194,8 @@ def _trial_broadcasts(
     for start in range(0, count, size):
         block = slice(start, min(start + size, count))
         b = block.stop - start
-        draws = np.empty((b, (rounds + 2) * n))
-        stream_rows(scheme, params, streams, draws, lead=n)
-        lanes = np.ascontiguousarray(draws.T).reshape(rounds + 2, n, b)
-        del draws  # freed before the kernel's blocks are allocated: a lower peak RSS
+        lanes = stream_lanes(scheme, params, streams, b, (rounds + 2) * n, lead=n)
+        lanes = lanes.reshape(rounds + 2, n, b)
         x = lanes[0] * (PRIOR[1] - PRIOR[0]) + PRIOR[0]
         x0_target[block] = x_target = x[target]
         theta = theta_block(scheme, params, lanes[1:])

@@ -181,19 +181,19 @@ def test_trailing_lanes_equal_single_lane_calls():
 
 
 def test_kernel_pins_c_order_for_f_ordered_weights():
-    # W.T without a copy is F-ordered; the product then follows that order
-    # unless the kernel pins it, and the reduce runs along the fast axis,
-    # pairwise, off the chain
+    # W.T without a copy is F-ordered; a product left in F order puts the
+    # slot axis in fast memory, and the reduce then runs along it, pairwise,
+    # off the chain; the kernel writes the product over its C-ordered gather
     rng = np.random.default_rng(53)
     wm = metropolis(generate("random_gnp", 50, seed=11, p=0.5))
-    weights, cols = wm.w.T, np.arange(50)[:, None]
+    weights, cols = wm.w.T, _kernel_operands(wm, True)[1]
     assert weights.flags.f_contiguous and not weights.flags.c_contiguous
     unpinned_misses = 0
     for _ in range(50):
         v = rng.uniform(-100.0, 100.0, 50)
         _assert_matches_loop(weights, cols, v)
         loop = _loop_step(weights, cols, v)
-        unpinned = np.add.reduce(weights * v[cols], axis=-2) + 0.0
+        unpinned = np.add.reduce(np.multiply(weights, v[cols], order="F"), axis=-2) + 0.0
         unpinned_misses += not _bit_equal(unpinned, loop)
     assert unpinned_misses > 0
     # F-ordered support-layout weights: the product written over the

@@ -2,9 +2,11 @@
 
 No module imports a _-prefixed name of another privagg module, and only
 privagg.noise constructs numpy's generators and seed sequences: it is the one
-module that turns a seed into draws. It is also the one module that lists
-noise schemes: the others read its named sets. Only privagg.backend calls
-np.add.reduce, so every round loop sums through one kernel, backend.step.
+module that turns a seed into draws, and the one that calls
+noise.stream_rows: every stream's draws reach a block through
+noise.stream_lanes. It is also the one module that lists noise schemes: the
+others read its named sets. Only privagg.backend calls np.add.reduce, so
+every round loop sums through one kernel, backend.step.
 """
 
 import ast
@@ -59,6 +61,22 @@ def test_only_noise_constructs_generators():
                 func = node.func
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if called in SEEDING:
+                    found.append(f"{name}:{node.lineno} calls {called}")
+    assert not found
+
+
+def test_only_noise_calls_stream_rows():
+    # callers lay draws out as lanes through stream_lanes, so per-block
+    # draws have one function to change
+    found = []
+    for name, tree in _modules():
+        if name == "noise.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == "stream_rows":
                     found.append(f"{name}:{node.lineno} calls {called}")
     assert not found
 

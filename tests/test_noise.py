@@ -26,6 +26,7 @@ from privagg.noise import (
     node_theta_block,
     seeded_stream,
     seeded_streams,
+    stream_lanes,
     stream_rows,
     theta_block,
 )
@@ -328,14 +329,33 @@ def test_seeded_streams_are_numpys_streams(seed):
         next(seeded_streams(-1, 1))
 
 
+def _lane_groups(length):
+    """STACK_VALUES for stream_lanes' groups of one row, of three rows (an
+    uneven split of four) and of the default size, for rows of length values."""
+    return [length, 3 * length + 1, noise.STACK_VALUES]
+
+
+def _lanes_as_rows(scheme, params, streams, count, length, lead, values):
+    """stream_lanes' (length x count) block, drawn in groups of at most
+    values values, transposed to stream_rows' layout."""
+    with mock.patch.object(noise, "STACK_VALUES", values):
+        lanes = stream_lanes(scheme, params, streams, count, length, lead)
+    assert lanes.shape == (length, count)
+    return lanes.T
+
+
 @pytest.mark.parametrize("lead", [0, 3])
 @pytest.mark.parametrize("scheme,distribution", SCHEME_DISTRIBUTIONS)
 def test_stream_rows_draws_lead_uniforms_then_raw_draws(scheme, distribution, lead):
     # the expected row from numpy's own calls: u from random, then the scheme's
-    # draws (random's u, standard normals, zeros or the per-draw rejection)
+    # draws (random's u, standard normals, zeros or the per-draw rejection);
+    # stream_lanes' column t is stream_rows' row t, bit for bit
     params = NoiseParams(distribution=distribution)
     out = np.full((4, lead + 40), np.nan)
     assert stream_rows(scheme, params, seeded_streams(14, 4), out, lead) is out
+    for values in _lane_groups(lead + 40):
+        got = _lanes_as_rows(scheme, params, seeded_streams(14, 4), 4, lead + 40, lead, values)
+        assert np.array_equal(got.view(np.uint64), out.view(np.uint64)), values
     for r, row in enumerate(out):
         gen = seeded_stream(14, r)
         want = [gen.random(lead)]
@@ -354,12 +374,18 @@ def test_stream_rows_draws_lead_uniforms_then_raw_draws(scheme, distribution, le
 
 @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
 def test_stream_rows_takes_one_stream_per_row(distribution):
-    # the iterator's next item is the stream after the last row, never one past it
+    # the iterator's next item is the stream after the last row, never one
+    # past it; stream_lanes takes one stream per column alike
     params = NoiseParams(distribution=distribution)
-    for rows in (0, 1, 3):
+    for rows in (0, 1, 3, 4):
         streams = seeded_streams(15, 5)
         stream_rows("zero_sum", params, streams, np.empty((rows, 6)), lead=2)
         assert np.array_equal(next(streams).random(4), seeded_stream(15, rows).random(4)), rows
+        for values in _lane_groups(6):
+            streams = seeded_streams(15, 5)
+            _lanes_as_rows("zero_sum", params, streams, rows, 6, 2, values)
+            want = seeded_stream(15, rows).random(4)
+            assert np.array_equal(next(streams).random(4), want), (rows, values)
 
 
 @pytest.mark.parametrize("scheme", ["zero_sum", "zero"])
