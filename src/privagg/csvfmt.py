@@ -15,11 +15,14 @@ table of ``b"%d"`` texts built once per file and copied into each chunk.
 
 Text sits in fixed-width, NUL-padded fields of little-endian 64-bit
 words: a chunk of CSV rows is one word matrix (a ``Sheet``), and its CSV
-text is the matrix's bytes with the NULs dropped. A ``Formatter`` writes a
+text is the matrix's bytes with the NULs dropped. ``floats`` writes a
 float's field as one byte gather: Ryu's digits and the exponent fill a
 source row, and a table of repr's layout patterns (``_patterns``), one row
 per sign, digit count and point position, names the source byte of each
-text byte. Every buffer a writer holds lives in ``workspace`` memory.
+text byte. Each step of ``floats`` returns fresh numpy arrays for one
+block of values and keeps nothing between calls. The buffers a writer
+holds for a whole file, the Sheet, the integer tables and write_trace's
+chunk buffers, live in ``workspace`` memory.
 """
 
 from __future__ import annotations
@@ -32,11 +35,14 @@ from typing import Sequence
 import numpy as np
 
 # Trace and summary rows formatted per chunk, unless one round is wider. A
-# file's buffers, chunk and formatter scratch, take about 4 MiB and are
-# allocated once per file.
+# file's buffers, the sheet and the chunk's values and text, take about
+# 2 MiB and are allocated once per file.
 CHUNK_ROWS = 8192
 FLOAT_WORDS = 4  # a separator byte and at most 24 of text, as in "-1.2345678901234567e-100"
-_BLOCK = 4096  # values per pass through a Formatter's scratch arrays
+# Values per formatting pass. A pass's temporaries, 32 KiB per uint64
+# array and 1 MiB for the gather index, peak at about 1.5 MiB; a whole
+# chunk's values (3 * CHUNK_ROWS) in one pass would peak at about 9 MiB.
+_BLOCK = 4096
 _PIECE = 1 << 16  # matrix bytes packed per step, the most one step allocates
 
 _U = np.uint64
@@ -168,272 +174,159 @@ _EXPONENT = np.frombuffer(
 _CRLF = np.frombuffer(b"\r\n".ljust(8, b"\0"), dtype=TEXT_WORD)[0]
 
 
-# The scratch arrays of a Formatter, one block long, by name and dtype. b1,
-# b2 and test carry nothing across a call from one method to another.
-_SCRATCH = {
-    np.uint64: "magnitude output mv t0 t1 t2 t3 r r32 vr vp vm up down a0 a1 p q s h limb3 "
-    "rest top test",
-    np.int64: "exponent n decpt key at e removed idx",
-    np.int32: "binary",
-    np.uint32: "quad",
-    np.bool_: "neg special accept mm_shift vr_tz vm_tz go b1 b2",
-    np.float64: "f",
-}
+def floats(values: np.ndarray, out: np.ndarray) -> None:
+    """Write repr(v) of each float64 v in values into the rows of out, a
+    (len(values), FLOAT_WORDS) array of text words, NUL-padded; byte 0 of
+    each row is left NUL for a separator."""
+    for b0 in range(0, len(values), _BLOCK):
+        b1 = min(b0 + _BLOCK, len(values))
+        _float_words(values[b0:b1].view(np.uint64), out[b0:b1])
 
 
-class Formatter:
-    """repr's text for float64 arrays, as rows of text words, a block of
-    values at a time.
+def _count_digits(values: np.ndarray) -> np.ndarray:
+    """The number of decimal digits of each value < 10^19 (1 for 0), from
+    its bit length, which a float64 conversion gives to within one."""
+    _, binary = np.frexp(values.astype(np.float64))
+    n = binary.astype(np.int64) * 1233 >> 12  # 1233 / 4096 ~ log10(2)
+    n += values >= _P10.take(n, mode="clip")
+    return np.maximum(n, 1, out=n)
 
-    Every array the formatting works in is allocated once, by workspace(),
-    and filled with out=, so formatting allocates nothing per value.
-    """
 
-    def __init__(self) -> None:
-        names = [(name, dtype) for dtype, text in _SCRATCH.items() for name in text.split()]
-        arrays = workspace(*[((_BLOCK,), dtype) for _, dtype in names],
-                           ((_BLOCK, _WIDTH), np.uint8), ((_BLOCK, 32), np.intp), ((_BLOCK, 32), np.uint8))
-        self._scratch = dict(zip([name for name, _ in names], arrays))
-        self._source, self._index, self._text = arrays[-3:]
-        self._source[:, 20:] = np.frombuffer(_TAIL, dtype=np.uint8)
+def _digit_words(values: np.ndarray) -> np.ndarray:
+    """The ASCII digits of each value < 10^20, zero-padded to 20, as five
+    columns of four bytes each."""
+    quads = np.empty((len(values), 5), dtype=_QUAD)
+    rest = values.copy()
+    for col, place in enumerate((10**16, 10**12, 10**8, 10**4, 1)):
+        top = rest // _U(place)  # divmod is four times slower
+        quads[:, col] = _QUADS.take(top.view(np.int64), mode="clip")
+        rest -= top * _U(place)
+    return quads
 
-    def _take(self, m: int, names: str) -> list[np.ndarray]:
-        return [self._scratch[name][:m] for name in names.split()]
 
-    def floats(self, values: np.ndarray, out: np.ndarray) -> None:
-        """Write repr(v) of each float64 v in values into the rows of out, a
-        (len(values), FLOAT_WORDS) array of text words, NUL-padded; byte 0
-        of each row is left NUL for a separator."""
-        for b0 in range(0, len(values), _BLOCK):
-            b1 = min(b0 + _BLOCK, len(values))
-            self._float_words(values[b0:b1].view(np.uint64), out[b0:b1])
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ryu's shortest digits of positive finite doubles given as their
+    bits: value = output * 10^exponent, returned as (output, exponent)."""
+    e = (bits >> _U(52)).view(np.int64)  # the biased exponent
+    mv = bits & _MANTISSA
+    mm_shift = (mv != 0) | (e <= 1)  # the lower gap is half the upper, except at a power of 2
+    mv |= _HIDDEN.take(e, mode="clip")  # m2
+    accept = (mv & _U(1)) == 0  # an even mantissa's interval keeps its ends
+    mv <<= _U(2)
+    t = _MUL.take(e, axis=1, mode="clip")
+    r = _SHIFT.take(e, mode="clip")
+    r32 = _U(32) - r
+    vr = _mul_shift(mv, t, r, r32)
+    vp = _mul_shift(mv + _U(2), t, r, r32)
+    vm = _mul_shift(mv - _U(1) - mm_shift, t, r, r32)
 
-    def _count_digits(self, values: np.ndarray, n: np.ndarray) -> None:
-        """n = the number of decimal digits of each value < 10^19 (1 for 0),
-        from its bit length, which a float64 conversion gives to within one."""
-        f, binary, test, b1 = self._take(len(values), "f binary test b1")
-        np.copyto(f, values, casting="unsafe")
-        np.frexp(f, out=(f, binary))
-        np.multiply(binary, 1233, out=n)  # 1233 / 4096 ~ log10(2)
-        np.right_shift(n, 12, out=n)
-        np.take(_P10, n, out=test, mode="clip")
-        np.greater_equal(values, test, out=b1)
-        np.add(n, b1, out=n)
-        np.maximum(n, 1, out=n)
+    # Whether the digits Ryu's scaling dropped below vr and vm are zeros.
+    vr_tz = (mv & _MID_MASK.take(e, mode="clip")) == 0
+    vm_tz = np.zeros(len(bits), dtype=bool)
+    low = _LOW.take(e, mode="clip")
+    if low.any():
+        vr_tz |= low
+        vm_tz |= low & accept & mm_shift
+        vp -= low & ~accept
+    small = _SMALL.take(e, mode="clip")
+    if small.any():  # doubles from 2^54 to 2^127 only
+        p5 = _P5.take(e)
+        mv5 = mv % _U(5) == 0
+        vr_tz |= small & mv5 & (mv % p5 == 0)
+        vm_tz |= small & ~mv5 & accept & ((mv - _U(1) - mm_shift) % p5 == 0)
+        vp -= small & ~mv5 & ~accept & ((mv + _U(2)) % p5 == 0)
 
-    def _digit_words(self, values: np.ndarray, quads: np.ndarray) -> None:
-        """The ASCII digits of each value < 10^20, zero-padded to 20, into
-        the first five columns of quads, four bytes each."""
-        rest, top, quad = self._take(len(values), "rest top quad")
-        np.copyto(rest, values)
-        for col, place in enumerate((10**16, 10**12, 10**8, 10**4, 1)):
-            np.floor_divide(rest, place, out=top)  # divmod is four times slower
-            np.take(_QUADS, top.view(np.int64), out=quad, mode="clip")
-            np.copyto(quads[:, col], quad)
-            np.multiply(top, place, out=top)
-            np.subtract(rest, top, out=rest)
-
-    def _shortest(self, bits, output, exponent) -> None:
-        """Ryu's shortest digits of positive finite doubles given as their
-        bits: value = output * 10^exponent."""
-        mv, t0, t1, t2, t3, r, r32, vr, vp, vm, tmp, up, down = self._take(
-            len(bits), "mv t0 t1 t2 t3 r r32 vr vp vm test up down"
-        )
-        e, removed, idx = self._take(len(bits), "e removed idx")
-        accept, mm_shift, vr_tz, vm_tz, go, b1, b2 = self._take(
-            len(bits), "accept mm_shift vr_tz vm_tz go b1 b2"
-        )
-        np.right_shift(bits, 52, out=e.view(np.uint64))  # the biased exponent
-        np.bitwise_and(bits, _MANTISSA, out=mv)
-        np.not_equal(mv, 0, out=mm_shift)  # the lower gap is half the upper...
-        np.less_equal(e, 1, out=b1)
-        np.logical_or(mm_shift, b1, out=mm_shift)  # ...except at a power of 2
-        np.take(_HIDDEN, e, out=tmp, mode="clip")
-        np.bitwise_or(mv, tmp, out=mv)  # m2
-        np.bitwise_and(mv, 1, out=tmp)
-        np.equal(tmp, 0, out=accept)  # an even mantissa's interval keeps its ends
-        np.left_shift(mv, 2, out=mv)
-        for k, t in enumerate((t0, t1, t2, t3)):
-            np.take(_MUL[k], e, out=t, mode="clip")
-        np.take(_SHIFT, e, out=r, mode="clip")
-        np.subtract(32, r, out=r32)
-        mul = (t0, t1, t2, t3, r, r32)
-        self._mul_shift(mv, *mul, vr)
-        np.add(mv, 2, out=tmp)
-        self._mul_shift(tmp, *mul, vp)
-        np.subtract(mv, 1, out=tmp)
-        np.subtract(tmp, mm_shift, out=tmp)
-        self._mul_shift(tmp, *mul, vm)
-
-        # Whether the digits Ryu's scaling dropped below vr and vm are zeros.
-        np.take(_MID_MASK, e, out=tmp, mode="clip")
-        np.bitwise_and(mv, tmp, out=tmp)
-        np.equal(tmp, 0, out=vr_tz)
-        vm_tz[:] = False
-        np.take(_LOW, e, out=b1, mode="clip")
-        if b1.any():
-            np.logical_or(vr_tz, b1, out=vr_tz)
-            np.logical_and(b1, accept, out=vm_tz)
-            np.logical_and(vm_tz, mm_shift, out=vm_tz)
-            np.logical_not(accept, out=b2)
-            np.logical_and(b2, b1, out=b2)
-            np.subtract(vp, b2, out=vp)
-        np.take(_SMALL, e, out=b1, mode="clip")
-        if b1.any():  # doubles from 2^54 to 2^127 only; temporaries allowed
-            p5 = _P5.take(e)
-            mv5 = mv % _U(5) == 0
-            vr_tz |= b1 & mv5 & (mv % p5 == 0)
-            vm_tz |= b1 & ~mv5 & accept & ((mv - _U(1) - mm_shift) % p5 == 0)
-            vp -= b1 & ~mv5 & ~accept & ((mv + _U(2)) % p5 == 0)
-
-        # Drop the digits below the highest place where vp and vm still
-        # differ; then, where vm is exact, its trailing zeros too.
-        removed[:] = 0
-        np.floor_divide(vp, 10, out=up)
-        np.floor_divide(vm, 10, out=down)
-        np.greater(up, down, out=go)
+    # Drop the digits below the highest place where vp and vm still
+    # differ; then, where vm is exact, its trailing zeros too.
+    removed = np.zeros(len(bits), dtype=np.int64)
+    up, down = vp // _U(10), vm // _U(10)
+    go = up > down
+    while go.any():
+        removed += go
+        up //= _U(10)
+        down //= _U(10)
+        go = up > down
+    if vm_tz.any():
+        scale = _P10.take(removed, mode="clip")
+        down = vm // scale
+        vm_tz &= down * scale == vm
+        go = vm_tz.copy()
         while go.any():
-            np.add(removed, go, out=removed)
-            np.floor_divide(up, 10, out=up)
-            np.floor_divide(down, 10, out=down)
-            np.greater(up, down, out=go)
-        if vm_tz.any():
-            np.take(_P10, removed, out=tmp, mode="clip")
-            np.floor_divide(vm, tmp, out=down)
-            np.multiply(down, tmp, out=tmp)
-            np.equal(tmp, vm, out=b1)
-            np.logical_and(vm_tz, b1, out=vm_tz)
-            np.copyto(go, vm_tz)
-            while go.any():
-                np.floor_divide(down, 10, out=up)
-                np.multiply(up, 10, out=tmp)
-                np.equal(tmp, down, out=b1)
-                np.logical_and(go, b1, out=go)
-                np.add(removed, go, out=removed)
-                np.copyto(down, up, where=go)
+            up = down // _U(10)
+            go &= up * _U(10) == down
+            removed += go
+            np.copyto(down, up, where=go)
 
-        # vr rounds on the last digit dropped, half to even where the
-        # digits below that one are all zeros.
-        above, last = up, down
-        np.subtract(removed, 1, out=idx)
-        np.take(_P10, idx, out=tmp, mode="clip")  # 10^(removed - 1), or 1
-        np.floor_divide(vr, tmp, out=above)
-        if vr_tz.any():
-            np.multiply(above, tmp, out=tmp)
-            np.equal(tmp, vr, out=b1)
-            np.less_equal(removed, 0, out=b2)
-            np.logical_or(b1, b2, out=b1)
-            np.logical_and(vr_tz, b1, out=vr_tz)
-        np.floor_divide(above, 10, out=output)
-        np.multiply(output, 10, out=last)
-        np.subtract(above, last, out=last)
-        np.greater(removed, 0, out=b1)
-        np.multiply(last, b1, out=last)
-        np.logical_not(b1, out=b2)
-        np.copyto(output, vr, where=b2)
-        tie = b2
-        np.equal(last, 5, out=tie)
-        np.logical_and(tie, vr_tz, out=tie)
-        np.bitwise_and(output, 1, out=tmp)
-        np.equal(tmp, 0, out=b1)
-        np.logical_and(tie, b1, out=tie)
-        np.take(_P10, removed, out=tmp, mode="clip")
-        np.floor_divide(vm, tmp, out=tmp)
-        np.equal(output, tmp, out=go)  # output is vm's digits
-        np.logical_and(accept, vm_tz, out=b1)
-        np.logical_not(b1, out=b1)
-        np.logical_and(go, b1, out=go)
-        np.greater_equal(last, 5, out=b1)
-        np.logical_not(tie, out=tie)
-        np.logical_and(b1, tie, out=b1)
-        np.logical_or(go, b1, out=go)
-        np.add(output, go, out=output)
-        np.take(_E10, e, out=exponent, mode="clip")
-        np.add(exponent, removed, out=exponent)
+    # vr rounds on the last digit dropped, half to even where the
+    # digits below that one are all zeros.
+    scale = _P10.take(removed - 1, mode="clip")  # 10^(removed - 1), or 1
+    above = vr // scale
+    if vr_tz.any():
+        vr_tz &= (above * scale == vr) | (removed <= 0)
+    output = above // _U(10)
+    dropped = removed > 0
+    last = (above - output * _U(10)) * dropped
+    np.copyto(output, vr, where=~dropped)
+    tie = (last == 5) & vr_tz & ((output & _U(1)) == 0)
+    go = output == vm // _P10.take(removed, mode="clip")  # output is vm's digits
+    go &= ~(accept & vm_tz)
+    go |= (last >= 5) & ~tie
+    output += go
+    return output, _E10.take(e, mode="clip") + removed
 
-    def _mul_shift(self, m, t0, t1, t2, t3, r, r32, out) -> None:
-        """out = floor(m * mul / 2^(96 + r)) for m < 2^55, mul = t0 + t1*2^32
-        + t2*2^64 + t3*2^96 < 2^125 and 22 <= r = 32 - r32 <= 29, in 32-bit
-        limbs: only product limbs 3..5 are read, with the carries from below."""
-        a0, a1, p, q, s, h, limb3 = self._take(len(m), "a0 a1 p q s h limb3")
-        np.bitwise_and(m, _LOW32, out=a0)
-        np.right_shift(m, 32, out=a1)
-        s[:] = 0
-        h[:] = 0
-        # Limb k sums the low halves of the a_i * t_j with i + j = k, the
-        # high halves of those with i + j = k - 1 and the carry from limb k - 1.
-        for k, pairs in enumerate((((a0, t0),), ((a0, t1), (a1, t0)), ((a0, t2), (a1, t1)),
-                                   ((a0, t3), (a1, t2)), ((a1, t3),))):
-            np.right_shift(s, 32, out=s)
-            np.add(s, h, out=s)
-            for first, (a, t) in zip((True, False), pairs):
-                np.multiply(a, t, out=p)
-                np.bitwise_and(p, _LOW32, out=q)
-                np.add(s, q, out=s)
-                if first:
-                    np.right_shift(p, 32, out=h)
-                else:
-                    np.right_shift(p, 32, out=q)
-                    np.add(h, q, out=h)
-            if k == 3:
-                np.bitwise_and(s, _LOW32, out=limb3)
-        np.bitwise_and(s, _LOW32, out=q)  # limb 4
-        np.right_shift(s, 32, out=s)
-        np.add(s, h, out=s)  # limb 5
-        np.left_shift(s, 32, out=s)
-        np.bitwise_or(s, q, out=s)  # limbs 5:4
-        np.left_shift(s, r32, out=s)
-        np.right_shift(limb3, r, out=limb3)
-        np.bitwise_or(s, limb3, out=out)
 
-    def _float_words(self, bits: np.ndarray, out: np.ndarray) -> None:
-        """repr's text of the doubles with these bits into out's rows: Ryu's
-        digits and the exponent's bytes fill a source row per value, and
-        one gather through the value's _PATTERNS row lays out its text."""
-        m = len(bits)
-        magnitude, output, quad = self._take(m, "magnitude output quad")
-        exponent, n, decpt, key, at = self._take(m, "exponent n decpt key at")
-        neg, special, b1 = self._take(m, "neg special b1")
-        source, index, text = self._source[:m], self._index[:m], self._text[:m]
-        np.greater_equal(bits, _SIGN, out=neg)
-        np.bitwise_and(bits, ~_SIGN, out=magnitude)
-        np.equal(magnitude, 0, out=special)
-        np.greater_equal(magnitude, _INF, out=b1)
-        nonfinite = b1.any()
-        np.logical_or(special, b1, out=special)
-        np.copyto(magnitude, _ONE, where=special)
-        self._shortest(magnitude, output, exponent)
-        np.copyto(output, 0, where=special)  # 0 * 10^0 is "0.0"
-        np.copyto(exponent, 0, where=special)
+def _mul_shift(m: np.ndarray, t: np.ndarray, r: np.ndarray, r32: np.ndarray) -> np.ndarray:
+    """floor(m * mul / 2^(96 + r)) for m < 2^55, mul = t[0] + t[1]*2^32 +
+    t[2]*2^64 + t[3]*2^96 < 2^125 and 22 <= r = 32 - r32 <= 29, in 32-bit
+    limbs: only product limbs 3..5 are read, with the carries from below."""
+    a = (m & _LOW32, m >> _U(32))
+    s = h = _U(0)
+    # Limb k sums the low halves of the a_i * t_j with i + j = k, the
+    # high halves of those with i + j = k - 1 and the carry from limb k - 1.
+    for k in range(5):
+        s = (s >> _U(32)) + h
+        h = _U(0)
+        for i in (0, 1):
+            if 0 <= k - i <= 3:
+                p = a[i] * t[k - i]
+                s += p & _LOW32
+                h += p >> _U(32)
+        if k == 3:
+            limb3 = s & _LOW32
+    limbs = (s & _LOW32) | ((s >> _U(32)) + h) << _U(32)  # limbs 5:4
+    return limbs << r32 | limb3 >> r
 
-        self._count_digits(output, n)
-        np.add(exponent, n, out=decpt)  # value = 0.d1d2...dn * 10^decpt
-        quads = source.view(_QUAD)
-        self._digit_words(output, quads)
-        np.add(decpt, 323, out=at)
-        np.take(_EXPONENT, at, out=quad, mode="clip")
-        np.copyto(quads[:, 6], quad)  # bytes 24..27, after the "e"
-        # Row (neg * 17 + n - 1) * 21 + p: p = decpt + 3 in fixed notation;
-        # as unsigned, any other decpt + 3 is at least 20, scientific.
-        np.add(decpt, 3, out=key)
-        np.minimum(key.view(np.uint64), len(_FIXED), out=key.view(np.uint64))
-        np.multiply(neg, 17, out=at)
-        np.add(at, n, out=at)
-        np.subtract(at, 1, out=at)
-        np.multiply(at, len(_FIXED) + 1, out=at)
-        np.add(key, at, out=key)
-        if nonfinite:  # rows _NAN, _NAN + 1 and _NAN + 2: nan, inf, -inf
-            np.bitwise_and(bits, ~_SIGN, out=magnitude)
-            np.equal(magnitude, _INF, out=b1)
-            np.add(neg, _NAN + 1, out=at)
-            np.copyto(key, at, where=b1)
-            np.greater(magnitude, _INF, out=b1)
-            np.copyto(key, _NAN, where=b1)
 
-        np.take(_PATTERNS, key, axis=0, out=index, mode="clip")
-        np.add(index, _ROWS[:m], out=index)
-        np.take(source.reshape(-1), index, out=text, mode="clip")
-        np.copyto(out, text.view(TEXT_WORD))
+def _float_words(bits: np.ndarray, out: np.ndarray) -> None:
+    """repr's text of the doubles with these bits into out's rows: Ryu's
+    digits and the exponent's bytes fill a source row per value, and one
+    gather through the value's _PATTERNS row lays out its text."""
+    neg = bits >= _SIGN
+    magnitude = bits & ~_SIGN
+    nonfinite = magnitude >= _INF
+    special = (magnitude == 0) | nonfinite
+    output, exponent = _shortest(np.where(special, _ONE, magnitude))
+    output[special] = 0  # 0 * 10^0 is "0.0"
+    exponent[special] = 0
+
+    n = _count_digits(output)
+    decpt = exponent + n  # value = 0.d1d2...dn * 10^decpt
+    source = np.empty((len(bits), _WIDTH // 4), dtype=_QUAD)
+    source[:, :5] = _digit_words(output)
+    source[:, 5:] = np.frombuffer(_TAIL, dtype=_QUAD)
+    source[:, 6] = _EXPONENT.take(decpt + 323, mode="clip")  # bytes 24..27, after the "e"
+    # Row (neg * 17 + n - 1) * 21 + p: p = decpt + 3 in fixed notation;
+    # as unsigned, any other decpt + 3 is at least 20, scientific.
+    key = np.minimum((decpt + 3).view(np.uint64), len(_FIXED)).view(np.int64)
+    key += (neg * 17 + n - 1) * (len(_FIXED) + 1)
+    if nonfinite.any():  # rows _NAN, _NAN + 1 and _NAN + 2: nan, inf, -inf
+        np.copyto(key, neg + (_NAN + 1), where=magnitude == _INF)
+        np.copyto(key, _NAN, where=magnitude > _INF)
+
+    index = _PATTERNS.take(key, axis=0, mode="clip")
+    index += _ROWS[: len(bits)]
+    text = source.view(np.uint8).reshape(-1).take(index, mode="clip")
+    out[:] = text.view(TEXT_WORD)
 
 
 class Sheet:
@@ -478,12 +371,12 @@ def int_text(values: Sequence[int]) -> np.ndarray:
     """b"%d" of each integer 0 <= v in values, one row of text words each,
     in workspace() memory: NUL-padded, with byte 0 of every row left NUL
     for a separator and as many words as the largest value needs."""
-    words = len(b"%d" % max(values, default=0)) // 8 + 1
-    (table,) = workspace(((len(values), words), TEXT_WORD))
-    data = table.view(np.uint8).reshape(-1).data
-    for i, v in enumerate(values):
-        text = b"%d" % v
-        data[8 * words * i + 1 : 8 * words * i + 1 + len(text)] = text
+    ints = np.asarray(values, dtype=np.int64)
+    words = len(b"%d" % ints.max(initial=0)) // 8 + 1
+    width = 8 * words - 1
+    (table,) = workspace(((len(ints), words), TEXT_WORD))
+    text = ints.astype(f"S{width}")  # numpy's integer cast writes b"%d"
+    table.view(np.uint8)[:, 1:] = text.view(np.uint8).reshape(len(ints), width)
     return table
 
 
@@ -548,7 +441,6 @@ def write_trace(
     )
     text = _items(words)
     bits = x.view(np.uint64)
-    fmt = Formatter()
     with open(path, "wb") as f:
         f.write(b"k,node_id,x,x_plus,theta\r\n")
         k0 = 0
@@ -578,7 +470,7 @@ def write_trace(
             np.add(chunk[:mt], values[:mt], out=plus[:mt])
             differ = np.flatnonzero(plus[:mt].view(np.uint64) != chunk[:mt].view(np.uint64))
             np.take(plus, differ, out=values[end : end + len(differ)], mode="clip")
-            fmt.floats(values[: end + len(differ)], words[widest : widest + end + len(differ)])
+            floats(values[: end + len(differ)], words[widest : widest + end + len(differ)])
 
             # A round's x text starts at its latest fresh round's, in text
             # after theta's, or at the kept round's, at 0.
@@ -600,21 +492,20 @@ def write_trace(
 
 def write_summary(path: str | Path, spreads: Sequence[float], errs: Sequence[float]) -> None:
     """Write one row k,V,err per round, in the same format as write_trace,
-    a chunk of CHUNK_ROWS rows at a time, V and err in one Formatter call."""
+    a chunk of CHUNK_ROWS rows at a time, V and err in one floats call."""
     rows = min(len(spreads), CHUNK_ROWS)
     k_table = int_text(range(len(spreads)))
     sheet = Sheet([k_table.shape[1], FLOAT_WORDS, FLOAT_WORDS], rows)
     k_text, v_text, e_text = map(sheet.field, range(3))
     values, text = workspace(((2 * rows,), float), ((2 * rows, FLOAT_WORDS), TEXT_WORD))
-    fmt = Formatter()
     with open(path, "wb") as f:
         f.write(b"k,V,err\r\n")
-        for r0 in range(0, len(spreads), rows):
+        for r0 in range(0, len(spreads), CHUNK_ROWS):
             m = min(rows, len(spreads) - r0)
             k_text[:m] = k_table[r0 : r0 + m]
             values[:m] = spreads[r0 : r0 + m]
             values[m : 2 * m] = errs[r0 : r0 + m]
-            fmt.floats(values[: 2 * m], text[: 2 * m])
+            floats(values[: 2 * m], text[: 2 * m])
             v_text[:m] = text[:m]
             e_text[:m] = text[m : 2 * m]
             sheet.write(f, m)

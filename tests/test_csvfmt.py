@@ -14,15 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privagg.csvfmt import _PATTERNS, FLOAT_WORDS, Formatter, Sheet, int_text
-
-_FORMATTER = Formatter()  # its scratch arrays serve one call at a time
+from privagg.csvfmt import _PATTERNS, FLOAT_WORDS, Sheet, floats, int_text
 
 
 def _float_lines(values) -> list[bytes]:
     values = np.asarray(values, dtype=np.float64)
     sheet = Sheet([FLOAT_WORDS], len(values))
-    _FORMATTER.floats(values, sheet.field(0))
+    floats(values, sheet.field(0))
     out = io.BytesIO()
     sheet.write(out, len(values))
     return out.getvalue().split(b"\r\n")[:-1]
@@ -151,9 +149,8 @@ def test_floats_span_blocks_and_strided_rows():
     ks = int_text(range(len(values)))
     sheet = Sheet([ks.shape[1], FLOAT_WORDS, FLOAT_WORDS], len(values))
     sheet.field(0)[:] = ks
-    fmt = Formatter()
-    fmt.floats(values, sheet.field(1))
-    fmt.floats(values[::-1].copy(), sheet.field(2))
+    floats(values, sheet.field(1))
+    floats(values[::-1].copy(), sheet.field(2))
     out = io.BytesIO()
     sheet.write(out, len(values))
     want = b"".join(

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from privagg.csvfmt import CHUNK_ROWS, Formatter
+from privagg import csvfmt
+from privagg.csvfmt import CHUNK_ROWS
 from privagg import engine
 from privagg.engine import (
     UPDATE_FORMS,
@@ -819,15 +820,15 @@ def test_csv_writers_match_csv_writer_reference(tmp_path, kw):
 
 
 def _counting_floats(monkeypatch):
-    """Patch Formatter.floats to record how many values each call formats."""
+    """Patch csvfmt.floats to record how many values each call formats."""
     counts = []
-    floats = Formatter.floats
+    floats = csvfmt.floats
 
-    def counting(self, values, out):
+    def counting(values, out):
         counts.append(len(values))
-        floats(self, values, out)
+        floats(values, out)
 
-    monkeypatch.setattr(Formatter, "floats", counting)
+    monkeypatch.setattr(csvfmt, "floats", counting)
     return counts
 
 
@@ -863,6 +864,15 @@ def test_summary_writer_formats_a_chunk_in_one_call(tmp_path, monkeypatch):
     assert counts == [2 * CHUNK_ROWS, 2 * CHUNK_ROWS, 10]
     _csv_writer_summary(trace, tmp_path / "s_ref.csv")
     assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "s_ref.csv").read_bytes()
+
+
+def test_summary_writer_writes_only_the_header_without_rounds(tmp_path):
+    trace = RunTrace(config=RunConfig(graph=generate("path", 2), x0=[0.0, 1.0], scheme="zero"))
+    trace.write_summary_csv(tmp_path / "s.csv")
+    _csv_writer_summary(trace, tmp_path / "s_ref.csv")
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "s_ref.csv").read_bytes()
+    csvfmt.write_summary(tmp_path / "s2.csv", [], [])
+    assert (tmp_path / "s2.csv").read_bytes() == b"k,V,err\r\n"
 
 
 def test_record_trace_false():
