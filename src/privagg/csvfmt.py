@@ -8,7 +8,7 @@ notation when the decimal point falls within 16 digits of the first digit
 and as ``d.ddde±XX`` otherwise. The digits come from Ryu (Ulf Adams, "Ryū:
 fast float-to-string conversion", PLDI 2018), which yields the same digits
 as the dtoa behind ``repr`` from fixed-width integer arithmetic alone;
-numpy runs it over a block of values at a time, with its 64×128-bit
+numpy runs it over all of a call's values at once, with its 64×128-bit
 products done in 32-bit limbs of uint64 arrays. An integer column is a
 table of ``b"%d"`` texts built once per file and copied into each chunk.
 ``repr`` is the reference the tests compare against.
@@ -19,31 +19,27 @@ text is the matrix's bytes with the NULs dropped. ``floats`` writes a
 float's field as one byte gather: Ryu's digits and the exponent fill a
 source row, and a table of repr's layout patterns (``_patterns``), one row
 per sign, digit count and point position, names the source byte of each
-text byte. Each step of ``floats`` returns fresh numpy arrays for one
-block of values and keeps nothing between calls. The buffers a writer
-holds for a whole file, the Sheet, the integer tables and write_trace's
-chunk buffers, live in ``workspace`` memory.
+text byte. Each step of ``floats`` returns fresh numpy arrays and keeps
+nothing between calls. A writer's buffers are plain numpy arrays that
+live for one call: the Sheet and the chunk's values and text are sized
+by ``CHUNK_ROWS``, the integer tables by the file's rounds and node ids.
 """
 
 from __future__ import annotations
 
-import math
-import mmap
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-# Trace and summary rows formatted per chunk, unless one round is wider. A
-# file's buffers, the sheet and the chunk's values and text, take about
-# 2 MiB and are allocated once per file.
+# Trace and summary rows formatted per chunk, unless one round is wider.
+# The chunk, not the number of rounds, sets most of a writer's memory: the
+# sheet and write_trace's buffers take about 2 MiB, and one floats call
+# over a trace chunk's values (at most 3 * CHUNK_ROWS, about 375 bytes of
+# temporaries each, most of them the gather index) about 9 MiB more, so a
+# write_trace call peaks at about 11 MiB.
 CHUNK_ROWS = 8192
 FLOAT_WORDS = 4  # a separator byte and at most 24 of text, as in "-1.2345678901234567e-100"
-# Values per formatting pass. A pass's temporaries, 32 KiB per uint64
-# array and 1 MiB for the gather index, peak at about 1.5 MiB; a whole
-# chunk's values (3 * CHUNK_ROWS) in one pass would peak at about 9 MiB.
-_BLOCK = 4096
-_PIECE = 1 << 16  # matrix bytes packed per step, the most one step allocates
 
 _U = np.uint64
 TEXT_WORD = np.dtype("<u8")
@@ -54,23 +50,6 @@ _SIGN = _U(1 << 63)
 _INF = np.float64(np.inf).view(np.uint64)
 _ONE = np.float64(1.0).view(np.uint64)
 _P10 = 10 ** np.arange(20, dtype=np.uint64)
-
-
-def workspace(*specs: tuple[tuple[int, ...], type | np.dtype]) -> list[np.ndarray]:
-    """Arrays of the given (shape, dtype) in one anonymous memory map.
-
-    A writer's buffers live for one call. Taken from the malloc heap they
-    would stay resident after it, below whatever the process allocates
-    next; a map goes back to the system when its arrays are dropped.
-    """
-    counts = [math.prod(shape) for shape, _ in specs]
-    sizes = [-(-c * np.dtype(dtype).itemsize // 64) * 64 for c, (_, dtype) in zip(counts, specs)]
-    memory = mmap.mmap(-1, max(sum(sizes), 1))
-    offsets = np.cumsum([0] + sizes)
-    return [
-        np.frombuffer(memory, dtype, count, offset).reshape(shape)
-        for (shape, dtype), count, offset in zip(specs, counts, offsets.tolist())
-    ]
 
 
 def _exponent_tables():
@@ -165,22 +144,12 @@ def _patterns() -> np.ndarray:
 
 _QUADS = _digit_table()
 _PATTERNS = _patterns()
-_ROWS = np.arange(0, _WIDTH * _BLOCK, _WIDTH, dtype=np.intp)[:, None]  # source row offsets
 # Row decpt + 323: the four bytes of repr's exponent decpt - 1 after the
 # "e", NUL-padded.
 _EXPONENT = np.frombuffer(
     b"".join((b"%+03d" % e).ljust(4, b"\0") for e in range(-324, 309)), dtype=_QUAD
 ).astype(np.uint32)
 _CRLF = np.frombuffer(b"\r\n".ljust(8, b"\0"), dtype=TEXT_WORD)[0]
-
-
-def floats(values: np.ndarray, out: np.ndarray) -> None:
-    """Write repr(v) of each float64 v in values into the rows of out, a
-    (len(values), FLOAT_WORDS) array of text words, NUL-padded; byte 0 of
-    each row is left NUL for a separator."""
-    for b0 in range(0, len(values), _BLOCK):
-        b1 = min(b0 + _BLOCK, len(values))
-        _float_words(values[b0:b1].view(np.uint64), out[b0:b1])
 
 
 def _count_digits(values: np.ndarray) -> np.ndarray:
@@ -297,10 +266,17 @@ def _mul_shift(m: np.ndarray, t: np.ndarray, r: np.ndarray, r32: np.ndarray) -> 
     return limbs << r32 | limb3 >> r
 
 
-def _float_words(bits: np.ndarray, out: np.ndarray) -> None:
-    """repr's text of the doubles with these bits into out's rows: Ryu's
-    digits and the exponent's bytes fill a source row per value, and one
-    gather through the value's _PATTERNS row lays out its text."""
+def floats(values: np.ndarray, out: np.ndarray) -> None:
+    """Write repr(v) of each float64 v in values into the rows of out, a
+    (len(values), FLOAT_WORDS) array of text words, NUL-padded; byte 0 of
+    each row is left NUL for a separator.
+
+    Ryu's digits and the exponent's bytes fill a source row per value, and
+    one gather through the value's _PATTERNS row lays out its text. All
+    values go in one pass, so the temporaries grow with len(values), about
+    375 bytes a value; the writers call it once per chunk.
+    """
+    bits = values.view(np.uint64)
     neg = bits >= _SIGN
     magnitude = bits & ~_SIGN
     nonfinite = magnitude >= _INF
@@ -324,7 +300,7 @@ def _float_words(bits: np.ndarray, out: np.ndarray) -> None:
         np.copyto(key, _NAN, where=magnitude > _INF)
 
     index = _PATTERNS.take(key, axis=0, mode="clip")
-    index += _ROWS[: len(bits)]
+    index += np.arange(0, _WIDTH * len(bits), _WIDTH)[:, None]  # each value's source row
     text = source.view(np.uint8).reshape(-1).take(index, mode="clip")
     out[:] = text.view(TEXT_WORD)
 
@@ -335,18 +311,14 @@ class Sheet:
     Field j spans widths[j] words per row and is NUL-padded; write() puts
     a comma in byte 0 of every field but the first and ends each row with
     \\r\\n. The text of the first m rows is the matrix's bytes with the
-    NULs dropped, which write() packs in place: every field is written
-    again before the next write. The matrix is allocated once, for at most
-    `rows` rows, by workspace().
+    NULs dropped. The matrix holds at most `rows` rows and starts all NUL.
     """
 
     def __init__(self, widths: list[int], rows: int):
         starts = np.cumsum([0] + widths)
         self.fields = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
         self._commas = 8 * starts[1:-1]
-        self.matrix, self._keep = workspace(
-            ((rows, starts[-1] + 1), TEXT_WORD), ((_PIECE,), np.bool_)
-        )
+        self.matrix = np.zeros((rows, starts[-1] + 1), dtype=TEXT_WORD)
         self._bytes = self.matrix.view(np.uint8)
 
     def field(self, j: int) -> np.ndarray:
@@ -357,24 +329,18 @@ class Sheet:
         """Write the CSV text of the first m rows to the binary file f."""
         self.matrix[:m, -1] = _CRLF
         self._bytes[:m, self._commas] = 44
-        flat = self._bytes[:m].reshape(-1)
-        end = 0
-        for a in range(0, flat.size, _PIECE):
-            piece = flat[a : a + _PIECE]
-            kept = piece[np.not_equal(piece, 0, out=self._keep[: piece.size])]
-            flat[end : end + kept.size] = kept
-            end += kept.size
-        f.write(flat[:end])
+        text = self._bytes[:m]
+        f.write(text[text != 0])
 
 
 def int_text(values: Sequence[int]) -> np.ndarray:
-    """b"%d" of each integer 0 <= v in values, one row of text words each,
-    in workspace() memory: NUL-padded, with byte 0 of every row left NUL
-    for a separator and as many words as the largest value needs."""
+    """b"%d" of each integer 0 <= v in values, one row of text words each:
+    NUL-padded, with byte 0 of every row left NUL for a separator and as
+    many words as the largest value needs."""
     ints = np.asarray(values, dtype=np.int64)
     words = len(b"%d" % ints.max(initial=0)) // 8 + 1
     width = 8 * words - 1
-    (table,) = workspace(((len(ints), words), TEXT_WORD))
+    table = np.zeros((len(ints), words), dtype=TEXT_WORD)
     text = ints.astype(f"S{width}")  # numpy's integer cast writes b"%d"
     table.view(np.uint8)[:, 1:] = text.view(np.uint8).reshape(len(ints), width)
     return table
@@ -418,10 +384,11 @@ def write_trace(
     rounds = len(xs)
     sizes = np.fromiter(map(len, xs), dtype=np.intp, count=rounds)
     starts = np.concatenate([[0], np.cumsum(sizes)])  # each round's first row
-    widest = int(sizes.max())
+    widest = int(sizes.max(initial=0))
     rows = min(int(starts[-1]), max(CHUNK_ROWS, widest))
     tuples = np.fromiter(map(id, node_ids[:rounds]), dtype=np.uint64, count=rounds)
-    opens = np.concatenate([[True], tuples[1:] != tuples[:-1]])  # a segment's first round
+    opens = np.ones(rounds, dtype=bool)  # a segment's first round
+    opens[1:] = tuples[1:] != tuples[:-1]
     segments = [node_ids[k] for k in np.flatnonzero(opens).tolist()]
     k_table = int_text(range(rounds))
     id_table = int_text([i for ids in segments for i in ids])
@@ -435,10 +402,10 @@ def write_trace(
     # x holds the previous chunk's last round in its first `widest` rows,
     # then the chunk; text holds that round's text, then the formatted
     # values: theta, the fresh x and the x_plus that differ from x.
-    x, plus, values, words, changed = workspace(
-        ((widest + rows,), float), ((rows,), float), ((3 * rows,), float),
-        ((widest + 3 * rows, FLOAT_WORDS), TEXT_WORD), ((rows,), np.bool_),
-    )
+    x = np.zeros(widest + rows)
+    plus, values = np.empty(rows), np.empty(3 * rows)
+    words = np.empty((widest + 3 * rows, FLOAT_WORDS), dtype=TEXT_WORD)
+    changed = np.empty(rows, dtype=bool)
     text = _items(words)
     bits = x.view(np.uint64)
     with open(path, "wb") as f:
@@ -483,7 +450,7 @@ def write_trace(
             plus_text[differ] = text[widest + end : widest + end + len(differ)]
             sheet.field(3)[mt:m] = 0
             sheet.field(4)[mt:m] = 0
-            last = int(size[-1])  # kept, as write() packs the sheet in place
+            last = int(size[-1])  # kept for the next chunk's x text
             text[:last] = x_text[m - last : m]
             x[widest - last : widest] = chunk[m - last :]
             sheet.write(f, m)
@@ -497,7 +464,8 @@ def write_summary(path: str | Path, spreads: Sequence[float], errs: Sequence[flo
     k_table = int_text(range(len(spreads)))
     sheet = Sheet([k_table.shape[1], FLOAT_WORDS, FLOAT_WORDS], rows)
     k_text, v_text, e_text = map(sheet.field, range(3))
-    values, text = workspace(((2 * rows,), float), ((2 * rows, FLOAT_WORDS), TEXT_WORD))
+    values = np.empty(2 * rows)
+    text = np.empty((2 * rows, FLOAT_WORDS), dtype=TEXT_WORD)
     with open(path, "wb") as f:
         f.write(b"k,V,err\r\n")
         for r0 in range(0, len(spreads), CHUNK_ROWS):

@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import io
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privagg.csvfmt import _PATTERNS, FLOAT_WORDS, Sheet, floats, int_text
+from privagg.csvfmt import (
+    _PATTERNS, CHUNK_ROWS, FLOAT_WORDS, Sheet, floats, int_text, write_summary, write_trace,
+)
 
 
 def _float_lines(values) -> list[bytes]:
@@ -133,6 +136,7 @@ def test_edge_values_match_repr():
         0.0001, 1e-05, 1e15, 9999999999999998.0, 1e16, 0.1, 0.3, 1 / 3, 2 / 3, 100.0, 1e23,
     ])
     _assert_repr(np.concatenate([edges, -edges]))
+    _assert_repr(edges[:0])  # no values, as in a chunk with nothing fresh to format
     powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
     with np.errstate(over="ignore"):
         powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
@@ -142,8 +146,8 @@ def test_edge_values_match_repr():
         _assert_repr(-_neighbours(powers))
 
 
-def test_floats_span_blocks_and_strided_rows():
-    """Values across many blocks, written into rows of a wider matrix."""
+def test_floats_fill_strided_rows():
+    """10 000 values in one call, written into rows of a wider matrix."""
     rng = np.random.default_rng(5)
     values = rng.normal(size=10_000) * 10.0 ** rng.integers(-30, 30, 10_000)
     ks = int_text(range(len(values)))
@@ -176,3 +180,33 @@ def test_int_text_matches_percent_d(largest, words):
     out = io.BytesIO()
     sheet.write(out, len(values))
     assert out.getvalue() == b"".join(b"%d,%d\r\n" % pair for pair in zip(values, values[::-1]))
+
+
+def _peak_mib(write) -> float:
+    """tracemalloc's peak over one call of write, in MiB."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_writers_memory_is_bounded_in_the_number_of_rounds(tmp_path):
+    """A writer's peak is set by CHUNK_ROWS, not by the file's length: at 2
+    and 4 chunks of rows, every value fresh, it is the same to within 1 MiB
+    and under 16 MiB."""
+    rng = np.random.default_rng(9)
+    ids = tuple(range(8))
+    peaks = []
+    for rows in (2 * CHUNK_ROWS, 4 * CHUNK_ROWS):
+        rounds = rows // len(ids)
+        xs = list(rng.normal(size=(rounds, len(ids))))
+        thetas = list(rng.normal(size=(rounds - 1, len(ids))))
+        spreads, errs = rng.exponential(size=(2, rows)).tolist()
+        peaks.append((
+            _peak_mib(lambda: write_trace(tmp_path / "t.csv", xs, thetas, [ids] * rounds)),
+            _peak_mib(lambda: write_summary(tmp_path / "s.csv", spreads, errs)),
+        ))
+    for short, long in zip(*peaks):
+        assert abs(long - short) < 1.0 and max(short, long) < 16.0, peaks

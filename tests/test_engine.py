@@ -875,6 +875,11 @@ def test_summary_writer_writes_only_the_header_without_rounds(tmp_path):
     assert (tmp_path / "s2.csv").read_bytes() == b"k,V,err\r\n"
 
 
+def test_trace_writer_writes_only_the_header_without_rounds(tmp_path):
+    csvfmt.write_trace(tmp_path / "t.csv", [], [], [])
+    assert (tmp_path / "t.csv").read_bytes() == b"k,node_id,x,x_plus,theta\r\n"
+
+
 def test_record_trace_false():
     g = generate("path", 3)
     trace = run(_zero_cfg(g, [1.0, 2.0, 3.0], record_trace=False))
