@@ -22,7 +22,8 @@ per sign, digit count and point position, names the source byte of each
 text byte. Each step of ``floats`` returns fresh numpy arrays and keeps
 nothing between calls. A writer's buffers are plain numpy arrays that
 live for one call: the Sheet and the chunk's values and text are sized
-by ``CHUNK_ROWS``, the integer tables by the file's rounds and node ids.
+by ``CHUNK_ROWS`` or the widest round, the integer tables by the file's
+rounds and node ids.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ import numpy as np
 # Trace and summary rows formatted per chunk, unless one round is wider.
 # The chunk, not the number of rounds, sets most of a writer's memory: the
 # sheet and write_trace's buffers take about 2 MiB, and one floats call
-# over a trace chunk's values (at most 3 * CHUNK_ROWS, about 375 bytes of
+# over at most 3 * CHUNK_ROWS of a chunk's values (about 375 bytes of
 # temporaries each, most of them the gather index) about 9 MiB more, so a
-# write_trace call peaks at about 11 MiB.
+# write_trace call peaks at about 11 MiB. A round wider than a chunk widens
+# the buffers, about 300 bytes a node, but not the floats call.
 CHUNK_ROWS = 8192
 FLOAT_WORDS = 4  # a separator byte and at most 24 of text, as in "-1.2345678901234567e-100"
 
@@ -274,7 +276,7 @@ def floats(values: np.ndarray, out: np.ndarray) -> None:
     Ryu's digits and the exponent's bytes fill a source row per value, and
     one gather through the value's _PATTERNS row lays out its text. All
     values go in one pass, so the temporaries grow with len(values), about
-    375 bytes a value; the writers call it once per chunk.
+    375 bytes a value; the writers pass it at most 3 * CHUNK_ROWS at a time.
     """
     bits = values.view(np.uint64)
     neg = bits >= _SIGN
@@ -437,7 +439,10 @@ def write_trace(
             np.add(chunk[:mt], values[:mt], out=plus[:mt])
             differ = np.flatnonzero(plus[:mt].view(np.uint64) != chunk[:mt].view(np.uint64))
             np.take(plus, differ, out=values[end : end + len(differ)], mode="clip")
-            floats(values[: end + len(differ)], words[widest : widest + end + len(differ)])
+            count = end + len(differ)
+            for p in range(0, count, 3 * CHUNK_ROWS):  # one piece unless a round is wider than a chunk
+                q = min(p + 3 * CHUNK_ROWS, count)
+                floats(values[p:q], words[widest + p : widest + q])
 
             # A round's x text starts at its latest fresh round's, in text
             # after theta's, or at the kept round's, at 0.

@@ -17,11 +17,11 @@ each chain runs its own telescoping residual with the envelope indexed by
 its inner counter, so the zero-sum and decay conditions hold per chain.
 
 theta is data, not a process: stream_lanes draws a block whose column t is
-generator t's row of stream_rows, and theta_block overwrites it with every
-round's theta; the round loops only read its rows. They are the one place
-every scheme is drawn and computed: runs, later-round attack trials and the
-naive attack's round 0 alike. stream_rows and theta_block call check_scheme
-first; ENVELOPE_SCHEMES and TELESCOPING_SCHEMES name the schemes' properties.
+generator t's unit draws, and theta_block writes every round's theta over
+it; the round loops only read its rows. They are the one place every
+scheme is drawn and computed: runs, later-round attack trials and the naive
+attack's round 0 alike. stream_lanes and theta_block call check_scheme first;
+ENVELOPE_SCHEMES and TELESCOPING_SCHEMES name the schemes' properties.
 
 Streams: node i of a run reads stream (seed, i), numpy's
 PCG64(SeedSequence(seed, spawn_key=(i,))), and attack trial t reads
@@ -184,7 +184,8 @@ def seeded_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
 
     These are also the streams of SeedSequence(seed).spawn(count). Every
     item is the same Generator, re-seeded: draw from it before taking the
-    next. stream_lanes takes count of them and leaves the rest to the next.
+    next. stream_lanes draws one column from each of the count it takes and
+    leaves the rest to its next call.
     """
     gen = np.random.Generator(np.random.PCG64())
     bit_generator = gen.bit_generator
@@ -210,61 +211,6 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _draws_uniform(scheme: str, params: NoiseParams) -> bool:
-    """Whether stream_rows gives scheme u on [0, 1), which theta_block maps to 2u - 1."""
-    return scheme == "independent_decaying" or (
-        scheme == "zero_sum" and params.distribution == "uniform"
-    )
-
-
-def stream_rows(
-    scheme: str,
-    params: NoiseParams,
-    gens: Iterable[np.random.Generator],
-    out: np.ndarray,
-    lead: int = 0,
-) -> np.ndarray:
-    """Fill row r of out from the r-th generator of gens, and return out;
-    stream_lanes lays the rows out as its block's columns.
-
-    Row r takes its generator's first `lead` values as Generator.random's u
-    on [0, 1), then the scheme's draws in draw order: zero_sum its
-    distribution's values, independent_decaying uniforms, gaussian_constant
-    standard normals, zero none (zeros). A uniform draw stays random's u, so
-    a uniform scheme's row is one random call, and theta_block maps the
-    block to 2u - 1 in place: uniform(-1.0, 1.0)'s value and generator use
-    bit for bit, since numpy computes -1 + 2u from the same u and 2u - 1 is
-    exact, with or without fused multiply-add; random takes half of
-    uniform's time. The truncated gaussian keeps the normals with |z| <=
-    TRUNC_SIGMAS in the order drawn, scaled to [-1, 1]; numpy fills normal
-    arrays element by element, so this accepts exactly the draws a per-draw
-    rejection loop accepts. Exactly len(out) generators are taken from gens,
-    so stream_lanes' next group of rows starts where this one stopped. The
-    rows must be C-contiguous.
-    """
-    check_scheme(scheme)
-    uniform = _draws_uniform(scheme, params)
-    for row, gen in zip(out, gens):  # out first: zip takes no generator past the last row
-        if uniform:
-            gen.random(out=row)
-            continue
-        gen.random(out=row[:lead])
-        draws = row[lead:]
-        if scheme == "zero":
-            draws[:] = 0.0
-        elif scheme == "gaussian_constant":
-            gen.standard_normal(out=draws)
-        else:
-            have = 0
-            while (need := len(draws) - have) > 0:
-                z = gen.standard_normal(need + need // 16 + 16)  # ~4.6% are rejected
-                z = z[np.abs(z) <= TRUNC_SIGMAS][:need]
-                draws[have : have + len(z)] = z
-                have += len(z)
-            draws /= TRUNC_SIGMAS
-    return out
-
-
 def envelope(params: NoiseParams, inner: int) -> float:
     """Residual envelope (alpha/2)*rho**(inner+1) for a chain's inner index."""
     return 0.5 * params.alpha * params.rho ** (inner + 1)
@@ -273,18 +219,15 @@ def envelope(params: NoiseParams, inner: int) -> float:
 def theta_block(scheme: str, params: NoiseParams, raw: np.ndarray) -> np.ndarray:
     """Write theta over raw, round by round, and return raw.
 
-    raw is a (rounds x *lanes) block of stream_lanes' draws, whose uniform
-    draws u become 2u - 1 here first; row k becomes the noise every lane
-    adds to its round-k broadcast, and the lanes may have any shape: one per
-    node in a run's block (node_theta_block), (nodes x trials) in a block of
-    attack trials, the kernel's state shape, and (trials,) in the naive
-    attack's one row. This is the only code that turns raw draws into theta.
+    raw is a (rounds x *lanes) block of stream_lanes' unit draws; row k
+    becomes the noise every lane adds to its round-k broadcast, and the
+    lanes may have any shape: one per node in a run's block
+    (node_theta_block), (nodes x trials) in a block of attack trials, the
+    kernel's state shape, and (trials,) in the naive attack's one row. This
+    is the only code that turns unit draws into theta.
     """
     check_scheme(scheme)
     p = params
-    if _draws_uniform(scheme, p):
-        raw *= 2.0
-        raw -= 1.0
     if scheme == "zero":
         raw[...] = 0.0
     elif scheme == "gaussian_constant":
@@ -320,15 +263,56 @@ def stream_lanes(
     length: int,
     lead: int = 0,
 ) -> np.ndarray:
-    """The (length x count) block whose column t is stream_rows' row from the
-    t-th generator of gens; exactly count generators are taken. The rows are
-    drawn STACK_VALUES values at a time (one row at least) into one reused
-    buffer, so at most one group of rows exists beside the block."""
+    """The (length x count) block whose column t holds the draws of the t-th
+    generator of gens; exactly count generators are taken.
+
+    Column t takes its generator's first `lead` values as Generator.random's
+    u on [0, 1), then the scheme's unit draws in draw order: zero_sum its
+    distribution's values on [-1, 1], independent_decaying uniforms on
+    [-1, 1], gaussian_constant standard normals, zero none (zeros). A uniform
+    scheme's column is one random call whose draws after the lead are mapped
+    to 2u - 1 in place: uniform(-1.0, 1.0)'s value and generator use bit for
+    bit, since numpy computes -1 + 2u from the same u and 2u - 1 is exact,
+    with or without fused multiply-add; random takes half of uniform's time.
+    The truncated gaussian keeps the normals with |z| <= TRUNC_SIGMAS in the
+    order drawn, scaled to [-1, 1]; numpy fills normal arrays element by
+    element, so this accepts exactly the draws a per-draw rejection loop
+    accepts.
+
+    The columns are drawn as the rows of one reused buffer, one generator
+    per row and STACK_VALUES values at a time (one row at least), so at most
+    one group of rows exists beside the block.
+    """
+    check_scheme(scheme)
+    uniform = scheme == "independent_decaying" or (
+        scheme == "zero_sum" and params.distribution == "uniform"
+    )
     size = max(1, STACK_VALUES // max(length, 1))
     group = np.empty((min(size, count), length))
     lanes = np.empty((length, count))
     for start in range(0, count, size):
-        rows = stream_rows(scheme, params, gens, group[: count - start], lead)
+        rows = group[: count - start]
+        for row, gen in zip(rows, gens):  # rows first: zip takes no generator past the last row
+            if uniform:
+                gen.random(out=row)
+                continue
+            gen.random(out=row[:lead])
+            draws = row[lead:]
+            if scheme == "zero":
+                draws[:] = 0.0
+            elif scheme == "gaussian_constant":
+                gen.standard_normal(out=draws)
+            else:
+                have = 0
+                while (need := len(draws) - have) > 0:
+                    z = gen.standard_normal(need + need // 16 + 16)  # ~4.6% are rejected
+                    z = z[np.abs(z) <= TRUNC_SIGMAS][:need]
+                    draws[have : have + len(z)] = z
+                    have += len(z)
+                draws /= TRUNC_SIGMAS
+        if uniform:  # the lead stays u: an attack trial's x0 reads it
+            rows[:, lead:] *= 2.0
+            rows[:, lead:] -= 1.0
         lanes[:, start : start + len(rows)] = rows.T
     return lanes
 

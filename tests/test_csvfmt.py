@@ -210,3 +210,15 @@ def test_writers_memory_is_bounded_in_the_number_of_rounds(tmp_path):
         ))
     for short, long in zip(*peaks):
         assert abs(long - short) < 1.0 and max(short, long) < 16.0, peaks
+
+
+def test_write_trace_memory_in_the_number_of_nodes(tmp_path):
+    """A round wider than a chunk takes buffers in proportion to its nodes,
+    but its values are formatted at most 3 * CHUNK_ROWS at a time: at 3
+    rounds of 50 000 nodes, every value fresh, the peak is under 32 MiB."""
+    rng = np.random.default_rng(10)
+    ids = tuple(range(50_000))
+    xs = list(rng.normal(size=(3, len(ids))))
+    thetas = list(rng.normal(size=(2, len(ids))))
+    peak = _peak_mib(lambda: write_trace(tmp_path / "t.csv", xs, thetas, [ids] * 3))
+    assert peak < 32.0, peak

@@ -2,11 +2,13 @@
 
 No module imports a _-prefixed name of another privagg module, and only
 privagg.noise constructs numpy's generators and seed sequences: it is the one
-module that turns a seed into draws, and the one that calls
-noise.stream_rows: every stream's draws reach a block through
-noise.stream_lanes. It is also the one module that lists noise schemes: the
-others read its named sets. Only privagg.backend calls np.add.reduce, so
-every round loop sums through one kernel, backend.step.
+module that turns a seed into draws. The round loops of privagg.engine and
+privagg.privacy call no generator's draw method: every stream's draws reach
+a run's or an attack's block through noise.stream_lanes. privagg.noise is
+also the one module that lists noise schemes: the others read its named
+sets. Only privagg.backend calls np.add.reduce, so every round loop sums
+through one kernel, backend.step. Every name a module imports is read in it
+or listed in its __all__, unless its line is marked "# noqa: F401".
 """
 
 import ast
@@ -16,6 +18,7 @@ from privagg.noise import SCHEMES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "privagg"
 SEEDING = {"Generator", "PCG64", "SeedSequence", "default_rng"}
+DRAWS = {"random", "uniform", "standard_normal", "normal", "integers"}
 
 
 def _modules():
@@ -65,18 +68,18 @@ def test_only_noise_constructs_generators():
     assert not found
 
 
-def test_only_noise_calls_stream_rows():
-    # callers lay draws out as lanes through stream_lanes, so per-block
-    # draws have one function to change
+def test_runs_and_attacks_draw_only_through_noise():
+    # runs and attack trials take their draws as lanes from stream_lanes, so
+    # per-block draws have one function to change
     found = []
     for name, tree in _modules():
-        if name == "noise.py":
+        if name not in ("engine.py", "privacy.py"):
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if called == "stream_rows":
+                if called in DRAWS:
                     found.append(f"{name}:{node.lineno} calls {called}")
     assert not found
 
@@ -113,4 +116,30 @@ def test_only_backend_calls_add_reduce():
                 and "add" in (getattr(node.value, "attr", None), getattr(node.value, "id", None))
             ):
                 found.append(f"{name}:{node.lineno} reads add.reduce")
+    assert not found
+
+
+def test_no_unused_imports():
+    # no linter runs on the package, and deleted code can leave its imports
+    found = []
+    for name, tree in _modules():
+        lines = (SRC / name).read_text().splitlines()
+        exported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            if isinstance(node, ast.Assign) and "__all__" in [
+                getattr(target, "id", None) for target in node.targets
+            ]:
+                exported.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound in read or bound in exported or "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                found.append(f"{name}:{alias.lineno} imports {alias.name} unread")
     assert not found

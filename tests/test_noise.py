@@ -27,7 +27,6 @@ from privagg.noise import (
     seeded_stream,
     seeded_streams,
     stream_lanes,
-    stream_rows,
     theta_block,
 )
 from privagg.privacy import AdversaryView, later_round_attack
@@ -55,8 +54,8 @@ def test_rho_zero_degenerates_to_silence():
 
 
 def raw_draws(scheme, params, gen, count):
-    """The raw values count draws of scheme take from gen: a one-row stream_rows block."""
-    return stream_rows(scheme, params, [gen], np.empty((1, count)))[0]
+    """The unit draws count draws of scheme take from gen: a one-column stream_lanes block."""
+    return stream_lanes(scheme, params, [gen], 1, count)[:, 0]
 
 
 def _round0(params, rng, count):
@@ -203,15 +202,19 @@ def test_truncated_gaussian_draws_are_the_rejection_fills_in_stream_order():
 
 
 def test_uniform_draws_are_two_u_minus_one_from_random():
-    # premise of stream_rows and theta_block: 2u - 1 for u from Generator.random
-    # is uniform(-1, 1)'s value bit for bit, one uint64 per value; a numpy that
-    # changes how uniform computes or consumes fails here
+    # premise of stream_lanes: 2u - 1 for u from Generator.random is
+    # uniform(-1, 1)'s value bit for bit, one uint64 per value; a numpy that
+    # changes how uniform computes or consumes fails here. A uniform column
+    # is those bits, and leaves its generator where uniform does
     for count in (1, 7, 220, 5000):
-        g1, g2 = seeded_stream(61, count), seeded_stream(61, count)
-        u = raw_draws("zero_sum", NoiseParams(), g1, count)
+        g1, g2, g3 = (seeded_stream(61, count) for _ in range(3))
+        u = g1.random(count)
         want = g2.uniform(-1.0, 1.0, count)
         assert np.array_equal((2.0 * u - 1.0).view(np.uint64), want.view(np.uint64))
         assert g1.bit_generator.state == g2.bit_generator.state
+        column = raw_draws("zero_sum", NoiseParams(), g3, count)
+        assert np.array_equal(column.view(np.uint64), want.view(np.uint64))
+        assert g3.bit_generator.state == g2.bit_generator.state
 
 
 def test_prior_draws_are_low_plus_width_u_from_random():
@@ -231,7 +234,7 @@ def test_bank_unknown_scheme():
     # every entry point fails before any stream is seeded
     g = generate("ring", 5)
     calls = [
-        lambda: stream_rows("bursty", NoiseParams(), seeded_streams(0, 2), np.empty((2, 3))),
+        lambda: stream_lanes("bursty", NoiseParams(), seeded_streams(0, 2), 2, 3),
         lambda: node_theta_block("bursty", NoiseParams(), 2000, 400),
         lambda: theta_block("bursty", NoiseParams(), np.zeros((4, 3))),
         lambda: RunConfig(g, np.zeros(5), scheme="bursty"),
@@ -337,7 +340,7 @@ def _lane_groups(length):
 
 def _lanes_as_rows(scheme, params, streams, count, length, lead, values):
     """stream_lanes' (length x count) block, drawn in groups of at most
-    values values, transposed to stream_rows' layout."""
+    values values, transposed to one row per stream."""
     with mock.patch.object(noise, "STACK_VALUES", values):
         lanes = stream_lanes(scheme, params, streams, count, length, lead)
     assert lanes.shape == (length, count)
@@ -347,40 +350,36 @@ def _lanes_as_rows(scheme, params, streams, count, length, lead, values):
 @pytest.mark.parametrize("lead", [0, 3])
 @pytest.mark.parametrize("scheme,distribution", SCHEME_DISTRIBUTIONS)
 def test_stream_rows_draws_lead_uniforms_then_raw_draws(scheme, distribution, lead):
-    # the expected row from numpy's own calls: u from random, then the scheme's
-    # draws (random's u, standard normals, zeros or the per-draw rejection);
-    # stream_lanes' column t is stream_rows' row t, bit for bit
+    # stream_lanes' column t, bit for bit, from numpy's own calls on stream t:
+    # u from random, then the scheme's unit draws (2u - 1 for random's u,
+    # standard normals, zeros or the per-draw rejection), in every grouping
     params = NoiseParams(distribution=distribution)
-    out = np.full((4, lead + 40), np.nan)
-    assert stream_rows(scheme, params, seeded_streams(14, 4), out, lead) is out
-    for values in _lane_groups(lead + 40):
-        got = _lanes_as_rows(scheme, params, seeded_streams(14, 4), 4, lead + 40, lead, values)
-        assert np.array_equal(got.view(np.uint64), out.view(np.uint64)), values
-    for r, row in enumerate(out):
+    want = []
+    for r in range(4):
         gen = seeded_stream(14, r)
-        want = [gen.random(lead)]
+        row = [gen.random(lead)]
         if scheme == "independent_decaying" or (scheme, distribution) == ("zero_sum", "uniform"):
-            want.append(gen.random(40))
+            row.append(2.0 * gen.random(40) - 1.0)
         elif scheme == "gaussian_constant":
-            want.append(gen.standard_normal(40))
+            row.append(gen.standard_normal(40))
         elif scheme == "zero":
-            want.append(np.zeros(40))
+            row.append(np.zeros(40))
         else:
             stream = RawStream(gen)
-            want.append([stream.next_unit("truncated_gaussian") for _ in range(40)])
-        want = np.concatenate(want)
-        assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), r
+            row.append([stream.next_unit("truncated_gaussian") for _ in range(40)])
+        want.append(np.concatenate(row))
+    want = np.array(want)
+    for values in _lane_groups(lead + 40):
+        got = _lanes_as_rows(scheme, params, seeded_streams(14, 4), 4, lead + 40, lead, values)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), values
 
 
 @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
 def test_stream_rows_takes_one_stream_per_row(distribution):
-    # the iterator's next item is the stream after the last row, never one
-    # past it; stream_lanes takes one stream per column alike
+    # the iterator's next item is the stream after the last column, never
+    # one past it, in every grouping of the columns
     params = NoiseParams(distribution=distribution)
     for rows in (0, 1, 3, 4):
-        streams = seeded_streams(15, 5)
-        stream_rows("zero_sum", params, streams, np.empty((rows, 6)), lead=2)
-        assert np.array_equal(next(streams).random(4), seeded_stream(15, rows).random(4)), rows
         for values in _lane_groups(6):
             streams = seeded_streams(15, 5)
             _lanes_as_rows("zero_sum", params, streams, rows, 6, 2, values)

@@ -147,7 +147,7 @@ def test_attacks_reject_a_nonpositive_epsilon_before_any_draw(monkeypatch, epsil
     def refuse(*args, **kwargs):
         raise AssertionError("a noise stream was drawn")
 
-    monkeypatch.setattr("privagg.noise.stream_rows", refuse)
+    monkeypatch.setattr("privagg.privacy.stream_lanes", refuse)
     view = AdversaryView(generate("ring", 5), 0, 1)
     with pytest.raises(ValueError, match="epsilon must be > 0"):
         naive_attack(view, NoiseParams(seed=0), epsilon, 10)
