@@ -17,15 +17,21 @@ A run advances one block of rounds at a time. A block ends at the next
 event iteration, at max_rounds or after noise.STACK_VALUES values of
 state, and holds no more rounds than the run has already run (one at
 least), so a run that stops early computes fewer than twice its rounds.
-Each of its rounds only adds theta to the state and calls the kernel;
-the bookkeeping runs once per block over the (rounds x n) stack of
-states: the envelope and finiteness guards, the check that every
-broadcast is finite, spread, error and the term_epsilon gap. The run
-stops where a round-by-round loop stops, at the first round at which a
-guard or a stopping rule fires, and the block's later rounds are
-discarded. The floating-point errors of the rounds up to the stop reach
-the caller's numpy error handling as a round-by-round loop's would (see
-run); those of the discarded rounds do not.
+Each of its rounds only adds theta to the state and calls the kernel,
+unless the state is a fixed point of the segment's kernel: once a
+block's last round gives back its broadcast x_plus bit for bit with no
+floating-point error, the next blocks of the segment add theta to all
+their rounds at once, and the leading rounds whose x_plus is the state
+bit for bit repeat it without a kernel call. A run whose noise decays
+settles there long before the default horizon of n^2 rounds, once its
+noise is below half an ulp of the state. The bookkeeping runs once per
+block over the (rounds x n) stack of states: the envelope and finiteness
+guards, the check that every broadcast is finite, spread, error and the
+term_epsilon gap. The run stops where a round-by-round loop stops, at the
+first round at which a guard or a stopping rule fires, and the block's
+later rounds are discarded. The floating-point errors of the rounds up to
+the stop reach the caller's numpy error handling as a round-by-round
+loop's would (see run); those of the discarded rounds do not.
 """
 
 from __future__ import annotations
@@ -195,8 +201,11 @@ def run(config: RunConfig) -> RunTrace:
     the block's stop is known, the rounds up to it that raised one run
     again under the caller's handling, so their warnings (or a raise)
     come as from a round-by-round loop, though after the block's rounds
-    rather than between them. The kernel must give the same result for
-    the same operands."""
+    rather than between them. The kernel must be pure: the same result,
+    and the same floating-point errors, for the same operands. A run
+    relies on that to skip the kernel at a fixed point (see the module
+    docstring), so a kernel that counts its calls or changes with them
+    sees fewer calls than rounds once a run settles."""
     g = config.graph
     kernel = get_backend().step
     matrix_form = config.update_form == "matrix"
@@ -221,6 +230,7 @@ def run(config: RunConfig) -> RunTrace:
     ei = 0
     k = 0
     ids = tuple(range(n))  # one tuple per topology segment, shared by its rounds
+    fixed = False  # x is a fixed point of this segment's kernel
     while True:
         first, before = ei, g
         while ei < len(events) and events[ei].at_iteration == k:
@@ -237,6 +247,7 @@ def run(config: RunConfig) -> RunTrace:
             wm = metropolis(g, base=(before, wm))  # apply_event checked connectivity
             weights, cols = _kernel_operands(wm, matrix_form)
             ids = tuple(np.arange(n)[live].tolist())
+            fixed = False
 
         # The block: rounds k .. end - 1 broadcast, as many as have run (one
         # at least), up to the next event, max_rounds or the value budget;
@@ -252,13 +263,21 @@ def run(config: RunConfig) -> RunTrace:
         # The errors the caller heeds are noted by round, not reported: past
         # a stop the block works on values the round loop never forms.
         faults: list[int] = []
-        j = 0
+        j = skip = 0
         heed = {kind: "call" if how != "ignore" else how for kind, how in np.geterr().items()}
         with np.errstate(**heed, call=lambda *_: faults.append(j)):
-            for j, (x_plus, theta_k, x_next) in enumerate(zip(plus, theta, states[1:])):
-                np.add(x, theta_k, out=x_plus)
-                x_next[:] = kernel(weights, cols, x_plus)
-                x = x_next
+            if fixed:  # a round whose x_plus is x gives x again, with no fault
+                np.add(x, theta, out=plus)
+                if faults:  # an add faulted somewhere: every round runs
+                    faults.clear()
+                else:
+                    still = (plus.view(np.uint64) == x.view(np.uint64)).all(axis=1)
+                    skip = len(still) if still.all() else int(still.argmin())
+                    states[1 : skip + 1] = x
+            for j in range(skip, end - k):
+                np.add(x, theta[j], out=plus[j])
+                states[j + 1] = kernel(weights, cols, plus[j])
+                x = states[j + 1]
         rows = max(end - k, 1)  # the states checked here: x(k) .. x(k + rows - 1)
         eps = config.term_epsilon if len(ids) > 1 else 0.0
         with np.errstate(all="ignore"):
@@ -294,6 +313,10 @@ def run(config: RunConfig) -> RunTrace:
             trace.reason = cause
             trace.x_final = states[r, live].copy()
             return trace
+        # x is a fixed point if the last round's kernel gave its x_plus back unfaulted
+        last = end - k - 1
+        same = plus[last].view(np.uint64) == states[-1].view(np.uint64)
+        fixed = last not in faults and bool(same.all())
         k = end
 
 
@@ -332,9 +355,15 @@ def _first_stop(
         "broadcast": np.zeros(rows, dtype=bool),
     }
     if term_epsilon > 0.0:
-        gap = np.zeros(rows)
-        for c in support:  # slot by slot: each node against one neighbour
-            np.maximum(gap, np.abs(states[:, c] - states).max(axis=1), out=gap)
+        # max_j |fl(x_j - x_i)| over i's support is max(fl(hi_i - x_i),
+        # fl(x_i - lo_i)), as rounding is monotone and odd; NaN stays NaN
+        nodes = np.ascontiguousarray(states.T)  # node i's rounds in row i
+        hi, lo = nodes.take(support[0], axis=0), nodes.take(support[0], axis=0)
+        for c in support[1:]:  # slot by slot, the support's running max and min
+            near = nodes.take(c, axis=0)
+            np.maximum(hi, near, out=hi)
+            np.minimum(lo, near, out=lo)
+        gap = np.maximum(hi - nodes, nodes - lo, out=hi).max(axis=0)
         causes["term_epsilon"] = gap <= term_epsilon
     causes["max_iterations"][-1] = at_max
     causes["broadcast"][: len(plus)] = ~np.isfinite(plus[:, live]).all(axis=1)

@@ -236,21 +236,21 @@ def theta_block(scheme: str, params: NoiseParams, raw: np.ndarray) -> np.ndarray
         scales = [0.5 * p.alpha * p.rho**k * DRAW_MARGIN for k in range(len(raw))]
         raw *= np.array(scales).reshape((-1,) + (1,) * (raw.ndim - 1))
     else:
-        deltas = [None] * p.h  # each chain's residual after its latest round
-        for k in range(len(raw)):
-            chain, inner = k % p.h, k // p.h
-            draw = raw[k] * (envelope(p, inner) * DRAW_MARGIN)
-            if inner == 0:
-                raw[k] = deltas[chain] = draw
-                continue
-            delta = deltas[chain]
-            theta = draw - delta
+        # Python int powers: rho ** np.int64(k) can differ in the last bit
+        bounds = [envelope(p, k // p.h) for k in range(len(raw))]
+        raw *= (np.array(bounds) * DRAW_MARGIN).reshape((-1,) + (1,) * (raw.ndim - 1))
+        rows = raw[:, None] if raw.ndim == 1 else raw  # rows[k] is a view for any lanes
+        deltas = list(rows[: p.h])  # each chain's residual after its latest round
+        for k in range(p.h, len(raw)):
+            chain, bound = k % p.h, bounds[k]
+            delta, theta = deltas[chain], rows[k]
+            np.subtract(theta, delta, out=theta)
             new = delta + theta
-            bad = np.abs(new) > envelope(p, inner)
-            if bad.any():  # float guard; fires once an ulp of delta outgrows the margin
-                theta = np.where(bad, -delta, theta)
+            # float guard; fires once an ulp of delta outgrows the margin
+            if not np.abs(new).max(initial=0.0) <= bound:
+                bad = np.abs(new) > bound
+                theta[...] = np.where(bad, -delta, theta)
                 new = delta + theta
-            raw[k] = theta
             deltas[chain] = new
     return raw
 

@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privagg import backend
-from privagg.engine import EngineAbort, RunConfig, run
+from privagg.engine import EngineAbort, RunConfig, _first_stop, run
 from privagg.noise import DISTRIBUTIONS, SCHEMES, NoiseParams, node_theta_block
 from privagg.topology import ConnectivityError, TopologyEvent, apply_event, generate
+from privagg.weights import metropolis
 
 from round_reference import round_run
 
@@ -143,7 +144,9 @@ def test_block_loop_matches_round_loop(cfg, budget):
 
 def _faulty(at: int, value: float):
     """A Backend whose kernel writes value into node 0's state from kernel
-    call `at` on, so x(at + 1) is the first state it touches."""
+    call `at` on, so x(at + 1) is the first state it touches. It counts its
+    calls, so it is valid only on runs that never reach a fixed point,
+    where engine.run calls the kernel once per round."""
 
     def factory():
         calls = []
@@ -162,7 +165,8 @@ def _faulty(at: int, value: float):
 
 def _overflowing(at: int):
     """A Backend whose kernel returns 1e308 * 10 from kernel call `at` on:
-    inf, with numpy's floating-point overflow error."""
+    inf, with numpy's floating-point overflow error. Like _faulty, valid
+    only on runs that never reach a fixed point."""
 
     def factory():
         calls = []
@@ -326,3 +330,134 @@ def test_overflowing_spread_and_gap_warn_as_the_round_loop_does(x0, eps):
     assert math.isinf(want.spreads[0])
     wording = lambda caught: {(c, m.replace("scalar ", "")) for c, m in caught}
     assert wording(got_warnings) == wording(want_warnings) != set()
+
+
+# A run that settles: from round SETTLED on, x(k) repeats bit for bit (its
+# noise is below half an ulp of the state and W maps x to itself), so
+# engine.run fills later blocks of the same segment without kernel calls.
+# Each event moves the state again for a few rounds before it re-settles.
+_SETTLING = dict(
+    graph=generate("random_gnp", 6, seed=1, p=0.6),
+    x0=np.linspace(-10.0, 20.0, 6),
+    noise=NoiseParams(seed=3, rho=0.3),
+    max_iterations=300,
+)
+SETTLED = 51
+_AFTER_SETTLING = [
+    (TopologyEvent(71, "add_edge", (0, 3)),),
+    (TopologyEvent(100, "remove_edge", (0, 2)),),
+    (TopologyEvent(130, "remove_node", 5),),
+    (TopologyEvent(64, "add_edge", (0, 3)), TopologyEvent(200, "remove_node", 2)),
+]
+
+
+def test_the_settling_run_repeats_its_state_from_its_fixed_point():
+    xs = round_run(RunConfig(**_SETTLING)).xs
+    repeats = [_bits(xs[k]) == _bits(xs[k + 1]) for k in range(len(xs) - 1)]
+    assert not repeats[SETTLED - 1] and all(repeats[SETTLED:])
+    for events in _AFTER_SETTLING:  # every event moves the state again
+        xs = round_run(RunConfig(**_SETTLING, events=events)).xs
+        at = events[0].at_iteration
+        assert any(_bits(xs[k]) != _bits(xs[k + 1]) for k in range(at, at + 10))
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("eps", [0.0, 1e-16, 1e-15])
+@pytest.mark.parametrize("events", _AFTER_SETTLING, ids=lambda e: "+".join(x.kind for x in e))
+@pytest.mark.parametrize("form", ["matrix", "per_node"])
+def test_events_after_a_fixed_point_run_as_the_round_loop_does(budget, eps, events, form):
+    cfg = RunConfig(**_SETTLING, term_epsilon=eps, events=events, update_form=form)
+    assert_same_outcome(cfg, budget)
+
+
+def test_a_settled_run_skips_the_kernel(monkeypatch):
+    calls = []
+
+    def counting():
+        def step(weights, cols, v):
+            calls.append(None)
+            return backend.step(weights, cols, v)
+
+        return backend.Backend("counting", step)
+
+    monkeypatch.setattr("privagg.engine.get_backend", counting)
+    trace = run(RunConfig(**_SETTLING))
+    assert trace.reason == "max_iterations" and trace.k_stop == 300
+    # blocks double, so the last block that calls the kernel ends before 2 * SETTLED
+    assert len(calls) < 2 * SETTLED
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+@pytest.mark.parametrize("at", [SETTLED + 20, 64, 127, 128, 250])
+@pytest.mark.parametrize(
+    "value, message",
+    [(math.inf, "non-finite broadcast"), (math.nan, "non-finite broadcast"), (1e6, "state envelope")],
+)
+def test_a_blown_draw_after_a_fixed_point_aborts_where_the_round_loop_does(
+    monkeypatch, budget, at, value, message
+):
+    def blown(scheme, params, n, rounds):
+        block = node_theta_block(scheme, params, n, rounds)
+        block[at, 1] = value
+        return block
+
+    monkeypatch.setattr("privagg.engine.node_theta_block", blown)
+    cfg = RunConfig(**_SETTLING)
+    stop = at if value != 1e6 else at + 1
+    with pytest.raises(EngineAbort, match=f"^{message}.* at iteration {stop}"):
+        round_run(cfg)
+    assert_same_outcome(cfg, budget)
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGETS))
+def test_a_kernel_that_faults_at_its_fixed_point_warns_in_every_round(monkeypatch, budget):
+    # a pure kernel that overflows on a scratch value whenever it returns
+    # its input: a round that noted a fault gives no fixed point, so every
+    # settled round warns, once each, as in the round loop
+    def factory():
+        def step(weights, cols, v):
+            out = backend.step(weights, cols, v)
+            if _bits(out) == _bits(v):
+                np.full(1, 1e308) * 10.0
+            return out
+
+        return backend.Backend("settled_overflow", step)
+
+    monkeypatch.setattr("privagg.engine.get_backend", factory)
+    monkeypatch.setattr("privagg.engine.STACK_VALUES", BUDGETS[budget](6))
+    cfg = RunConfig(**_SETTLING)
+    counts = []
+    for loop in (round_run, run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loop(cfg)
+        counts.append(sum("overflow" in str(w.message) for w in caught))
+    assert counts[0] == counts[1] == 300 - SETTLED
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_the_term_epsilon_gap_is_the_round_loops_neighbour_gap(data):
+    # max(fl(hi - x), fl(x - lo)) over a support stops where max |fl(x_j - x)|
+    # does, with zeros of either sign, overflowing differences, infinities and
+    # NaN; non-finite values sit in columns the state guard does not read
+    n = data.draw(st.integers(1, 7))
+    graph = generate("random_gnp", n, seed=data.draw(st.integers(0, 99)), p=0.5) if n > 1 else None
+    support = metropolis(graph).cols if graph else np.zeros((1, 1), dtype=np.intp)
+    live = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    finite = [0.0, -0.0, 1.0, 1.0 + 2**-52, -3.5, 5e-324, 1.7e308, -1.7e308]
+    rows = data.draw(st.lists(
+        st.lists(st.sampled_from(finite + [math.inf, -math.inf, math.nan]), min_size=n, max_size=n),
+        min_size=1, max_size=6,
+    ))
+    states = np.array(rows)
+    states[:, live] = np.nan_to_num(states[:, live], nan=2.0, posinf=-0.0, neginf=5e-324)
+    eps = data.draw(st.sampled_from([5e-324, 2**-52, 0.5, 1.7e308, math.inf]))
+    want = (len(states), "")
+    with np.errstate(all="ignore"):
+        for r, x in enumerate(states):
+            if float(np.max(np.abs(x[support] - x))) <= eps:
+                want = (r, "term_epsilon")
+                break
+        r, cause, _, _ = _first_stop(states, states[:0], live, math.inf, False, eps, support)
+    assert (r, cause) == want

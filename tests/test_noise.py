@@ -414,6 +414,31 @@ def test_theta_block_returns_raw_overwritten_in_any_lane_shape(scheme):
         assert np.array_equal(lane, want[:, i]), i
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    lanes=st.sampled_from([(), (1,), (7,), (2, 3), (3, 1)]),
+    rounds=st.integers(1, 40),
+    h=st.integers(1, 4),
+    alpha=st.sampled_from([1e-3, 1.0, 7.5, 1e300]),
+    rho=st.sampled_from([0.0, 1e-16, 0.3, 0.9, 0.999]),
+    distribution=st.sampled_from(DISTRIBUTIONS),
+    seed=st.integers(0, 2**16),
+)
+def test_zero_sum_block_is_the_scalar_reference_bit_for_bit(
+    lanes, rounds, h, alpha, rho, distribution, seed
+):
+    # lanes of any shape read one stream in row-major order, as the scalar
+    # processes do when they share it; rho = 1e-16 makes the float guard fire
+    params = NoiseParams(alpha=alpha, rho=rho, h=h, distribution=distribution, seed=seed)
+    width = math.prod(lanes)
+    raw = raw_draws("zero_sum", params, seeded_stream(seed), rounds * width)
+    block = theta_block("zero_sum", params, raw.reshape((rounds, *lanes)))
+    stream = RawStream(seeded_stream(seed))
+    procs = [ZeroSumNoise(params, i, stream) for i in range(width)]
+    want = np.array([[proc.sample(k) for proc in procs] for k in range(rounds)])
+    assert np.array_equal(block.reshape(want.shape).view(np.uint64), want.view(np.uint64))
+
+
 def test_float_guard_matches_the_reference_where_it_fires():
     # rho = 1e-16: an ulp of the round-0 residual outgrows the round-1 envelope,
     # so fl(delta + theta) can leave it and the guard sets theta = -delta
