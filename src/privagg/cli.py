@@ -186,6 +186,14 @@ def cmd_attack(args) -> int:
     return 0
 
 
+_SIGMA_SCOPE = (
+    "sigma_analytic is the ceiling on a neighbor's chance of estimating a target's x0"
+    " within +-epsilon from one round-0 broadcast. It holds for a target whose observer"
+    " does not see its whole neighborhood; an observer that sees it, or that combines"
+    " several rounds, can do better."
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="privagg",
@@ -205,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("privacy", help="analytic vs empirical disclosure curve")
+    p = sub.add_parser("privacy", help="analytic vs empirical disclosure curve",
+                       description=_SIGMA_SCOPE)
     p.add_argument("config")
     p.add_argument("--epsilons", required=True, type=_float_values,
                    help="comma-separated accuracies")
@@ -213,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_privacy)
 
-    p = sub.add_parser("attack", help="run a concrete adversary")
+    p = sub.add_parser("attack", help="run a concrete adversary", description=_SIGMA_SCOPE)
     p.add_argument("config")
     p.add_argument("--kind", required=True, choices=("naive", "later", "disclosure"))
     p.add_argument("--epsilon", type=_finite_float, default=None)

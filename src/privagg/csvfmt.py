@@ -24,22 +24,36 @@ nothing between calls. A writer's buffers are plain numpy arrays that
 live for one call: the Sheet and the chunk's values and text are sized
 by ``CHUNK_ROWS`` or the widest round, the integer tables by the file's
 rounds and node ids.
+
+Each chunk but the last is written behind: the Sheet's one background
+thread drops its NULs and writes its text while the calling thread
+formats the next chunk, and the calling thread waits for that write
+before it refills the Sheet, so chunks reach the file in order. The
+mask, the NUL drop and the file write release the GIL, while ``floats``
+is hundreds of small numpy calls that hold it between steps, so the two
+overlap on a second core; formatting itself stays on one thread, as two
+threads that each format half a chunk take longer than one. A failed
+write is raised by the writer call, and no thread outlives the call.
 """
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-# Trace and summary rows formatted per chunk, unless one round is wider.
-# The chunk, not the number of rounds, sets most of a writer's memory: the
-# sheet and write_trace's buffers take about 2 MiB, and one floats call
-# over at most 3 * CHUNK_ROWS of a chunk's values (about 375 bytes of
-# temporaries each, most of them the gather index) about 9 MiB more, so a
-# write_trace call peaks at about 11 MiB. A round wider than a chunk widens
-# the buffers, about 300 bytes a node, but not the floats call.
+# Trace and summary rows formatted per chunk, unless one round is wider,
+# and rows whose NULs are dropped at a time. The chunk, not the number of
+# rounds, sets most of a writer's memory: the sheet and write_trace's
+# buffers take about 2 MiB; the NUL drop's mask about 1 MiB and its text
+# about half that, on the writer thread, beside the next chunk's
+# formatting; and one floats call over at most 3 * CHUNK_ROWS of a
+# chunk's values (about 375 bytes of temporaries each, most of them the
+# gather index) about 9 MiB more, so a write_trace call peaks at about
+# 12 MiB. A round wider than a chunk widens the buffers, about 300 bytes
+# a node, but not the floats call or the NUL drop.
 CHUNK_ROWS = 8192
 FLOAT_WORDS = 4  # a separator byte and at most 24 of text, as in "-1.2345678901234567e-100"
 
@@ -314,6 +328,12 @@ class Sheet:
     a comma in byte 0 of every field but the first and ends each row with
     \\r\\n. The text of the first m rows is the matrix's bytes with the
     NULs dropped. The matrix holds at most `rows` rows and starts all NUL.
+
+    write_behind() does write()'s work on the sheet's own thread, started
+    at its first call, while the caller formats the next chunk; wait()
+    blocks until that write is done, so the matrix may be refilled, and
+    re-raises its error. Leaving a ``with sheet:`` block waits too and
+    stops the thread.
     """
 
     def __init__(self, widths: list[int], rows: int):
@@ -322,17 +342,76 @@ class Sheet:
         self._commas = 8 * starts[1:-1]
         self.matrix = np.zeros((rows, starts[-1] + 1), dtype=TEXT_WORD)
         self._bytes = self.matrix.view(np.uint8)
+        self._mask = np.empty(min(rows, CHUNK_ROWS) * self._bytes.shape[1], dtype=bool)
+        self._thread: threading.Thread | None = None
+        self._job: tuple | None = None  # the file and rows handed to the thread
+        self._ready, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._error: Exception | None = None
 
     def field(self, j: int) -> np.ndarray:
         """The words of field j, one row per CSV row."""
         return self.matrix[:, self.fields[j]]
 
     def write(self, f, m: int) -> None:
-        """Write the CSV text of the first m rows to the binary file f."""
+        """Write the CSV text of the first m rows to the binary file f.
+
+        The NULs are dropped CHUNK_ROWS rows at a time, through a mask
+        allocated with the sheet, so a round wider than a chunk does not
+        widen the drop. The mask, the drop and f.write release the GIL,
+        which lets write_behind() run this beside the caller's formatting.
+        """
         self.matrix[:m, -1] = _CRLF
         self._bytes[:m, self._commas] = 44
-        text = self._bytes[:m]
-        f.write(text[text != 0])
+        for r0 in range(0, m, CHUNK_ROWS):
+            piece = self._bytes[r0 : min(r0 + CHUNK_ROWS, m)].reshape(-1)
+            f.write(piece[np.not_equal(piece, 0, out=self._mask[: piece.size])])
+
+    def write_behind(self, f, m: int) -> None:
+        """write(f, m) on the sheet's thread. Returns once the previous
+        write is done, re-raising its error, and this one is handed over;
+        the first m rows must not change until wait()."""
+        self.wait()
+        if self._thread is None:  # a daemon, so that an interrupted join cannot hang the exit
+            self._thread = threading.Thread(target=self._serve, daemon=True)
+            self._thread.start()
+        self._job = (f, m)
+        self._ready.release()
+
+    def _serve(self) -> None:
+        while self._ready.acquire() and self._job is not None:  # no job: stop
+            try:
+                self.write(*self._job)
+            except Exception as error:  # re-raised in the caller's thread by wait()
+                self._error = error
+            finally:
+                self._done.release()
+
+    def wait(self) -> None:
+        """Block until the last write_behind() is done; re-raise its error."""
+        if self._job is not None:
+            self._done.acquire()
+            self._job = None
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def __enter__(self) -> Sheet:
+        return self
+
+    def __exit__(self, kind, *_) -> None:
+        """Wait for the last write and stop the thread; re-raise a failed
+        write unless the block itself raised."""
+        try:
+            self.wait()
+        except Exception:
+            if kind is None:
+                raise
+        finally:
+            if self._thread is not None:
+                self._job = None  # also after an interrupted wait: the thread returns
+                self._ready.release()
+                self._thread.join()
+                self._thread = None
 
 
 def int_text(values: Sequence[int]) -> np.ndarray:
@@ -410,7 +489,7 @@ def write_trace(
     changed = np.empty(rows, dtype=bool)
     text = _items(words)
     bits = x.view(np.uint64)
-    with open(path, "wb") as f:
+    with open(path, "wb") as f, sheet:
         f.write(b"k,node_id,x,x_plus,theta\r\n")
         k0 = 0
         while k0 < rounds:
@@ -424,10 +503,10 @@ def write_trace(
             if mt:  # the rows with a broadcast
                 np.concatenate(thetas[k0:kt], out=values[:mt])
             cuts = [k0, *(np.flatnonzero(opens[k0 + 1 : k1]) + k0 + 1).tolist(), k1]
-            for a, b in zip(cuts, cuts[1:]):  # the chunk's pieces of topology segments
+            pieces = []  # the chunk's pieces of topology segments
+            for a, b in zip(cuts, cuts[1:]):
                 n, r0, r1 = int(sizes[a]), int(first[a - k0]), int(starts[b] - starts[k0])
-                k_text[r0:r1].reshape(b - a, n)[:] = k_table[a:b, None]
-                id_text[r0:r1].reshape(b - a, n)[:] = id_table[id_first[a] : id_first[a] + n]
+                pieces.append((a, b, n, r0, r1))
                 # each row against the same node's a round earlier; before
                 # the chunk sit the previous chunk's last round's rows
                 r = widest + r0
@@ -444,6 +523,10 @@ def write_trace(
                 q = min(p + 3 * CHUNK_ROWS, count)
                 floats(values[p:q], words[widest + p : widest + q])
 
+            sheet.wait()  # the previous chunk is written: the sheet is free
+            for a, b, n, r0, r1 in pieces:
+                k_text[r0:r1].reshape(b - a, n)[:] = k_table[a:b, None]
+                id_text[r0:r1].reshape(b - a, n)[:] = id_table[id_first[a] : id_first[a] + n]
             # A round's x text starts at its latest fresh round's, in text
             # after theta's, or at the kept round's, at 0.
             at = np.cumsum(size * fresh) - size * fresh + widest + mt
@@ -458,7 +541,8 @@ def write_trace(
             last = int(size[-1])  # kept for the next chunk's x text
             text[:last] = x_text[m - last : m]
             x[widest - last : widest] = chunk[m - last :]
-            sheet.write(f, m)
+            # the last chunk has nothing to be formatted beside its write
+            (sheet.write if k1 == rounds else sheet.write_behind)(f, m)
             k0 = k1
 
 
@@ -471,14 +555,15 @@ def write_summary(path: str | Path, spreads: Sequence[float], errs: Sequence[flo
     k_text, v_text, e_text = map(sheet.field, range(3))
     values = np.empty(2 * rows)
     text = np.empty((2 * rows, FLOAT_WORDS), dtype=TEXT_WORD)
-    with open(path, "wb") as f:
+    with open(path, "wb") as f, sheet:
         f.write(b"k,V,err\r\n")
         for r0 in range(0, len(spreads), CHUNK_ROWS):
             m = min(rows, len(spreads) - r0)
-            k_text[:m] = k_table[r0 : r0 + m]
             values[:m] = spreads[r0 : r0 + m]
             values[m : 2 * m] = errs[r0 : r0 + m]
             floats(values[: 2 * m], text[: 2 * m])
+            sheet.wait()  # the previous chunk is written: the sheet is free
+            k_text[:m] = k_table[r0 : r0 + m]
             v_text[:m] = text[:m]
             e_text[:m] = text[m : 2 * m]
-            sheet.write(f, m)
+            (sheet.write if r0 + m == len(spreads) else sheet.write_behind)(f, m)

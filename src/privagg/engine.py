@@ -18,16 +18,18 @@ event iteration, at max_rounds or after noise.STACK_VALUES values of
 state, and holds no more rounds than the run has already run (one at
 least), so a run that stops early computes fewer than twice its rounds.
 Each of its rounds only adds theta to the state and calls the kernel,
-unless the state is a fixed point of the segment's kernel: once a
-block's last round gives back its broadcast x_plus bit for bit with no
-floating-point error, the next blocks of the segment add theta to all
-their rounds at once, and the leading rounds whose x_plus is the state
-bit for bit repeat it without a kernel call. A run whose noise decays
-settles there long before the default horizon of n^2 rounds, once its
-noise is below half an ulp of the state. The bookkeeping runs once per
-block over the (rounds x n) stack of states: the envelope and finiteness
-guards, the check that every broadcast is finite, spread, error and the
-term_epsilon gap. The run stops where a round-by-round loop stops, at the
+unless the state is a fixed point of the segment's kernel: once a round
+that ends at a multiple of FIXED_POINT_PROBE rounds, or a block's last
+round, gives back its broadcast x_plus bit for bit with no floating-point
+error, the block's later rounds add theta at once, and the leading
+rounds whose x_plus is the state bit for bit repeat it without a kernel
+call. A run whose noise decays settles there long before the default
+horizon of n^2 rounds, once its noise is below half an ulp of the state;
+a run that never settles pays one comparison of n values per
+FIXED_POINT_PROBE rounds. The bookkeeping runs once per block over the
+(rounds x n) stack of states: the envelope and finiteness guards, the
+check that every broadcast is finite, spread, error and the term_epsilon
+gap. The run stops where a round-by-round loop stops, at the
 first round at which a guard or a stopping rule fires, and the block's
 later rounds are discarded. The floating-point errors of the rounds up to
 the stop reach the caller's numpy error handling as a round-by-round
@@ -52,6 +54,10 @@ from .topology import is_connected  # noqa: F401  perfbench/tracer.py wraps engi
 from .weights import WeightMatrix, metropolis
 
 UPDATE_FORMS = ("matrix", "per_node")
+# Rounds between the tests for a fixed point inside a block: a run makes
+# at most this many kernel calls past the round from which its state
+# repeats.
+FIXED_POINT_PROBE = 16
 AGGREGATE_KINDS = ("sum", "average")
 
 
@@ -231,6 +237,7 @@ def run(config: RunConfig) -> RunTrace:
     k = 0
     ids = tuple(range(n))  # one tuple per topology segment, shared by its rounds
     fixed = False  # x is a fixed point of this segment's kernel
+    same = np.empty(n, dtype=bool)  # the probe's test of x_plus against x
     while True:
         first, before = ei, g
         while ei < len(events) and events[ei].at_iteration == k:
@@ -263,21 +270,30 @@ def run(config: RunConfig) -> RunTrace:
         # The errors the caller heeds are noted by round, not reported: past
         # a stop the block works on values the round loop never forms.
         faults: list[int] = []
-        j = skip = 0
+        j = 0
         heed = {kind: "call" if how != "ignore" else how for kind, how in np.geterr().items()}
         with np.errstate(**heed, call=lambda *_: faults.append(j)):
-            if fixed:  # a round whose x_plus is x gives x again, with no fault
-                np.add(x, theta, out=plus)
-                if faults:  # an add faulted somewhere: every round runs
-                    faults.clear()
-                else:
-                    still = (plus.view(np.uint64) == x.view(np.uint64)).all(axis=1)
-                    skip = len(still) if still.all() else int(still.argmin())
-                    states[1 : skip + 1] = x
-            for j in range(skip, end - k):
-                np.add(x, theta[j], out=plus[j])
-                states[j + 1] = kernel(weights, cols, plus[j])
-                x = states[j + 1]
+            while j < end - k:
+                if fixed:  # rounds whose x_plus is x give x again, with no fault
+                    with np.errstate(all="ignore"):  # a round that differs runs again below
+                        np.add(x, theta[j:], out=plus[j:])
+                    still = (plus[j:].view(np.uint64) == x.view(np.uint64)).all(axis=1)
+                    fixed = bool(still.all())
+                    skip = len(still) if fixed else int(still.argmin())
+                    states[j + 1 : j + skip + 1] = x
+                    j += skip
+                    continue
+                # the rounds up to the next multiple of FIXED_POINT_PROBE or
+                # the block's end; x is a fixed point if the last round's
+                # kernel gave its x_plus back unfaulted
+                probe = min(end, k + j + FIXED_POINT_PROBE - (k + j) % FIXED_POINT_PROBE)
+                for j in range(j, probe - k):
+                    np.add(x, theta[j], out=plus[j])
+                    states[j + 1] = kernel(weights, cols, plus[j])
+                    x = states[j + 1]
+                np.equal(plus[j].view(np.uint64), x.view(np.uint64), out=same)
+                fixed = faults[-1:] != [j] and bool(same.all())
+                j = probe - k
         rows = max(end - k, 1)  # the states checked here: x(k) .. x(k + rows - 1)
         eps = config.term_epsilon if len(ids) > 1 else 0.0
         with np.errstate(all="ignore"):
@@ -313,10 +329,6 @@ def run(config: RunConfig) -> RunTrace:
             trace.reason = cause
             trace.x_final = states[r, live].copy()
             return trace
-        # x is a fixed point if the last round's kernel gave its x_plus back unfaulted
-        last = end - k - 1
-        same = plus[last].view(np.uint64) == states[-1].view(np.uint64)
-        fixed = last not in faults and bool(same.all())
         k = end
 
 

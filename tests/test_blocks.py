@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privagg import backend
-from privagg.engine import EngineAbort, RunConfig, _first_stop, run
+from privagg.engine import FIXED_POINT_PROBE, EngineAbort, RunConfig, _first_stop, run
 from privagg.noise import DISTRIBUTIONS, SCHEMES, NoiseParams, node_theta_block
 from privagg.topology import ConnectivityError, TopologyEvent, apply_event, generate
 from privagg.weights import metropolis
@@ -385,6 +385,35 @@ def test_a_settled_run_skips_the_kernel(monkeypatch):
     assert trace.reason == "max_iterations" and trace.k_stop == 300
     # blocks double, so the last block that calls the kernel ends before 2 * SETTLED
     assert len(calls) < 2 * SETTLED
+
+
+@pytest.mark.parametrize("seed", [7, 11, 13])
+def test_a_run_finds_its_fixed_point_inside_a_block(monkeypatch, seed):
+    # a 50-node run that settles in the block [256, 512): it stops calling
+    # the kernel within FIXED_POINT_PROBE rounds, not at the block's end
+    calls = []
+
+    def counting():
+        def step(weights, cols, v):
+            calls.append(None)
+            return backend.step(weights, cols, v)
+
+        return backend.Backend("counting", step)
+
+    cfg = RunConfig(
+        graph=generate("random_gnp", 50, seed=seed, p=0.2),
+        x0=np.random.default_rng(seed).uniform(0.0, 100.0, 50),
+        noise=NoiseParams(seed=seed, distribution="truncated_gaussian"),
+        max_iterations=2500,
+    )
+    want = round_run(cfg)
+    monkeypatch.setattr("privagg.engine.get_backend", counting)
+    got = run(cfg)
+    assert_same_trace(got, want)
+    xs = want.xs
+    settled = 1 + max(k for k in range(len(xs) - 1) if _bits(xs[k]) != _bits(xs[k + 1]))
+    assert 256 < settled < 512 - FIXED_POINT_PROBE
+    assert settled < len(calls) <= settled + FIXED_POINT_PROBE
 
 
 @pytest.mark.parametrize("budget", sorted(BUDGETS))

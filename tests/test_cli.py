@@ -148,6 +148,17 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("command", ["privacy", "attack"])
+def test_help_scopes_the_analytic_ceiling(command, capsys):
+    # sigma_analytic bounds a single round-0 broadcast against an observer
+    # that does not see the target's whole neighbourhood, and no more
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "from one round-0 broadcast" in text
+    assert "does not see its whole neighborhood" in text
+    assert "several rounds, can do better" in text
+
+
 def test_json_config_accepted(tmp_path, capsys):
     path = tmp_path / "exp.json"
     path.write_text(

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import io
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privagg import csvfmt
 from privagg.csvfmt import (
     _PATTERNS, CHUNK_ROWS, FLOAT_WORDS, Sheet, floats, int_text, write_summary, write_trace,
 )
@@ -222,3 +225,92 @@ def test_write_trace_memory_in_the_number_of_nodes(tmp_path):
     thetas = list(rng.normal(size=(2, len(ids))))
     peak = _peak_mib(lambda: write_trace(tmp_path / "t.csv", xs, thetas, [ids] * 3))
     assert peak < 32.0, peak
+
+
+class _File(io.BytesIO):
+    """A binary file that notes which threads wrote a chunk's text. If
+    `fail` names a thread ("writer" or "caller"), its writes raise; the
+    writer thread's writes take `delay` seconds."""
+
+    def __init__(self, fail: str | None = None, delay: float = 0.0):
+        super().__init__()
+        self.fail, self.delay, self.writers = fail, delay, set()
+
+    def write(self, data):
+        if not isinstance(data, bytes):  # a chunk's text, not the header
+            on = "caller" if threading.current_thread() is threading.main_thread() else "writer"
+            self.writers.add(on)
+            if on == self.fail:
+                raise OSError(f"no space left, on the {on} thread")
+            if on == "writer":
+                time.sleep(self.delay)
+        return super().write(data)
+
+    def close(self):
+        self.text = self.getvalue()  # what the writer left, read after it closed the file
+        super().close()
+
+
+def _three_chunks(kind: str, rng):
+    """A write_trace or write_summary call of three chunks of rows, and the
+    bytes it writes. A "wide" trace has three rounds wider than a chunk,
+    so each chunk's NULs are dropped in two pieces."""
+    if kind == "summary":
+        spreads, errs = rng.exponential(size=(2, 2 * CHUNK_ROWS + 5)).tolist()
+        rows = ["k,V,err"] + [f"{k},{v!r},{e!r}" for k, (v, e) in enumerate(zip(spreads, errs))]
+        return lambda: write_summary("out.csv", spreads, errs), "\r\n".join(rows) + "\r\n"
+    n = 8 if kind == "trace" else CHUNK_ROWS + 100
+    rounds = 3 * CHUNK_ROWS // n if kind == "trace" else 3
+    xs, thetas = rng.normal(size=(rounds, n)), rng.normal(size=(rounds - 1, n))
+    rows = ["k,node_id,x,x_plus,theta"]
+    for k, x in enumerate(xs.tolist()):
+        theta = thetas[k].tolist() if k < rounds - 1 else None
+        for i in range(n):
+            tail = f"{x[i] + theta[i]!r},{theta[i]!r}" if theta else ","
+            rows.append(f"{k},{i},{x[i]!r},{tail}")
+    ids = [tuple(range(n))] * rounds
+    return lambda: write_trace("out.csv", list(xs), list(thetas), ids), "\r\n".join(rows) + "\r\n"
+
+
+def _open_files(monkeypatch, *files: _File) -> None:
+    """csvfmt's writers open the given files, one per call."""
+    queue = list(files)
+    monkeypatch.setattr(csvfmt, "open", lambda path, mode: queue.pop(0), raising=False)
+
+
+@pytest.mark.parametrize("kind", ["trace", "summary"])
+@pytest.mark.parametrize("fail", ["writer", "caller"])
+def test_a_failed_write_is_raised_and_no_thread_is_left(monkeypatch, kind, fail):
+    """A chunk is written on the background thread while the next one is
+    formatted, and the last on the caller's; a write that raises on either
+    makes the writer raise that error, and after a normal call and after a
+    failed one the thread is gone."""
+    files = _File(), _File(fail)
+    _open_files(monkeypatch, *files)
+    write, _ = _three_chunks(kind, np.random.default_rng(11))
+    threads = threading.active_count()
+    write()
+    assert files[0].writers == {"writer", "caller"}
+    assert threading.active_count() == threads
+    with pytest.raises(OSError, match=f"on the {fail} thread"):
+        write()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("kind", ["trace", "wide", "summary"])
+def test_chunks_reach_the_file_whole_and_in_order(monkeypatch, kind):
+    """The caller refills the sheet only once the background write of its
+    last chunk is done: with writes that sleep on the writer thread and the
+    interpreter switching threads every microsecond, the file holds each
+    row as repr writes it, in order."""
+    write, want = _three_chunks(kind, np.random.default_rng(12))
+    files = [_File(delay=0.02) for _ in range(2)]
+    _open_files(monkeypatch, *files)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for f in files:
+            write()
+            assert f.text == want.encode()
+    finally:
+        sys.setswitchinterval(interval)

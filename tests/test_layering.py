@@ -8,7 +8,9 @@ a run's or an attack's block through noise.stream_lanes. privagg.noise is
 also the one module that lists noise schemes: the others read its named
 sets. Only privagg.backend calls np.add.reduce, so every round loop sums
 through one kernel, backend.step. Every name a module imports is read in it
-or listed in its __all__, unless its line is marked "# noqa: F401".
+or listed in its __all__, unless its line is marked "# noqa: F401". Only
+privagg.csvfmt imports threading, for the CSV writers' background thread,
+and no module imports concurrent.futures or multiprocessing.
 """
 
 import ast
@@ -142,4 +144,25 @@ def test_no_unused_imports():
                 if bound in read or bound in exported or "# noqa: F401" in lines[alias.lineno - 1]:
                     continue
                 found.append(f"{name}:{alias.lineno} imports {alias.name} unread")
+    assert not found
+
+
+def test_only_csvfmt_starts_threads():
+    # the CSV writers' one background thread needs nothing but threading,
+    # which numpy loads anyway; an executor module adds import time
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [node.module]
+            else:
+                continue
+            for module in imported:
+                top = module.split(".")[0]
+                if top in ("concurrent", "multiprocessing") or (
+                    top == "threading" and name != "csvfmt.py"
+                ):
+                    found.append(f"{name}:{node.lineno} imports {module}")
     assert not found
