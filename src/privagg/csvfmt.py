@@ -436,22 +436,25 @@ def _items(fields: np.ndarray) -> np.ndarray:
 
 def write_trace(
     path: str | Path,
+    segments: Sequence[tuple[int, tuple[int, ...]]],
     xs: Sequence[np.ndarray],
     thetas: Sequence[np.ndarray],
-    node_ids: Sequence[tuple[int, ...]],
 ) -> None:
     """Write one row k,node_id,x,x_plus,theta per (round k, node), in
     csv.writer's format: \\r\\n line ends, floats as repr writes them and no
-    quoting, which no field needs. Round k's rows are node_ids[k] with
-    xs[k], x_plus = xs[k] + thetas[k] and thetas[k]; the rounds from
-    len(thetas) on had no broadcast, so their x_plus and theta are empty.
+    quoting, which no field needs. The topology segments are given, not
+    found from the rounds: one (first_k, ids) each, the first at round 0,
+    and a round's rows are its segment's ids. xs and thetas are blocks of
+    rounds, (rounds x nodes) arrays in round order, x_plus = x + theta;
+    the rounds past the last theta had no broadcast, so their x_plus and
+    theta are empty.
 
     Rows are formatted a chunk of whole rounds at a time: CHUNK_ROWS rows
     at most, or one round wider than that. A chunk's columns are array
-    operations over its rows, with no step per round. Its topology
-    segments, the runs of rounds that share one node_ids tuple, take k
-    and the node ids from b"%d" text tables by broadcasting, one table
-    for each segment's ids, and x and theta are one concatenation each.
+    operations over its rows, with no step per round. Its pieces of
+    topology segments take k and the node ids from b"%d" text tables by
+    broadcasting, one table for each segment's ids, and x and theta are
+    one concatenation each of the slices of the blocks that hold them.
     Once the noise falls below an ulp of the state, rounds repeat their
     values, so a round of x is formatted only when it is fresh: when its
     size or its bytes differ from the previous round's, found by one
@@ -462,19 +465,20 @@ def write_trace(
     is formatted only in the rows where its bytes differ from x(k)'s.
     Bytes, never values: -0.0 == 0.0, but their reprs differ.
     """
-    rounds = len(xs)
-    sizes = np.fromiter(map(len, xs), dtype=np.intp, count=rounds)
+    x_first = np.cumsum([0, *map(len, xs)])  # each block's first round
+    theta_first = np.cumsum([0, *map(len, thetas)])
+    rounds, broadcasts = int(x_first[-1]), int(theta_first[-1])
+    opens = np.zeros(rounds, dtype=bool)  # a segment's first round
+    opens[[k for k, _ in segments]] = True
+    segment = np.cumsum(opens) - 1  # each round's segment
+    sizes = np.array([len(ids) for _, ids in segments], dtype=np.intp)[segment]
     starts = np.concatenate([[0], np.cumsum(sizes)])  # each round's first row
     widest = int(sizes.max(initial=0))
     rows = min(int(starts[-1]), max(CHUNK_ROWS, widest))
-    tuples = np.fromiter(map(id, node_ids[:rounds]), dtype=np.uint64, count=rounds)
-    opens = np.ones(rounds, dtype=bool)  # a segment's first round
-    opens[1:] = tuples[1:] != tuples[:-1]
-    segments = [node_ids[k] for k in np.flatnonzero(opens).tolist()]
     k_table = int_text(range(rounds))
-    id_table = int_text([i for ids in segments for i in ids])
+    id_table = int_text([i for _, ids in segments for i in ids])
     # each round's segment's first row in id_table
-    id_first = np.cumsum([0] + [len(ids) for ids in segments[:-1]])[np.cumsum(opens) - 1]
+    id_first = np.cumsum([0] + [len(ids) for _, ids in segments[:-1]])[segment]
     before = np.concatenate([[0], sizes[:-1]])  # the previous round's size
     widths = [k_table.shape[1], id_table.shape[1], FLOAT_WORDS, FLOAT_WORDS, FLOAT_WORDS]
     sheet = Sheet(widths, rows)
@@ -495,13 +499,13 @@ def write_trace(
         while k0 < rounds:
             k1 = int(np.searchsorted(starts, starts[k0] + rows, side="right")) - 1
             k1 = min(max(k1, k0 + 1), rounds)
-            kt = min(max(k0, len(thetas)), k1)
+            kt = min(max(k0, broadcasts), k1)
             size, first = sizes[k0:k1], starts[k0:k1] - starts[k0]  # each round's rows
             m, mt = int(starts[k1] - starts[k0]), int(starts[kt] - starts[k0])
             chunk = x[widest : widest + m]
-            np.concatenate(xs[k0:k1], out=chunk)
+            np.concatenate(_slices(xs, x_first, k0, k1), out=chunk)
             if mt:  # the rows with a broadcast
-                np.concatenate(thetas[k0:kt], out=values[:mt])
+                np.concatenate(_slices(thetas, theta_first, k0, kt), out=values[:mt])
             cuts = [k0, *(np.flatnonzero(opens[k0 + 1 : k1]) + k0 + 1).tolist(), k1]
             pieces = []  # the chunk's pieces of topology segments
             for a, b in zip(cuts, cuts[1:]):
@@ -544,6 +548,13 @@ def write_trace(
             # the last chunk has nothing to be formatted beside its write
             (sheet.write if k1 == rounds else sheet.write_behind)(f, m)
             k0 = k1
+
+
+def _slices(blocks: Sequence[np.ndarray], first: np.ndarray, k0: int, k1: int) -> list:
+    """Rounds k0 .. k1 - 1 of blocks whose first rounds are first, as the
+    flat rows of the blocks' slices that hold them."""
+    b0, b1 = np.searchsorted(first, k0, side="right") - 1, np.searchsorted(first, k1)
+    return [blocks[b][max(k0 - first[b], 0) : k1 - first[b]].reshape(-1) for b in range(b0, b1)]
 
 
 def write_summary(path: str | Path, spreads: Sequence[float], errs: Sequence[float]) -> None:

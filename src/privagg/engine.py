@@ -33,7 +33,9 @@ gap. The run stops where a round-by-round loop stops, at the
 first round at which a guard or a stopping rule fires, and the block's
 later rounds are discarded. The floating-point errors of the rounds up to
 the stop reach the caller's numpy error handling as a round-by-round
-loop's would (see run); those of the discarded rounds do not.
+loop's would (see run); those of the discarded rounds do not. The trace
+keeps what each block made, one Block of arrays per block, and one
+(first_k, ids) per topology segment; nothing is kept per round.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .csvfmt import write_summary, write_trace
 from .noise import ENVELOPE_SCHEMES, STACK_VALUES, NoiseParams, check_scheme, node_theta_block
 from .tolerances import TOL
 from .topology import Graph, TopologyEvent, apply_event
-from .topology import is_connected  # noqa: F401  perfbench/tracer.py wraps engine.is_connected
 from .weights import WeightMatrix, metropolis
 
 UPDATE_FORMS = ("matrix", "per_node")
@@ -118,39 +119,78 @@ class AppliedEvent:
     true_average_after: float
 
 
+@dataclass(frozen=True)
+class Block:
+    """The rounds k .. k + len(spread) - 1 that one block of a run kept.
+
+    Rows j of x and theta are x(k + j) and theta(k + j) in the live nodes'
+    columns, theta's for the rounds that broadcast; both are None unless
+    the run records its trace. spread[j] is V(x(k + j)) = max - min and
+    err[j] is max_i |x_i(k + j) - reference|, the reference being the live
+    nodes' mean initial state.
+    """
+
+    k: int
+    x: np.ndarray | None
+    theta: np.ndarray | None
+    spread: np.ndarray
+    err: np.ndarray
+
+
 @dataclass
 class RunTrace:
-    """Per-iteration record of a run; each fact is stored once.
+    """The record of a run, as its blocks made it; each fact is stored once.
 
-    spreads[k] is V(x(k)) = max - min; errs[k] is max_i |x_i(k) - reference|
-    where the reference is the mean initial state of the live nodes at k,
-    whose ids node_ids[k] holds (the rounds of one topology segment share
-    one tuple). A node's id is its index in the config's graph for the
-    whole run; a removed id is never reused. xs[k], thetas[k] and x_final
-    hold the live nodes' values in node_ids order. xs / thetas are
-    populated only when record_trace is set; broadcasts exist for k <
-    k_stop, and x_plus(k) is x(k) + theta(k), formed by whoever reads it.
-    xs[k] and thetas[k] are rows of arrays that hold a block's rounds, and
-    only the rounds the trace keeps; neither is written after the round
-    that made it. k_stop, consensus_value and final_true_average are
-    derived from spreads, x_final and the applied events. write_trace_csv
-    and write_summary_csv hand these lists to privagg.csvfmt, which lays
-    out and formats the CSV text.
+    segments holds one (first_k, ids) per topology segment: the live nodes
+    from round first_k on. A node's id is its index in the config's graph
+    for the whole run; a removed id is never reused. blocks holds one Block
+    per block of rounds, in order, each inside one segment, whose ids order
+    its columns and x_final's. Broadcasts exist for k < k_stop, and
+    x_plus(k) = x(k) + theta(k) is formed by whoever reads it. No array is
+    written after the block that made it.
+
+    xs, thetas, spreads, errs and node_ids are per-round lists built from
+    the records on each access, for callers that index by round; the rounds
+    of a segment share its ids tuple. Library code reads the records, and
+    the writers hand them to privagg.csvfmt, which lays out the CSV text.
     """
 
     config: RunConfig
-    spreads: list[float] = field(default_factory=list)
-    errs: list[float] = field(default_factory=list)
-    node_ids: list[tuple[int, ...]] = field(default_factory=list)
-    xs: list[np.ndarray] = field(default_factory=list)
-    thetas: list[np.ndarray] = field(default_factory=list)
+    segments: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
+    blocks: list[Block] = field(default_factory=list)
     events_applied: list[AppliedEvent] = field(default_factory=list)
     reason: str = ""
     x_final: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
+    def xs(self) -> list[np.ndarray]:
+        return [x for b in self.blocks if b.x is not None for x in b.x]
+
+    @property
+    def thetas(self) -> list[np.ndarray]:
+        return [t for b in self.blocks if b.theta is not None for t in b.theta]
+
+    @property
+    def spreads(self) -> list[float]:
+        return [v for b in self.blocks for v in b.spread.tolist()]
+
+    @property
+    def errs(self) -> list[float]:
+        return [v for b in self.blocks for v in b.err.tolist()]
+
+    @property
+    def node_ids(self) -> list[tuple[int, ...]]:
+        ends = [k for k, _ in self.segments[1:]] + [self.k_stop + 1]
+        return [ids for (k, ids), end in zip(self.segments, ends) for _ in range(end - k)]
+
+    @property
     def k_stop(self) -> int:
-        return len(self.spreads) - 1
+        last = self.blocks[-1]
+        return last.k + len(last.spread) - 1
+
+    @property
+    def n_final(self) -> int:
+        return len(self.segments[-1][1])
 
     @property
     def consensus_value(self) -> float:
@@ -158,11 +198,11 @@ class RunTrace:
 
     @property
     def final_err(self) -> float:
-        return self.errs[-1]
+        return float(self.blocks[-1].err[-1])
 
     @property
     def final_spread(self) -> float:
-        return self.spreads[-1]
+        return float(self.blocks[-1].spread[-1])
 
     @property
     def final_true_average(self) -> float:
@@ -173,13 +213,16 @@ class RunTrace:
 
     def write_trace_csv(self, path: str | Path) -> None:
         """The trace CSV, one row per (k, node); see csvfmt.write_trace."""
-        if not self.xs:
+        if not self.config.record_trace:
             raise ValueError("run was executed with record_trace=False")
-        write_trace(path, self.xs, self.thetas, self.node_ids)
+        xs, thetas = [b.x for b in self.blocks], [b.theta for b in self.blocks]
+        write_trace(path, self.segments, xs, thetas)
 
     def write_summary_csv(self, path: str | Path) -> None:
         """The summary CSV, one row per k; see csvfmt.write_summary."""
-        write_summary(path, self.spreads, self.errs)
+        spreads = np.concatenate([np.empty(0), *(b.spread for b in self.blocks)])
+        errs = np.concatenate([np.empty(0), *(b.err for b in self.blocks)])
+        write_summary(path, spreads, errs)
 
 
 def state_envelope(x0: Sequence[float] | np.ndarray, params: NoiseParams) -> float:
@@ -235,7 +278,6 @@ def run(config: RunConfig) -> RunTrace:
 
     ei = 0
     k = 0
-    ids = tuple(range(n))  # one tuple per topology segment, shared by its rounds
     fixed = False  # x is a fixed point of this segment's kernel
     same = np.empty(n, dtype=bool)  # the probe's test of x_plus against x
     while True:
@@ -250,11 +292,12 @@ def run(config: RunConfig) -> RunTrace:
                 AppliedEvent(k, event.kind, event.payload, n - len(g.retired), reference)
             )
             ei += 1
-        if ei > first:  # the new segment's weights and ids, once per iteration
+        if ei > first:  # the new segment's weights, once per iteration
             wm = metropolis(g, base=(before, wm))  # apply_event checked connectivity
             weights, cols = _kernel_operands(wm, matrix_form)
-            ids = tuple(np.arange(n)[live].tolist())
             fixed = False
+        if ei > first or k == 0:  # a topology segment starts at k
+            trace.segments.append((k, tuple(np.arange(n)[live].tolist())))
 
         # The block: rounds k .. end - 1 broadcast, as many as have run (one
         # at least), up to the next event, max_rounds or the value budget;
@@ -295,7 +338,7 @@ def run(config: RunConfig) -> RunTrace:
                 fixed = faults[-1:] != [j] and bool(same.all())
                 j = probe - k
         rows = max(end - k, 1)  # the states checked here: x(k) .. x(k + rows - 1)
-        eps = config.term_epsilon if len(ids) > 1 else 0.0
+        eps = config.term_epsilon if trace.n_final > 1 else 0.0
         with np.errstate(all="ignore"):
             r, cause, high, low = _first_stop(
                 states[:rows], plus, live, guard, k + rows - 1 == max_rounds, eps, wm.cols
@@ -308,8 +351,8 @@ def run(config: RunConfig) -> RunTrace:
         kept = r if cause == "state" else min(r + 1, rows)  # the rounds recorded
         # under the caller's handling too; a gap overflows only where the
         # spread does, which reports it
-        spreads = (high[:kept] - low[:kept]).tolist()
-        errs = np.maximum(abs(high[:kept] - reference), abs(low[:kept] - reference)).tolist()
+        spreads = high[:kept] - low[:kept]
+        errs = np.maximum(abs(high[:kept] - reference), abs(low[:kept] - reference))
         if cause == "state":
             peak = max(abs(float(high[r])), abs(float(low[r])))
             if not math.isfinite(peak):
@@ -317,14 +360,13 @@ def run(config: RunConfig) -> RunTrace:
             raise EngineAbort(f"state envelope exceeded at iteration {k + r}: {peak} > {guard}")
         if cause == "broadcast":
             raise EngineAbort(f"non-finite broadcast at iteration {k + r}")
-        trace.spreads += spreads
-        trace.errs += errs
-        trace.node_ids += [ids] * kept
+        xs = thetas = None
         if config.record_trace:
-            # Copies where rows would pin more than the trace keeps: the
+            # Copies where a view would pin more than the trace keeps: the
             # noise block, and the rounds a stop leaves in its block.
-            trace.xs += list(states[:kept, live].copy() if cause else states[:kept, live])
-            trace.thetas += list(theta[:r, live].copy())
+            xs = states[:kept, live].copy() if cause else states[:kept, live]
+            thetas = theta[:r, live].copy()
+        trace.blocks.append(Block(k, xs, thetas, spreads, errs))
         if cause:
             trace.reason = cause
             trace.x_final = states[r, live].copy()
@@ -393,7 +435,7 @@ def aggregate(trace: RunTrace, kind: str) -> float:
         raise ValueError(f"unknown aggregate kind {kind!r}")
     if kind == "average":
         return trace.consensus_value
-    return len(trace.node_ids[-1]) * trace.consensus_value
+    return trace.n_final * trace.consensus_value
 
 
 @dataclass(frozen=True)
@@ -418,7 +460,8 @@ def decay_envelope(
         raise ValueError("decay envelope requires a static-topology run")
     if not 0.0 < eps_w <= 1.0:
         raise ValueError("contraction factor must be in (0, 1]")
-    n = len(trace.node_ids[0])
+    n = trace.n_final
+    spreads = trace.spreads  # once: each read builds the list
     rho, alpha = params.rho, params.alpha
     points = []
     for start in range(min(n, trace.k_stop + 1)):
@@ -426,8 +469,8 @@ def decay_envelope(
         h = 1
         while start + h * n <= trace.k_stop:
             tail = ahat * h * max(rho ** ((h - 1) * n), (1.0 - eps_w) ** (h - 1))
-            bound = (1.0 - eps_w) ** h * trace.spreads[start] + tail
-            observed = trace.spreads[start + h * n]
+            bound = (1.0 - eps_w) ** h * spreads[start] + tail
+            observed = spreads[start + h * n]
             points.append(EnvelopePoint(start + h * n, bound, observed, observed <= bound))
             h += 1
     return points

@@ -436,7 +436,7 @@ def run_experiment(
                 "repetition": rep,
                 "k_stop": trace.k_stop,
                 "reason": trace.reason,
-                "n_final": len(trace.node_ids[-1]),
+                "n_final": trace.n_final,
                 "consensus_value": trace.consensus_value,
                 "true_average": trace.final_true_average,
                 "recovered_sum": aggregate(trace, "sum"),

@@ -297,17 +297,17 @@ def disclosure_attack(view: AdversaryView, trace: RunTrace, horizon: int) -> Dis
         raise ValueError("disclosure attack requires a static-topology trace")
     if trace.config.scheme not in TELESCOPING_SCHEMES:
         raise ValueError("reconstruction assumes telescoping (or zero) noise")
-    if not trace.xs:
+    if not trace.config.record_trace:
         raise ValueError("trace must be recorded with record_trace=True")
-    if not 1 <= horizon <= len(trace.thetas) - 1:
-        raise ValueError(
-            f"horizon must be in [1, {len(trace.thetas) - 1}] for this trace"
-        )
+    if not 1 <= horizon <= trace.k_stop - 1:
+        raise ValueError(f"horizon must be in [1, {trace.k_stop - 1}] for this trace")
     if g != trace.config.graph:
         raise ValueError("view graph does not match the trace")
 
     wm = metropolis(g)
-    broadcasts = np.array(trace.xs[: horizon + 1]) + np.array(trace.thetas[: horizon + 1])
+    # x+(0) .. x+(horizon), from the blocks that hold them
+    held = [(b, horizon + 1 - b.k) for b in trace.blocks if b.k <= horizon]
+    broadcasts = np.concatenate([b.x[:rows] + b.theta[:rows] for b, rows in held])
     # row j of W x+(k-1), k = 1..horizon, the rounds as trailing lanes: j's column of the layout
     column = slice(j, j + 1)
     predicted = get_backend().step(wm.weights[:, column], wm.cols[:, column], broadcasts[:-1].T)

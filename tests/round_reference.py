@@ -15,7 +15,7 @@ column leaves every live node's sums as renumbering does.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,7 +49,27 @@ def renumbered_event(
     return engine.apply_event(g, moved), alive, None
 
 
-def round_run(config: engine.RunConfig) -> engine.RunTrace:
+@dataclass
+class RoundTrace:
+    """round_run's record, one list entry per round under the names of
+    RunTrace's per-round views; k_stop as RunTrace reads it."""
+
+    config: engine.RunConfig
+    spreads: list[float] = field(default_factory=list)
+    errs: list[float] = field(default_factory=list)
+    node_ids: list[tuple[int, ...]] = field(default_factory=list)
+    xs: list[np.ndarray] = field(default_factory=list)
+    thetas: list[np.ndarray] = field(default_factory=list)
+    events_applied: list[engine.AppliedEvent] = field(default_factory=list)
+    reason: str = ""
+    x_final: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    @property
+    def k_stop(self) -> int:
+        return len(self.spreads) - 1
+
+
+def round_run(config: engine.RunConfig) -> RoundTrace:
     """engine.run, one round at a time."""
     g = config.graph
     kernel = engine.get_backend().step
@@ -69,7 +89,7 @@ def round_run(config: engine.RunConfig) -> engine.RunTrace:
         else math.inf
     )
     events = sorted(config.events, key=lambda e: e.at_iteration)
-    trace = engine.RunTrace(config=config)
+    trace = RoundTrace(config=config)
 
     ei = 0
     k = 0

@@ -204,11 +204,11 @@ def test_writers_memory_is_bounded_in_the_number_of_rounds(tmp_path):
     peaks = []
     for rows in (2 * CHUNK_ROWS, 4 * CHUNK_ROWS):
         rounds = rows // len(ids)
-        xs = list(rng.normal(size=(rounds, len(ids))))
-        thetas = list(rng.normal(size=(rounds - 1, len(ids))))
+        xs = rng.normal(size=(rounds, len(ids)))
+        thetas = rng.normal(size=(rounds - 1, len(ids)))
         spreads, errs = rng.exponential(size=(2, rows)).tolist()
         peaks.append((
-            _peak_mib(lambda: write_trace(tmp_path / "t.csv", xs, thetas, [ids] * rounds)),
+            _peak_mib(lambda: write_trace(tmp_path / "t.csv", [(0, ids)], [xs], [thetas])),
             _peak_mib(lambda: write_summary(tmp_path / "s.csv", spreads, errs)),
         ))
     for short, long in zip(*peaks):
@@ -221,9 +221,9 @@ def test_write_trace_memory_in_the_number_of_nodes(tmp_path):
     rounds of 50 000 nodes, every value fresh, the peak is under 32 MiB."""
     rng = np.random.default_rng(10)
     ids = tuple(range(50_000))
-    xs = list(rng.normal(size=(3, len(ids))))
-    thetas = list(rng.normal(size=(2, len(ids))))
-    peak = _peak_mib(lambda: write_trace(tmp_path / "t.csv", xs, thetas, [ids] * 3))
+    xs = rng.normal(size=(3, len(ids)))
+    thetas = rng.normal(size=(2, len(ids)))
+    peak = _peak_mib(lambda: write_trace(tmp_path / "t.csv", [(0, ids)], [xs], [thetas]))
     assert peak < 32.0, peak
 
 
@@ -268,8 +268,8 @@ def _three_chunks(kind: str, rng):
         for i in range(n):
             tail = f"{x[i] + theta[i]!r},{theta[i]!r}" if theta else ","
             rows.append(f"{k},{i},{x[i]!r},{tail}")
-    ids = [tuple(range(n))] * rounds
-    return lambda: write_trace("out.csv", list(xs), list(thetas), ids), "\r\n".join(rows) + "\r\n"
+    segments = [(0, tuple(range(n)))]
+    return lambda: write_trace("out.csv", segments, [xs], [thetas]), "\r\n".join(rows) + "\r\n"
 
 
 def _open_files(monkeypatch, *files: _File) -> None:

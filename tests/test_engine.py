@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from privagg.csvfmt import CHUNK_ROWS
 from privagg import engine
 from privagg.engine import (
     UPDATE_FORMS,
+    Block,
     EngineAbort,
     RunConfig,
     RunTrace,
@@ -83,9 +85,10 @@ def test_engine_matches_straightline_oracle():
     trace = run(cfg)
     w = metropolis(g).w.tolist()
     x = list(map(float, x0))
+    xs, thetas = trace.xs, trace.thetas
     for k in range(trace.k_stop):
-        assert np.array_equal(np.array(x), trace.xs[k])
-        xp = [x[i] + float(trace.thetas[k][i]) for i in range(3)]
+        assert np.array_equal(np.array(x), xs[k])
+        xp = [x[i] + float(thetas[k][i]) for i in range(3)]
         x = [sum_ordered(w[i], xp) for i in range(3)]
     assert np.array_equal(np.array(x), trace.x_final)
     # the error at k=81 respects the geometric spread envelope plus the
@@ -110,11 +113,12 @@ def test_mass_conservation_with_noise_accounting():
         cfg = RunConfig(graph=g, x0=x0, noise=NoiseParams(seed=1), scheme=scheme, max_iterations=150)
         trace = run(cfg)
         injected = 0.0
+        xs, thetas = trace.xs, trace.thetas
         for k in range(trace.k_stop):
             expected = float(x0.sum()) + injected
-            got = float(trace.xs[k].sum())
+            got = float(xs[k].sum())
             assert abs(got - expected) <= 15 * max(k, 1) * 1e-12 * max(1.0, abs(expected))
-            injected += float(trace.thetas[k].sum())
+            injected += float(thetas[k].sum())
 
 
 def test_state_envelope_values():
@@ -350,6 +354,31 @@ def test_node_ids_shared_within_a_segment():
     assert ids[4] == tuple(range(6)) and ids[5] == (0, 1, 2, 3, 5)
 
 
+def test_a_long_run_keeps_no_object_per_round():
+    # the trace holds a list entry per block, segment or event, and arrays;
+    # the per-round views are built from them
+    g = generate("random_gnp", 50, seed=7, p=0.2)
+    events = (TopologyEvent(700, "add_edge", (0, 1)), TopologyEvent(1500, "remove_node", 3))
+    cfg = RunConfig(
+        graph=g, x0=np.random.default_rng(7).uniform(0.0, 100.0, 50),
+        noise=NoiseParams(seed=7), scheme="zero_sum", max_iterations=2500, events=events,
+    )
+    trace = run(cfg)
+    assert trace.k_stop == 2500 and len(trace.events_applied) == 2
+    lists = {f.name for f in fields(trace) if isinstance(getattr(trace, f.name), list)}
+    assert lists == {"segments", "blocks", "events_applied"}
+    assert [k for k, _ in trace.segments] == [0, 700, 1500]
+    assert len(trace.blocks) <= 40
+    for block in trace.blocks:
+        assert [type(getattr(block, f.name)) for f in fields(block)] == [int] + [np.ndarray] * 4
+    ids = trace.node_ids
+    assert len(ids) == len(trace.xs) == len(trace.spreads) == len(trace.errs) == 2501
+    assert len(trace.thetas) == 2500
+    for (k, segment), end in zip(trace.segments, [700, 1500, 2501]):
+        assert all(t is segment for t in ids[k:end])
+    assert len(ids[0]) == 50 and ids[2500] == tuple(i for i in range(50) if i != 3)
+
+
 def test_no_full_connectivity_search_per_applied_event(monkeypatch):
     # configs/demo.cfg's graph with an edge event and two node removals:
     # generate has marked it connected, so the first weights search no more;
@@ -522,12 +551,13 @@ def _csv_writer_trace(trace, path):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["k", "node_id", "x", "x_plus", "theta"])
+        thetas, node_ids = trace.thetas, trace.node_ids
         for k, x in enumerate(trace.xs):
-            broadcast = k < len(trace.thetas)
-            for p, nid in enumerate(trace.node_ids[k]):
+            broadcast = k < len(thetas)
+            for p, nid in enumerate(node_ids[k]):
                 row = [k, nid, repr(float(x[p]))]
                 if broadcast:
-                    theta = float(trace.thetas[k][p])
+                    theta = float(thetas[k][p])
                     row.append(repr(float(x[p]) + theta))
                     row.append(repr(theta))
                 else:
@@ -547,12 +577,13 @@ def _csv_writer_summary(trace, path):
 def _row_repeats(trace):
     """Rounds whose x repeats the previous round's bits and whose x_plus
     repeats x's, within one topology segment."""
+    xs, thetas, ids = trace.xs, trace.thetas, trace.node_ids
     return [
         i
-        for i in range(1, len(trace.thetas))
-        if trace.node_ids[i] is trace.node_ids[i - 1]
-        and trace.xs[i].tobytes() == trace.xs[i - 1].tobytes()
-        and (trace.xs[i] + trace.thetas[i]).tobytes() == trace.xs[i].tobytes()
+        for i in range(1, len(thetas))
+        if ids[i] is ids[i - 1]
+        and xs[i].tobytes() == xs[i - 1].tobytes()
+        and (xs[i] + thetas[i]).tobytes() == xs[i].tobytes()
     ]
 
 
@@ -560,17 +591,16 @@ def _partial_repeats(trace):
     """Rounds past the noise floor (the first broadcast that repeats its
     state bit for bit) whose x differs from the previous round's in some
     nodes but not all."""
+    xs = trace.xs
     floor = next(
         i
-        for i, (x, theta) in enumerate(zip(trace.xs, trace.thetas))
+        for i, (x, theta) in enumerate(zip(xs, trace.thetas))
         if x.tobytes() == (x + theta).tobytes()
     )
     return [
         i
-        for i in range(floor + 1, len(trace.xs))
-        if 0
-        < np.count_nonzero(trace.xs[i].view(np.int64) != trace.xs[i - 1].view(np.int64))
-        < len(trace.xs[i])
+        for i in range(floor + 1, len(xs))
+        if 0 < np.count_nonzero(xs[i].view(np.int64) != xs[i - 1].view(np.int64)) < len(xs[i])
     ]
 
 
@@ -595,14 +625,10 @@ def _broadcast_repeats_last_round():
     xs = [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])]
     thetas = [np.array([0.5, 0.5]), np.array([-2.0, -2.0])]
     assert (xs[1] + thetas[1]).tobytes() == xs[0].tobytes()
-    ids = (0, 1)
     return RunTrace(
         config=RunConfig(graph=generate("path", 2), x0=xs[0], scheme="zero"),
-        spreads=[1.0] * 3,
-        errs=[0.5] * 3,
-        node_ids=[ids] * 3,
-        xs=xs,
-        thetas=thetas,
+        segments=[(0, (0, 1))],
+        blocks=[Block(0, np.array(xs), np.array(thetas), np.full(3, 1.0), np.full(3, 0.5))],
         reason="max_iterations",
     )
 
@@ -619,13 +645,11 @@ def _extreme_values():
         np.array([1e-200, -0.0, -1e16, 5e-324]),
         np.array([-4.9e-321, 1e-300, -9.5e-5, 1e100]),
     ]
+    spreads, errs = np.array([1e16, 5e-324, -0.0]), np.array([1.5e-300, 1e300, 0.1])
     return RunTrace(
         config=RunConfig(graph=generate("path", 4), x0=xs[0], scheme="zero"),
-        spreads=[1e16, 5e-324, -0.0],
-        errs=[1.5e-300, 1e300, 0.1],
-        node_ids=[(0, 1, 2, 3)] * 3,
-        xs=xs,
-        thetas=thetas,
+        segments=[(0, (0, 1, 2, 3))],
+        blocks=[Block(0, np.array(xs), np.array(thetas), spreads, errs)],
         reason="max_iterations",
     )
 
@@ -854,10 +878,11 @@ def test_trace_writer_formats_each_text_once(tmp_path, monkeypatch):
 def test_summary_writer_formats_a_chunk_in_one_call(tmp_path, monkeypatch):
     rng = np.random.default_rng(8)
     rounds = 2 * CHUNK_ROWS + 5
+    spreads, errs = rng.exponential(size=rounds), -rng.exponential(size=rounds)
     trace = RunTrace(
         config=RunConfig(graph=generate("path", 2), x0=[0.0, 1.0], scheme="zero"),
-        spreads=rng.exponential(size=rounds).tolist(),
-        errs=(-rng.exponential(size=rounds)).tolist(),
+        segments=[(0, (0, 1))],
+        blocks=[Block(0, None, None, spreads, errs)],
     )
     counts = _counting_floats(monkeypatch)
     trace.write_summary_csv(tmp_path / "s.csv")

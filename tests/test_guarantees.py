@@ -127,6 +127,7 @@ def _check_round_updates(trace, graph):
     j run over its live nodes, the nodes a trace row holds."""
     events = sorted(trace.config.events, key=lambda e: e.at_iteration)
     g, ei, columns = graph, 0, None
+    xs, thetas = trace.xs, trace.thetas
     for k in range(trace.k_stop):
         first = ei
         while ei < len(events) and events[ei].at_iteration == k:
@@ -136,11 +137,11 @@ def _check_round_updates(trace, graph):
             live = [i for i in range(g.n) if i not in g.retired]
             every = _metropolis_columns(g)
             columns = [every[j][live] for j in live]
-        x_plus = trace.xs[k] + trace.thetas[k]
+        x_plus = xs[k] + thetas[k]
         acc = np.zeros(len(columns))
         for j, column in enumerate(columns):
             acc = acc + column * x_plus[j]
-        assert _bits(trace.xs[k + 1]) == _bits(acc), k
+        assert _bits(xs[k + 1]) == _bits(acc), k
 
 
 def _check_noise(trace, ids):

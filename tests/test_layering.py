@@ -8,9 +8,9 @@ a run's or an attack's block through noise.stream_lanes. privagg.noise is
 also the one module that lists noise schemes: the others read its named
 sets. Only privagg.backend calls np.add.reduce, so every round loop sums
 through one kernel, backend.step. Every name a module imports is read in it
-or listed in its __all__, unless its line is marked "# noqa: F401". Only
-privagg.csvfmt imports threading, for the CSV writers' background thread,
-and no module imports concurrent.futures or multiprocessing.
+or listed in its __all__. Only privagg.csvfmt imports threading, for the
+CSV writers' background thread, and no module imports concurrent.futures or
+multiprocessing. Only privagg.engine reads RunTrace's per-round views.
 """
 
 import ast
@@ -21,6 +21,7 @@ from privagg.noise import SCHEMES
 SRC = Path(__file__).resolve().parents[1] / "src" / "privagg"
 SEEDING = {"Generator", "PCG64", "SeedSequence", "default_rng"}
 DRAWS = {"random", "uniform", "standard_normal", "normal", "integers"}
+ROUND_VIEWS = {"xs", "thetas", "spreads", "errs", "node_ids"}
 
 
 def _modules():
@@ -125,7 +126,6 @@ def test_no_unused_imports():
     # no linter runs on the package, and deleted code can leave its imports
     found = []
     for name, tree in _modules():
-        lines = (SRC / name).read_text().splitlines()
         exported, read = set(), set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -141,7 +141,7 @@ def test_no_unused_imports():
                 continue
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
-                if bound in read or bound in exported or "# noqa: F401" in lines[alias.lineno - 1]:
+                if bound in read or bound in exported:
                     continue
                 found.append(f"{name}:{alias.lineno} imports {alias.name} unread")
     assert not found
@@ -165,4 +165,18 @@ def test_only_csvfmt_starts_threads():
                     top == "threading" and name != "csvfmt.py"
                 ):
                     found.append(f"{name}:{node.lineno} imports {module}")
+    assert not found
+
+
+def test_only_engine_reads_the_per_round_views():
+    # each access to RunTrace.xs, .thetas, .spreads, .errs or .node_ids
+    # builds a list with an entry per round; library code reads the trace's
+    # segments and blocks instead
+    found = []
+    for name, tree in _modules():
+        if name == "engine.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ROUND_VIEWS:
+                found.append(f"{name}:{node.lineno} reads .{node.attr}")
     assert not found

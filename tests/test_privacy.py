@@ -370,8 +370,7 @@ def test_disclosure_refusals():
     with pytest.raises(ValueError):  # horizon must be >= 1
         disclosure_attack(view3, trace3, 0)
 
-    bare = _recorded_run(g3, np.array([1.0, 2.0, 3.0]), params, max_iterations=30)
-    bare.xs.clear()
+    bare = run(RunConfig(g3, [1.0, 2.0, 3.0], params, max_iterations=30, record_trace=False))
     with pytest.raises(ValueError, match="record_trace"):
         disclosure_attack(view3, bare, 5)
 
